@@ -2,7 +2,7 @@
 
 from repro.learning.tree import DecisionTreeClassifier
 from repro.learning.forest import RandomForestClassifier
-from repro.learning.engine import PackedForest, candidate_features, grow_frontier
+from repro.learning.engine import PackedForest, candidate_features, grow_forest
 from repro.learning.knn import KNeighborsClassifier
 from repro.learning.linear import LinearSVC, LogisticRegression, RidgeClassifier
 from repro.learning.metrics import (
@@ -40,7 +40,7 @@ __all__ = [
     "RandomForestClassifier",
     "PackedForest",
     "candidate_features",
-    "grow_frontier",
+    "grow_forest",
     "KNeighborsClassifier",
     "RidgeClassifier",
     "LogisticRegression",

@@ -5,13 +5,19 @@ Classifiers ... the Forest averages the responses of all Trees and outputs
 the class of the data sample."  Each tree is fitted on a bootstrap sample
 with a random feature subset considered per split.
 
-Throughput knobs (both identity-preserving):
+Throughput knobs (all identity-preserving):
 
-* ``parallelism`` fans tree fitting across a process pool.  Per-tree
-  seeds and bootstrap indices are drawn from the forest generator in
-  exactly the serial order *before* the fan-out, and a fitted tree is a
-  pure function of ``(bootstrap sample, seed)``, so a parallel fit is
-  byte-identical to a serial one.
+* Growth is fused: every tree of the forest grows in one
+  level-synchronous frontier (:func:`~repro.learning.engine.grow_forest`)
+  whose rows are ``(tree, distinct bootstrap row)`` pairs weighted by
+  bootstrap multiplicity.  Per-tree seeds and bootstrap samples are
+  drawn from the forest generator in exactly the serial order first,
+  and a tree is a pure function of ``(bootstrap sample, seed)``, so the
+  forest equals per-tree fits of ``engine="recursive"`` on bootstrap
+  copies (the oracle ``engine="recursive"`` still runs).
+* ``parallelism`` splits the trees into that many contiguous groups and
+  grows each group on a process pool; the forest is byte-identical to a
+  serial fit.  (The recursive oracle always fits serially.)
 * Inference runs through the fused :class:`~repro.learning.engine.PackedForest`
   by default — one level-synchronous descent over every
   ``(sample, tree)`` lane instead of a per-tree Python loop — and is
@@ -22,39 +28,36 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.learning.engine import M_FIT_SECONDS, PackedForest
+from repro.learning.engine import M_FIT_SECONDS, GrownTree, PackedForest, grow_forest
 from repro.learning.tree import DecisionTreeClassifier
 
-#: per-worker fit context installed by the pool initializer, so tree
-#: payloads stay small (seed + bootstrap index, not the matrix)
-_FIT_X: Optional[np.ndarray] = None
-_FIT_Y: Optional[np.ndarray] = None
-_FIT_PARAMS: Optional[Dict[str, object]] = None
+#: per-worker growth context installed by the pool initializer, so group
+#: payloads stay small (seeds + bootstrap weights, not the matrix)
+_GROW_CONTEXT: Optional[Tuple[np.ndarray, np.ndarray, int, Dict[str, Any]]] = None
 
 
-def _fit_pool_init(
-    X: np.ndarray, y: np.ndarray, params: Dict[str, object]
+def _grow_pool_init(
+    X: np.ndarray, y: np.ndarray, n_classes: int, params: Dict[str, Any]
 ) -> None:
-    global _FIT_X, _FIT_Y, _FIT_PARAMS
-    _FIT_X = X
-    _FIT_Y = y
-    _FIT_PARAMS = params
+    global _GROW_CONTEXT
+    _GROW_CONTEXT = (X, y, n_classes, params)
 
 
-def _fit_tree_worker(
-    task: Tuple[int, np.ndarray]
-) -> DecisionTreeClassifier:
-    """Fit one tree on its pre-drawn bootstrap sample and seed."""
-    seed, index = task
-    assert _FIT_X is not None and _FIT_Y is not None
-    assert _FIT_PARAMS is not None
-    tree = DecisionTreeClassifier(random_state=seed, **_FIT_PARAMS)
-    return tree.fit(_FIT_X[index], _FIT_Y[index])
+def _grow_group_worker(
+    task: Tuple[Sequence[int], Optional[np.ndarray]]
+) -> List[GrownTree]:
+    """Grow one contiguous group of trees from its seeds and weights."""
+    assert _GROW_CONTEXT is not None
+    X, y, n_classes, params = _GROW_CONTEXT
+    seeds, weights = task
+    return grow_forest(
+        X, y, n_classes, base_seeds=seeds, weights=weights, **params
+    )
 
 
 class RandomForestClassifier:
@@ -100,41 +103,81 @@ class RandomForestClassifier:
             raise ValueError("X and y are misaligned")
         started = time.perf_counter()
         rng = np.random.default_rng(self.random_state)
-        self.classes_ = np.unique(y)
+        self.classes_, encoded = np.unique(y, return_inverse=True)
         self.estimators_ = []
         self._packed = None
         n = len(X)
         sample_size = n
         if self.max_samples is not None:
             sample_size = max(1, int(self.max_samples * n))
-        # Seeds and bootstrap indices are drawn in the exact serial
-        # order regardless of how the fitting itself is scheduled.
-        tasks: List[Tuple[int, np.ndarray]] = []
+        # Seeds and bootstrap samples are drawn in the exact serial order
+        # regardless of how the growing itself is scheduled.
+        trees: List[DecisionTreeClassifier] = []
+        samples: List[np.ndarray] = []
         for _ in range(self.n_estimators):
             seed = int(rng.integers(0, 2**31 - 1))
+            trees.append(
+                DecisionTreeClassifier(random_state=seed, **self._tree_params())
+            )
             if self.bootstrap:
-                index = rng.integers(0, n, size=sample_size)
-            else:
-                index = np.arange(n)
-            tasks.append((seed, index))
-        workers = self.parallelism
-        if workers is not None and workers > 1 and len(tasks) > 1:
-            with multiprocessing.Pool(
-                processes=min(workers, len(tasks)),
-                initializer=_fit_pool_init,
-                initargs=(X, y, self._tree_params()),
-            ) as pool:
-                # map() preserves task order, so estimator order (and
-                # therefore every prediction) matches the serial path.
-                self.estimators_ = pool.map(_fit_tree_worker, tasks)
-        else:
-            for seed, index in tasks:
-                tree = DecisionTreeClassifier(
-                    random_state=seed, **self._tree_params()
-                )
-                self.estimators_.append(tree.fit(X[index], y[index]))
+                samples.append(rng.integers(0, n, size=sample_size))
+        if self.engine == "recursive":
+            for t, tree in enumerate(trees):
+                index = samples[t] if self.bootstrap else np.arange(n)
+                tree.fit(X[index], y[index])
+        elif trees:
+            self._grow(trees, samples, X, encoded.astype(np.int64))
+        self.estimators_ = trees
         obs.metrics().observe(M_FIT_SECONDS, time.perf_counter() - started)
         return self
+
+    def _grow(
+        self,
+        trees: List[DecisionTreeClassifier],
+        samples: List[np.ndarray],
+        X: np.ndarray,
+        labels: np.ndarray,
+    ) -> None:
+        """Grow every tree through the fused frontier and install it."""
+        if X.ndim != 2:
+            raise ValueError("X must be 2-D and aligned with y")
+        if len(X) == 0:
+            raise ValueError("cannot fit on an empty dataset")
+        seeds = [tree._start_fit(X.shape[1]) for tree in trees]
+        # a tree's rows: each distinct bootstrap row, weighted by how
+        # often the bootstrap drew it (None: every row once)
+        weights = (
+            np.stack([np.bincount(s, minlength=len(X)) for s in samples])
+            if self.bootstrap
+            else None
+        )
+        assert self.classes_ is not None
+        n_classes = len(self.classes_)
+        params = trees[0]._growth_params()
+        workers = min(self.parallelism or 1, len(trees))
+        if workers > 1:
+            groups = np.array_split(np.arange(len(trees)), workers)
+            tasks = [
+                (
+                    [seeds[t] for t in group],
+                    None if weights is None else weights[group],
+                )
+                for group in groups
+            ]
+            with multiprocessing.Pool(
+                processes=workers,
+                initializer=_grow_pool_init,
+                initargs=(X, labels, n_classes, params),
+            ) as pool:
+                # map() preserves group order, so estimator order (and
+                # therefore every prediction) matches the serial path.
+                grown = [g for part in pool.map(_grow_group_worker, tasks) for g in part]
+        else:
+            grown = grow_forest(
+                X, labels, n_classes, base_seeds=seeds, weights=weights, **params
+            )
+        for tree, tree_grown in zip(trees, grown):
+            tree._adopt(tree_grown, self.classes_)
 
     # ------------------------------------------------------------------
     def packed_forest(self) -> PackedForest:

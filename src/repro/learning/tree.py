@@ -7,9 +7,10 @@ search per feature is a bincount away and splits are exact.
 
 Two growth engines produce **node-for-node identical** trees:
 
-* ``engine="frontier"`` (default) — the level-synchronous builder of
-  :func:`repro.learning.engine.grow_frontier`: one flat histogram pass
-  per level over the whole frontier of open nodes, no recursion (deep
+* ``engine="frontier"`` (default) — a one-tree, unit-weight call of the
+  fused level-synchronous grower
+  :func:`repro.learning.engine.grow_forest`: one flat histogram pass per
+  level over the whole frontier of open nodes, no recursion (deep
   chain-shaped trees cannot hit the recursion limit).
 * ``engine="recursive"`` — the original depth-first reference, kept as
   the oracle for the differential suite in
@@ -18,7 +19,9 @@ Two growth engines produce **node-for-node identical** trees:
 Both draw each node's candidate-feature subset from a per-node
 generator keyed on the node's heap path
 (:func:`repro.learning.engine.candidate_features`), so the trees they
-grow do not depend on traversal order.
+grow do not depend on traversal order.  A fitted tree is a set of flat
+node arrays (feature, threshold, left, right, class counts) in
+DFS-preorder.
 
 The API follows the scikit-learn conventions the paper's flow relies on:
 ``fit(X, y)`` / ``predict(X)`` / ``predict_proba(X)``.
@@ -27,11 +30,16 @@ The API follows the scikit-learn conventions the paper's flow relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.learning.engine import candidate_features, grow_frontier
+from repro.learning.engine import (
+    GrownTree,
+    candidate_features,
+    grow_forest,
+    sum_over_classes,
+)
 
 GROWTH_ENGINES = ("frontier", "recursive")
 
@@ -75,7 +83,7 @@ class DecisionTreeClassifier:
         self.max_features = max_features
         self.random_state = random_state
         self.engine = engine
-        self._nodes: List[_Node] = []
+        self._set_nodes([])
         self.classes_: Optional[np.ndarray] = None
         self.n_features_: int = 0
 
@@ -87,49 +95,85 @@ class DecisionTreeClassifier:
             raise ValueError("X must be 2-D and aligned with y")
         if len(y) == 0:
             raise ValueError("cannot fit on an empty dataset")
-        self.classes_, encoded = np.unique(y, return_inverse=True)
-        self.n_features_ = X.shape[1]
-        self._n_classes = len(self.classes_)
-        # One draw turns ``random_state`` into the base entropy every
-        # per-node candidate draw derives from (None stays entropic).
-        seed_rng = np.random.default_rng(self.random_state)
-        self._base_seed = int(seed_rng.integers(0, 2**63 - 1))
+        classes, encoded = np.unique(y, return_inverse=True)
         labels = encoded.astype(np.int64)
+        base_seed = self._start_fit(X.shape[1])
         if self.engine == "recursive":
-            self._nodes = []
-            self._grow(X, labels, np.arange(len(y)), depth=0, path_key=1)
+            self.classes_ = classes
+            self._n_classes = len(classes)
+            nodes: List[_Node] = []
+            self._grow(nodes, X, labels, np.arange(len(y)), depth=0, path_key=1)
+            self._set_nodes(nodes)
         else:
-            records = grow_frontier(
+            (grown,) = grow_forest(
                 X,
                 labels,
-                self._n_classes,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                n_candidates=self._n_candidate_features(),
-                base_seed=self._base_seed,
+                len(classes),
+                base_seeds=[base_seed],
+                weights=None,
+                **self._growth_params(),
             )
-            self._nodes = [
-                _Node(
-                    feature=feature,
-                    threshold=threshold,
-                    left=left,
-                    right=right,
-                    counts=counts,
-                )
-                for feature, threshold, left, right, counts in records
-            ]
-        self._pack()
+            self._adopt(grown, classes)
         return self
 
-    def _pack(self) -> None:
-        """Flatten nodes into arrays for vectorized prediction."""
-        self._feature = np.array([node.feature for node in self._nodes])
-        self._threshold = np.array([node.threshold for node in self._nodes])
-        self._left = np.array([node.left for node in self._nodes])
-        self._right = np.array([node.right for node in self._nodes])
-        self._leaf = self._left < 0
-        self._counts = np.vstack([node.counts for node in self._nodes])
+    def _start_fit(self, n_features: int) -> int:
+        """Record the input width and draw the base seed (returned).
+
+        One draw turns ``random_state`` into the base entropy every
+        per-node candidate draw derives from (None stays entropic).
+        """
+        self.n_features_ = n_features
+        seed_rng = np.random.default_rng(self.random_state)
+        self._base_seed = int(seed_rng.integers(0, 2**63 - 1))
+        return self._base_seed
+
+    def _growth_params(self) -> Dict[str, Any]:
+        """Keyword arguments of :func:`grow_forest` for this tree."""
+        return {
+            "max_depth": self.max_depth,
+            "min_samples_split": self.min_samples_split,
+            "min_samples_leaf": self.min_samples_leaf,
+            "n_candidates": self._n_candidate_features(),
+        }
+
+    def _adopt(self, grown: GrownTree, classes: np.ndarray) -> None:
+        """Install a tree grown by :func:`grow_forest`.
+
+        *classes* maps the grower's label codes back to labels; the tree
+        keeps the ones its rows held.
+        """
+        self.classes_ = classes[grown.classes]
+        self._n_classes = len(self.classes_)
+        self._set_arrays(
+            grown.feature, grown.threshold, grown.left, grown.right, grown.counts
+        )
+
+    def _set_arrays(
+        self,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
+        counts: np.ndarray,
+    ) -> None:
+        """Install the flat node arrays (int64 links and features, float64
+        thresholds and counts) used for prediction and export."""
+        self._feature = feature
+        self._threshold = threshold
+        self._left = left
+        self._right = right
+        self._leaf = left < 0
+        self._counts = counts
+
+    def _set_nodes(self, nodes: List[_Node]) -> None:
+        """Install the recursive builder's node objects as flat arrays."""
+        self._set_arrays(
+            np.array([node.feature for node in nodes], dtype=np.int64),
+            np.array([node.threshold for node in nodes], dtype=np.float64),
+            np.array([node.left for node in nodes], dtype=np.int64),
+            np.array([node.right for node in nodes], dtype=np.int64),
+            np.vstack([node.counts for node in nodes]) if nodes else np.zeros((0, 0)),
+        )
 
     def _n_candidate_features(self) -> int:
         if self.max_features is None:
@@ -144,15 +188,16 @@ class DecisionTreeClassifier:
 
     def _grow(
         self,
+        nodes: List[_Node],
         X: np.ndarray,
         y: np.ndarray,
         index: np.ndarray,
         depth: int,
         path_key: int = 1,
     ) -> int:
-        node_id = len(self._nodes)
+        node_id = len(nodes)
         node = _Node()
-        self._nodes.append(node)
+        nodes.append(node)
         labels = y[index]
         counts = np.bincount(labels, minlength=self._n_classes).astype(np.float64)
         node.counts = counts
@@ -175,8 +220,10 @@ class DecisionTreeClassifier:
             return node_id
         node.feature = feature
         node.threshold = threshold
-        node.left = self._grow(X, y, left_index, depth + 1, 2 * path_key)
-        node.right = self._grow(X, y, right_index, depth + 1, 2 * path_key + 1)
+        node.left = self._grow(nodes, X, y, left_index, depth + 1, 2 * path_key)
+        node.right = self._grow(
+            nodes, X, y, right_index, depth + 1, 2 * path_key + 1
+        )
         return node_id
 
     def _best_split(
@@ -213,11 +260,13 @@ class DecisionTreeClassifier:
                 continue
             total = prefix[-1] + histogram[-1]
             with np.errstate(divide="ignore", invalid="ignore"):
-                gini_left = 1.0 - ((prefix / left_totals[:, None]) ** 2).sum(axis=1)
+                gini_left = 1.0 - sum_over_classes(
+                    (prefix / left_totals[:, None]) ** 2, axis=1
+                )
                 right_counts = total[None, :] - prefix
-                gini_right = 1.0 - (
-                    (right_counts / right_totals[:, None]) ** 2
-                ).sum(axis=1)
+                gini_right = 1.0 - sum_over_classes(
+                    (right_counts / right_totals[:, None]) ** 2, axis=1
+                )
             weighted = (left_totals * gini_left + right_totals * gini_right) / n
             weighted[~valid] = np.inf
             k = int(np.argmin(weighted))
@@ -257,22 +306,22 @@ class DecisionTreeClassifier:
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._feature)
 
     def depth(self) -> int:
         """Actual depth of the grown tree.
 
-        Iterative: children are always appended after their parent, so a
-        single reverse pass over the node list computes every subtree
-        depth bottom-up.  Degenerate chain-shaped trees (one node per
-        level, as ``max_depth=None`` can grow on adversarial data) must
-        not hit Python's recursion limit here.
+        Iterative: children always follow their parent, so a single
+        reverse pass over the nodes computes every subtree depth
+        bottom-up.  Degenerate chain-shaped trees (one node per level,
+        as ``max_depth=None`` can grow on adversarial data) must not hit
+        Python's recursion limit here.
         """
-        if not self._nodes:
+        left, right = self._left.tolist(), self._right.tolist()
+        if not left:
             return 0
-        below = [0] * len(self._nodes)
-        for node_id in range(len(self._nodes) - 1, -1, -1):
-            node = self._nodes[node_id]
-            if not node.is_leaf:
-                below[node_id] = 1 + max(below[node.left], below[node.right])
+        below = [0] * len(left)
+        for node_id in range(len(left) - 1, -1, -1):
+            if left[node_id] >= 0:
+                below[node_id] = 1 + max(below[left[node_id]], below[right[node_id]])
         return below[0]

@@ -99,7 +99,7 @@ class TestDecisionTree:
             )
             nodes.append(_Node(counts=counts))
         nodes.append(_Node(counts=counts))  # final left leaf
-        tree._nodes = nodes
+        tree._set_nodes(nodes)
         assert tree.depth() == chain
 
     def test_depth_matches_fitted_shape(self):

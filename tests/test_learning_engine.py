@@ -1,15 +1,24 @@
-"""Differential tests: frontier-batched forest engine vs the references.
+"""Differential tests: fused forest engine vs the references.
 
-Three contracts, each against its scalar oracle:
+Five contracts, each against its scalar oracle:
 
 * ``engine="frontier"`` trees are **node-for-node identical** to the
   recursive reference — same features, thresholds, child links, class
   counts and DFS-preorder numbering — on synthetic corpora, real
   CA-matrix data, and Hypothesis-generated random integer datasets.
+* A fused forest fit (every tree in one frontier, bootstrap rows as
+  multiplicity weights) serializes exactly like per-tree recursive fits
+  on bootstrap copies, across every forest option.
+* The batched candidate draw equals ``candidate_features`` (a per-node
+  ``default_rng((seed, key)).choice``) row for row, fallback lanes
+  included — a NumPy release that changes ``choice`` fails here instead
+  of silently growing different forests.
 * ``PackedForest`` inference is bit-for-bit equal to the per-tree loop
   path (``predict_proba(packed=False)``).
 * Parallel fits are byte-identical to serial fits (same serialized
   forest), and parallel grid search ranks candidates identically.
+* Corrupt forest payloads fail at load with a ``ValueError`` naming the
+  field, and forest writes are atomic.
 """
 
 import numpy as np
@@ -23,13 +32,24 @@ from repro.learning import (
     build_samples,
     grid_search,
 )
-from repro.learning.engine import candidate_features, grow_frontier
+from repro.learning import engine
+from repro.learning.datasets import stack_group
+from repro.learning.engine import (
+    batched_candidate_features,
+    candidate_features,
+    grow_forest,
+)
 from repro.learning.persistence import (
+    forest_from_dict,
     forest_to_dict,
+    load_classifier,
     load_packed_forest,
     packed_forest_from_dict,
     packed_forest_to_dict,
+    save_classifier,
     save_packed_forest,
+    tree_from_dict,
+    tree_to_dict,
 )
 from repro.learning.tree import DecisionTreeClassifier
 from repro.library import SOI28, build_cell
@@ -207,23 +227,236 @@ class TestCandidateFeatures:
             candidate_features(1, 1, 5, 9), np.arange(5)
         )
 
-    def test_grow_frontier_records_are_dfs_preorder(self):
+    def test_grow_forest_nodes_are_dfs_preorder(self):
         X, y = _random_dataset(3, n=80)
-        records = grow_frontier(
+        weights = np.random.default_rng(3).integers(0, 3, size=(2, 80))
+        for tree in grow_forest(
             X,
             y.astype(np.int64),
             3,
+            base_seeds=[99, 100],
+            weights=weights,
             max_depth=None,
             min_samples_split=2,
             min_samples_leaf=1,
             n_candidates=X.shape[1],
-            base_seed=99,
+        ):
+            # Preorder: both children of node i come after i, left first.
+            for i, (left, right) in enumerate(zip(tree.left, tree.right)):
+                if left >= 0:
+                    assert left == i + 1
+                    assert right > left
+
+
+class TestBatchedDraw:
+    """``batched_candidate_features`` against the per-node oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n_features=st.integers(2, 200),
+        n_lanes=st.integers(1, 300),
+        wide_seeds=st.booleans(),
+    )
+    def test_equals_candidate_features_row_for_row(
+        self, data, n_features, n_lanes, wide_seeds
+    ):
+        k = data.draw(st.integers(1, n_features - 1), label="k")
+        seed_range = (2**32, 2**64 - 1) if wide_seeds else (0, 2**32 - 1)
+        seeds = data.draw(
+            st.lists(st.integers(*seed_range), min_size=n_lanes, max_size=n_lanes),
+            label="seeds",
         )
-        # Preorder: both children of node i come after i, left first.
-        for i, (_, _, left, right, _) in enumerate(records):
-            if left >= 0:
-                assert left == i + 1
-                assert right > left
+        # heap keys of every depth up to 70 (a key's bit length is its
+        # depth + 1); keys past 2**64 take the fallback lane
+        heap_key = st.integers(0, 69).flatmap(
+            lambda depth: st.integers(2**depth, 2 ** (depth + 1))
+        )
+        keys = data.draw(
+            st.lists(heap_key, min_size=n_lanes, max_size=n_lanes),
+            label="keys",
+        )
+        got = batched_candidate_features(
+            np.array(seeds, dtype=np.uint64),
+            np.array(keys, dtype=object),
+            n_features,
+            k,
+        )
+        assert got.shape == (n_lanes, k)
+        for lane in range(n_lanes):
+            assert np.array_equal(
+                got[lane],
+                candidate_features(seeds[lane], keys[lane], n_features, k),
+            )
+
+    def test_small_keys_as_uint64(self):
+        seeds = np.arange(1, 41, dtype=np.uint64) * 2**40
+        keys = np.arange(1, 41, dtype=np.uint64) ** 3
+        got = batched_candidate_features(seeds, keys, 99, 49)
+        for lane in range(40):
+            assert np.array_equal(
+                got[lane],
+                candidate_features(int(seeds[lane]), int(keys[lane]), 99, 49),
+            )
+
+    def test_lemire_rejection_lanes_fall_back(self):
+        # These three lanes each hit a rejected 32-bit draw while sampling
+        # 100 of 10000 features; the other keys do not.
+        keys = np.array([5, 688, 6897, 7841, 9], dtype=np.uint64)
+        got = batched_candidate_features(np.full(5, 12345), keys, 10000, 100)
+        for lane, key in enumerate(keys.tolist()):
+            assert np.array_equal(
+                got[lane], candidate_features(12345, key, 10000, 100)
+            )
+
+    def test_all_features_and_no_lanes(self):
+        assert np.array_equal(
+            batched_candidate_features([1, 2], [1, 3], 5, 5),
+            np.tile(np.arange(5), (2, 1)),
+        )
+        empty = batched_candidate_features(
+            np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64), 9, 3
+        )
+        assert empty.shape == (0, 3)
+
+
+def _fused_equals_recursive(X, y, **params):
+    fused = RandomForestClassifier(**params).fit(X, y)
+    recursive = RandomForestClassifier(engine="recursive", **params).fit(X, y)
+    assert forest_to_dict(fused) == forest_to_dict(recursive)
+    return fused
+
+
+@pytest.fixture(params=["cutover", "batched"])
+def draw_path(request, monkeypatch):
+    """Run a test with the shipped cutover and with every level batched."""
+    if request.param == "batched":
+        monkeypatch.setattr(engine, "_BATCH_MIN_LANES", 1)
+    return request.param
+
+
+class TestFusedForestEqualsRecursive:
+    """One fused frontier for all trees == per-tree recursive fits."""
+
+    @pytest.mark.parametrize(
+        "max_features", [None, "sqrt", "log2", 0.5, 3], ids=str
+    )
+    def test_max_features_modes(self, draw_path, max_features):
+        X, y = _random_dataset(30, n=250, n_features=12)
+        _fused_equals_recursive(
+            X, y, n_estimators=6, max_features=max_features, random_state=4
+        )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"max_samples": 0.3},
+            {"bootstrap": False},
+            {"min_samples_leaf": 7},
+            {"max_depth": 3},
+            {"max_depth": 0},
+        ],
+        ids=lambda p: ",".join(f"{k}={v}" for k, v in p.items()),
+    )
+    def test_forest_options(self, draw_path, params):
+        X, y = _random_dataset(31, n=200)
+        _fused_equals_recursive(
+            X, y, n_estimators=5, max_features=0.5, random_state=5, **params
+        )
+
+    def test_class_missing_from_bootstraps(self, draw_path):
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 4, size=(30, 5)).astype(np.int8)
+        y = np.concatenate([np.zeros(27, dtype=int), np.array([1, 2, 3])])
+        forest = _fused_equals_recursive(
+            X, y, n_estimators=12, max_samples=0.2, random_state=0
+        )
+        assert any(
+            len(tree.classes_) < len(forest.classes_)
+            for tree in forest.estimators_
+        )
+
+    def test_many_classes_summed_in_order(self, draw_path):
+        # 10 classes: numpy's pairwise summation would regroup the Gini
+        # terms; both engines sum classes strictly left to right.
+        rng = np.random.default_rng(9)
+        X = rng.integers(0, 4, size=(300, 6)).astype(np.int8)
+        y = rng.integers(0, 10, size=300)
+        _fused_equals_recursive(
+            X, y, n_estimators=6, max_features=0.5, random_state=1
+        )
+
+    def test_single_class(self, draw_path):
+        X, _ = _random_dataset(32, n=40)
+        forest = _fused_equals_recursive(
+            X, np.full(40, 7), n_estimators=3, random_state=0
+        )
+        assert all(tree.node_count == 1 for tree in forest.estimators_)
+
+    def test_constant_and_shifted_columns(self, draw_path):
+        rng = np.random.default_rng(33)
+        X = rng.integers(-3, 9, size=(150, 6)).astype(np.int64)
+        X[:, 2] = 5
+        X[:, 4] = -2
+        y = rng.integers(0, 3, size=150)
+        _fused_equals_recursive(
+            X, y, n_estimators=5, max_features=0.5, random_state=3
+        )
+
+    def test_multi_chunk_levels(self, draw_path, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 64)
+        monkeypatch.setattr(engine, "_HISTOGRAM_BUDGET", 512)
+        X, y = _random_dataset(34, n=300)
+        _fused_equals_recursive(
+            X, y, n_estimators=6, max_features=0.5, random_state=6
+        )
+
+    def test_chain_deeper_than_64_levels(self, draw_path):
+        # nodes 64+ levels deep have heap keys >= 2**64 (object keys,
+        # fallback draws)
+        column = np.arange(160)
+        X = np.stack([column, column], axis=1).astype(np.int16)
+        y = column % 2
+        forest = _fused_equals_recursive(
+            X, y, n_estimators=2, max_features=1, bootstrap=False,
+            random_state=1,
+        )
+        assert min(tree.depth() for tree in forest.estimators_) > 64
+
+    def test_frontier_node_count_metric(self):
+        from repro import obs
+
+        X, y = _random_dataset(35, n=200)
+        metrics = obs.metrics()
+        before = metrics.get(engine.M_FRONTIER_NODES)
+        forest = RandomForestClassifier(
+            n_estimators=4, max_features=0.5, random_state=2
+        ).fit(X, y)
+        # every node of every tree passes through the frontier once
+        assert metrics.get(engine.M_FRONTIER_NODES) - before == sum(
+            tree.node_count for tree in forest.estimators_
+        )
+
+    def test_real_ca_matrix_group(self, draw_path, ca_group):
+        X, y = ca_group
+        _fused_equals_recursive(
+            X, y, n_estimators=8, max_features=0.5, random_state=0
+        )
+
+
+@pytest.fixture(scope="module")
+def ca_group():
+    """A real CA-matrix training group: NAND2 and NOR2 in every flavor."""
+    cells = [
+        build_cell(SOI28, fn, 1, flavor)
+        for fn in ("NAND2", "NOR2")
+        for flavor in SOI28.flavors
+    ]
+    samples = build_samples(
+        [(c, generate_ca_model(c, params=SOI28.electrical)) for c in cells],
+        SOI28.electrical,
+    )
+    return stack_group(samples)
 
 
 class TestPackedForest:
@@ -364,6 +597,15 @@ class TestParallelFit:
         assert forest_to_dict(a) == forest_to_dict(b)
 
 
+    def test_uneven_tree_groups(self):
+        # 7 trees on 3 workers: groups of 3, 2 and 2 contiguous trees
+        X, y = _random_dataset(23, n=150)
+        params = dict(n_estimators=7, max_features=0.5, random_state=3)
+        serial = RandomForestClassifier(**params).fit(X, y)
+        pooled = RandomForestClassifier(parallelism=3, **params).fit(X, y)
+        assert forest_to_dict(serial) == forest_to_dict(pooled)
+
+
 class TestParallelGridSearch:
     def _samples(self):
         cells = [
@@ -386,3 +628,143 @@ class TestParallelGridSearch:
         pooled = grid_search(samples, grid, seed=3, parallelism=2)
         assert serial.ranking == pooled.ranking
         assert serial.best_params == pooled.best_params
+
+
+class TestCorruptPayloads:
+    """Forest payloads are validated at load, never trusted."""
+
+    def _forest(self):
+        X, y = _random_dataset(40, n=200)
+        forest = RandomForestClassifier(
+            n_estimators=4, max_features=0.5, random_state=1
+        ).fit(X, y)
+        return forest, X
+
+    @staticmethod
+    def _internal(nodes):
+        return next(i for i, n in enumerate(nodes) if n["left"] >= 0 and i > 0)
+
+    def test_child_pointing_back_at_root(self):
+        # Used to load silently: predict_proba(packed=False) looped
+        # forever and the packed path returned different probabilities.
+        forest, _ = self._forest()
+        payload = tree_to_dict(forest.estimators_[0])
+        payload["nodes"][self._internal(payload["nodes"])]["left"] = 0
+        with pytest.raises(ValueError, match="'left'"):
+            tree_from_dict(payload)
+        data = forest_to_dict(forest)
+        data["estimators"][0] = payload
+        with pytest.raises(ValueError, match="'left'"):
+            forest_from_dict(data)
+
+    def test_packed_backward_right_pointer(self):
+        # Used to load silently, and the packed descent mispredicted.
+        forest, _ = self._forest()
+        payload = packed_forest_to_dict(forest.packed_forest())
+        right = payload["right"]
+        node = next(i for i in range(1, len(right)) if right[i] > 0)
+        right[node] = node - 1
+        with pytest.raises(ValueError, match="'right'"):
+            packed_forest_from_dict(payload)
+
+    def test_out_of_range_child(self):
+        # Used to raise a bare IndexError from inside PackedForest.
+        forest, _ = self._forest()
+        payload = packed_forest_to_dict(forest.packed_forest())
+        node = payload["left"].index(next(v for v in payload["left"] if v > 0))
+        payload["left"][node] = len(payload["left"]) + 5
+        with pytest.raises(ValueError, match="'left'"):
+            packed_forest_from_dict(payload)
+        tree = tree_to_dict(forest.estimators_[1])
+        tree["nodes"][0]["right"] = len(tree["nodes"])
+        with pytest.raises(ValueError, match="'right'"):
+            tree_from_dict(tree)
+
+    def test_child_in_another_tree(self):
+        forest, _ = self._forest()
+        payload = packed_forest_to_dict(forest.packed_forest())
+        # the first tree's root points into the second tree
+        payload["left"][0] = payload["offsets"][1]
+        with pytest.raises(ValueError, match="'left'"):
+            packed_forest_from_dict(payload)
+
+    def test_split_feature_out_of_range(self):
+        forest, _ = self._forest()
+        payload = tree_to_dict(forest.estimators_[0])
+        payload["nodes"][0]["feature"] = payload["n_features"]
+        with pytest.raises(ValueError, match="'feature'"):
+            tree_from_dict(payload)
+        packed = packed_forest_to_dict(forest.packed_forest())
+        packed["feature"][0] = -3
+        with pytest.raises(ValueError, match="'feature'"):
+            packed_forest_from_dict(packed)
+
+    @pytest.mark.parametrize("field", ["leaf_proba", "leaf_vote", "threshold", "right"])
+    def test_packed_shapes_match_node_count(self, field):
+        forest, _ = self._forest()
+        payload = packed_forest_to_dict(forest.packed_forest())
+        payload[field] = payload[field][:-1]
+        with pytest.raises(ValueError, match=repr(field)):
+            packed_forest_from_dict(payload)
+
+    def test_tree_counts_shape(self):
+        forest, _ = self._forest()
+        payload = tree_to_dict(forest.estimators_[0])
+        payload["nodes"][2]["counts"] = payload["nodes"][2]["counts"][:-1]
+        with pytest.raises(ValueError, match="'counts'"):
+            tree_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [lambda o: [1] + o[1:], lambda o: o[:-1] + [o[-1] + 1],
+         lambda o: [o[0], o[2], o[1]] + o[3:]],
+        ids=["start", "end", "decreasing"],
+    )
+    def test_offsets_partition_the_table(self, offsets):
+        forest, _ = self._forest()
+        payload = packed_forest_to_dict(forest.packed_forest())
+        payload["offsets"] = offsets(payload["offsets"])
+        with pytest.raises(ValueError, match="'offsets'"):
+            packed_forest_from_dict(payload)
+
+    def test_missing_or_non_numeric_fields(self):
+        forest, _ = self._forest()
+        payload = tree_to_dict(forest.estimators_[0])
+        del payload["nodes"][1]["threshold"]
+        with pytest.raises(ValueError, match="'threshold'"):
+            tree_from_dict(payload)
+        packed = packed_forest_to_dict(forest.packed_forest())
+        packed["leaf_vote"][3] = "x"
+        with pytest.raises(ValueError, match="'leaf_vote'"):
+            packed_forest_from_dict(packed)
+        del packed["offsets"]
+        with pytest.raises(ValueError, match="'offsets'"):
+            packed_forest_from_dict(packed)
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        X, y = _random_dataset(41, n=100)
+        forest = RandomForestClassifier(n_estimators=2, random_state=0).fit(X, y)
+        path = save_classifier(forest, tmp_path / "forest.json")
+        packed_path = save_packed_forest(
+            forest.packed_forest(), tmp_path / "packed.json"
+        )
+        before = path.read_text(), packed_path.read_text()
+
+        import json
+
+        def torn_dump(payload, handle):
+            handle.write('{"kind": "random_fo')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError):
+            save_classifier(forest, path)
+        with pytest.raises(OSError):
+            save_packed_forest(forest.packed_forest(), packed_path)
+        assert (path.read_text(), packed_path.read_text()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "forest.json", "packed.json"
+        ]
+        assert forest_to_dict(load_classifier(path)) == forest_to_dict(forest)
