@@ -54,7 +54,7 @@ def test_batched_vs_scalar_speedup(bench_record):
         model = None
         for _ in range(rounds):
             start = time.perf_counter()
-            model = generate_ca_model(cell, batched=batched, **kwargs)
+            model = generate_ca_model(cell, packed=batched, **kwargs)
             best = min(best, time.perf_counter() - start)
         return best, model
 

@@ -1,10 +1,14 @@
-"""Parallel library characterization.
+"""Library characterization: inline, pooled, or checkpointed.
 
-The conventional flow is embarrassingly parallel over cells ("CPU
-requirements" are one of the costs the paper lists).  This module fans
-:func:`~repro.camodel.generate.generate_ca_model` out over a process pool;
-cells are rebuilt inside the workers from (technology, cell name) so only
-small payloads cross the pipe.
+Inline, :func:`generate_library` packs a library of two or more cells
+through the cross-cell engine
+(:func:`~repro.camodel.throughput.run_throughput`); ``packed=False``
+selects the scalar reference solver instead.  The
+conventional flow is also embarrassingly parallel over cells ("CPU
+requirements" are one of the costs the paper lists), so ``processes=N``
+fans :func:`~repro.camodel.generate.generate_ca_model` out over a process
+pool; cells are rebuilt inside the workers from (technology, cell name)
+so only small payloads cross the pipe.
 
 Generation options (``params``, ``universe``, ``delay_detection``,
 ``slow_factor``) are forwarded through the worker payload, so the pooled
@@ -136,8 +140,7 @@ def generate_library(
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     parallelism: Optional[int] = None,
-    batched: bool = True,
-    packed: bool = False,
+    packed: bool = True,
     phase_cache: PhaseCacheArg = None,
     run_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
@@ -177,13 +180,16 @@ def generate_library(
     directory — models, ``failures.json`` and ``metrics_total()`` stay
     byte-identical to the sequential runner's.
 
-    ``packed=True`` solves through the cross-topology packed kernel: the
-    inline path routes whole libraries through
-    :func:`~repro.camodel.throughput.run_throughput` (every cell's phases
-    share kernel calls), the pooled paths pack each worker's defect
-    slice.  ``phase_cache`` persists solved phases across runs (see
+    ``packed`` (the default) solves through the vectorized packed
+    kernel: the inline path routes libraries of two or more cells
+    through :func:`~repro.camodel.throughput.run_throughput` (every
+    cell's phases share kernel calls), the other paths pack each cell's
+    defect slice; ``packed=False`` selects the scalar reference solver.
+    ``phase_cache`` persists solved phases across runs (see
     :func:`~repro.camodel.generate.generate_ca_model`).  Both knobs are
-    identity-preserving: models are byte-identical either way.
+    identity-preserving: detection tables, golden responses and
+    solve/cache-hit counts are identical either way (the scalar solver
+    reports zero ``batched_phases``).
     """
     if run_dir is None:
         rundir_only = {
@@ -230,7 +236,6 @@ def generate_library(
             delay_detection=delay_detection,
             slow_factor=slow_factor,
             parallelism=parallelism,
-            batched=batched,
             packed=packed,
             phase_cache=phase_cache,
         )
@@ -255,7 +260,6 @@ def generate_library(
             delay_detection=delay_detection,
             slow_factor=slow_factor,
             parallelism=parallelism,
-            batched=batched,
             packed=packed,
             phase_cache=phase_cache,
             output=output,
@@ -269,7 +273,6 @@ def generate_library(
         universe=universe,
         delay_detection=delay_detection,
         slow_factor=slow_factor,
-        batched=batched,
         packed=packed,
         phase_cache=phase_cache,
     )
@@ -278,9 +281,11 @@ def generate_library(
     out: Dict[str, CAModel] = {}
     failures: List[Dict[str, str]] = []
     if processes is None or processes <= 1:
-        if packed and batched and (parallelism is None or parallelism <= 1):
+        if packed and len(cells) > 1 and (parallelism is None or parallelism <= 1):
             # Whole-library cross-cell packing: every cell's phase
-            # batches share kernel calls (byte-identical models).
+            # batches share kernel calls (byte-identical models).  One
+            # cell packs the same phases through generate_ca_model, which
+            # keeps its per-cell span and golden/defect seconds.
             from repro.camodel.throughput import run_throughput
 
             with tracer.span(

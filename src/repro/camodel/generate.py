@@ -16,12 +16,11 @@ cost the paper attacks); three levers keep it fast (see
   short-circuit before any solver is built; and phases solved under one
   defect are shared with every signature-equal defect through the
   topology's cross-defect phase cache.
-* **Batched solving** — each (defect, stimulus set) pair is planned as
-  one unit: :meth:`~repro.simulation.engine.CellSimulator.solve_words`
-  dedups the phase set and runs it through the vectorized NumPy kernel
-  (:meth:`~repro.simulation.solver.StaticSolver.solve_batch`), which is
-  byte-identical to the scalar path (``batched=False`` forces the scalar
-  reference).
+* **Packed solving** — a defect slice is planned as one unit:
+  :func:`~repro.simulation.engine.solve_words_across` dedups the phase
+  sets of every defect and runs them through the vectorized NumPy kernel
+  (:func:`~repro.simulation.packed.solve_packed`), which is byte-identical
+  to the scalar path (``packed=False`` forces the scalar reference).
 * **Defect-level parallelism** — ``parallelism=N`` splits the defect
   universe into contiguous chunks characterized on a process pool and
   merges the per-chunk detection blocks; the result is byte-identical to
@@ -134,7 +133,7 @@ class _GoldenRun:
         ports: Sequence[str],
         delay_detection: bool,
         topology: Optional[CellTopology] = None,
-        batched: bool = True,
+        packed: bool = True,
         plans: Optional[Sequence[WordPlan]] = None,
         sim: Optional[CellSimulator] = None,
     ) -> None:
@@ -148,7 +147,7 @@ class _GoldenRun:
             # *sim* lets the cross-cell engine hand in the simulator whose
             # phases it already packed; counters must accrue on that object.
             sim = CellSimulator(
-                cell, params=params, topology=self.topology, batched=batched
+                cell, params=params, topology=self.topology, packed=packed
             )
         solved = sim.solve_words(words, self.plans)
         self.golden: Dict[str, List[V4]] = {}
@@ -177,13 +176,13 @@ def _prepare_defect_rows(
     params: ElectricalParams,
     defects: Sequence[Defect],
     topology: CellTopology,
-    batched: bool,
+    packed: bool = True,
 ) -> List[Tuple[DefectEffect, Optional[CellSimulator]]]:
     """Materialize every defect's (effect, simulator) row in defect order.
 
     Benign / golden-equivalent defects carry no simulator; the rest get
-    the simulator the detection loop would have built, so the packed
-    planner can see the whole slice's phase demand up front.
+    the simulator the detection loop runs, so the packed planner can see
+    the whole slice's phase demand up front.
     """
     rows: List[Tuple[DefectEffect, Optional[CellSimulator]]] = []
     for defect in defects:
@@ -196,7 +195,7 @@ def _prepare_defect_rows(
                     effect,
                     CellSimulator(
                         cell, params=params, effect=effect,
-                        topology=topology, batched=batched,
+                        topology=topology, packed=packed,
                     ),
                 )
             )
@@ -216,8 +215,7 @@ def _simulate_defect_rows(
     progress: Optional[Callable[[int, int], None]] = None,
     progress_offset: int = 0,
     progress_total: Optional[int] = None,
-    batched: bool = True,
-    packed: bool = False,
+    packed: bool = True,
     prepared_rows: Optional[
         List[Tuple[DefectEffect, Optional[CellSimulator]]]
     ] = None,
@@ -235,29 +233,31 @@ def _simulate_defect_rows(
     and every output port's detection row is read from the same solved
     phases.
 
-    With ``packed=True`` the slice's phase demand is planned up front and
-    solved through the cross-topology packed kernel
-    (:func:`~repro.simulation.engine.solve_words_across` with
-    ``assemble=False``); the per-defect loop below then assembles from
-    the staged results with unchanged order and cost accounting.
-    *prepared_rows* lets a caller that already packed a larger scope
-    (the cross-cell library engine) hand in the materialized rows.
+    The slice's phase demand is planned up front and solved through the
+    packed kernel (:func:`~repro.simulation.engine.solve_words_across`
+    with ``assemble=False``); the per-defect loop below then only
+    assembles from the staged results, with unchanged order and cost
+    accounting.  ``packed=False`` skips the prepass, so every phase is
+    solved by the scalar oracle during assembly.  *prepared_rows* lets a
+    caller that already packed a larger scope (the cross-cell library
+    engine) hand in the materialized rows.
     """
-    topology = golden_run.topology
     total = progress_total if progress_total is not None else len(defects)
+    plans = golden_run.plans
 
-    if prepared_rows is None and packed and batched:
+    if prepared_rows is None:
         prepared_rows = _prepare_defect_rows(
-            cell, params, defects, topology, batched
+            cell, params, defects, golden_run.topology, packed
         )
-        solve_words_across(
-            [
-                (sim, words, golden_run.plans)
-                for _effect, sim in prepared_rows
-                if sim is not None
-            ],
-            assemble=False,
-        )
+        if packed:
+            solve_words_across(
+                [
+                    (sim, words, plans)
+                    for _effect, sim in prepared_rows
+                    if sim is not None
+                ],
+                assemble=False,
+            )
 
     detection = {
         port: np.zeros((len(defects), len(words)), dtype=np.int8)
@@ -271,23 +271,15 @@ def _simulate_defect_rows(
         "batched": 0,
     }
 
-    for row, defect in enumerate(defects):
-        if prepared_rows is not None:
-            effect, prepared_sim = prepared_rows[row]
-        else:
-            effect = defect.effect(cell, params.short_resistance)
-            prepared_sim = None
-        if effect.benign or effect.is_golden:
+    for row, (_effect, sim) in enumerate(prepared_rows):
+        if sim is None:
             counters["skipped"] += 1
             if responses is not None:
                 for port in ports:
                     responses[port].append(list(golden_run.golden[port]))
         else:
-            sim = prepared_sim if prepared_sim is not None else CellSimulator(
-                cell, params=params, effect=effect, topology=topology,
-                batched=batched,
-            )
-            solved = sim.solve_words(words, golden_run.plans)
+            # Assembly: packed phases are staged, a scalar simulator solves.
+            solved = [sim.solve_word(word, plan) for word, plan in zip(words, plans)]
             for port in ports:
                 golden = golden_run.golden[port]
                 row_responses = _port_responses(
@@ -341,7 +333,6 @@ def _defect_chunk_worker(payload: Tuple[Any, ...]) -> Tuple[Any, ...]:
         slow_factor,
         keep_responses,
         trace_enabled,
-        batched,
         packed,
         phase_cache,
     ) = payload
@@ -367,7 +358,7 @@ def _defect_chunk_worker(payload: Tuple[Any, ...]) -> Tuple[Any, ...]:
             with worker_tracer.span("generate.golden", chunk=index):
                 golden_run = _GoldenRun(
                     cell, params, words, ports, delay_detection,
-                    topology=topology, batched=batched, plans=plans,
+                    topology=topology, packed=packed, plans=plans,
                 )
             detection, responses, counters = _simulate_defect_rows(
                 cell,
@@ -379,7 +370,6 @@ def _defect_chunk_worker(payload: Tuple[Any, ...]) -> Tuple[Any, ...]:
                 delay_detection,
                 slow_factor,
                 keep_responses,
-                batched=batched,
                 packed=packed,
             )
             if phase_store is not None:
@@ -428,8 +418,7 @@ def _generate(
     ports: Sequence[str],
     progress: Optional[Callable[[int, int], None]],
     parallelism: Optional[int],
-    batched: bool,
-    packed: bool = False,
+    packed: bool,
     phase_cache: PhaseCacheArg = None,
 ) -> Dict[str, CAModel]:
     """Shared generation core: one sweep, one CAModel per requested port."""
@@ -467,7 +456,7 @@ def _generate(
         with tracer.span("generate.golden", cell=cell.name):
             golden_run = _GoldenRun(
                 cell, params, words, ports, delay_detection,
-                topology=topology, batched=batched, plans=plans,
+                topology=topology, packed=packed, plans=plans,
             )
         golden_seconds = time.perf_counter() - started
         registry.inc(M_GOLDEN_SECONDS, golden_seconds)
@@ -489,7 +478,6 @@ def _generate(
                     slow_factor,
                     keep_responses,
                     progress=progress,
-                    batched=batched,
                     packed=packed,
                 )
             defect_seconds = time.perf_counter() - defect_started
@@ -512,7 +500,6 @@ def _generate(
                     slow_factor,
                     keep_responses,
                     tracer.enabled,
-                    batched,
                     packed,
                     str(phase_store.root) if phase_store is not None else None,
                 )
@@ -632,8 +619,7 @@ def generate_ca_model(
     output: Optional[str] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     parallelism: Optional[int] = None,
-    batched: bool = True,
-    packed: bool = False,
+    packed: bool = True,
     phase_cache: PhaseCacheArg = None,
 ) -> CAModel:
     """Run the conventional generation flow for one cell.
@@ -664,16 +650,13 @@ def generate_ca_model(
         Worker processes for the defect loop (``None``/``1`` = serial).
         The detection table is byte-identical to the serial run; small
         universes fall back to the serial kernel automatically.
-    batched:
-        Solve stimulus sets through the vectorized batch kernel
-        (byte-identical results; ``False`` forces the scalar reference
-        path, mainly useful for differential testing and benchmarks).
     packed:
-        Plan the whole defect slice up front and solve it through the
-        multi-topology packed kernel
-        (:func:`~repro.simulation.packed.solve_packed`) instead of one
-        batch call per defect.  Byte-identical results and cost
-        accounting; requires ``batched`` (ignored on the scalar path).
+        Plan the golden pass and the whole defect slice up front and
+        solve them through the vectorized kernel
+        (:func:`~repro.simulation.packed.solve_packed`).  ``False``
+        forces the scalar reference solver — byte-identical models and
+        solve/cache-hit counts (only ``stats.batched_phases`` is 0),
+        mainly useful for differential testing and benchmarks.
     phase_cache:
         Directory (or
         :class:`~repro.simulation.phasecache.PhaseCacheStore`) persisting
@@ -694,7 +677,6 @@ def generate_ca_model(
         [port],
         progress,
         parallelism,
-        batched,
         packed,
         phase_cache,
     )
@@ -711,8 +693,7 @@ def generate_multi(
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     progress: Optional[Callable[[int, int], None]] = None,
     parallelism: Optional[int] = None,
-    batched: bool = True,
-    packed: bool = False,
+    packed: bool = True,
     phase_cache: PhaseCacheArg = None,
 ) -> Dict[str, CAModel]:
     """Characterize every output of a multi-output cell in one sweep.
@@ -735,7 +716,6 @@ def generate_multi(
         list(cell.outputs),
         progress,
         parallelism,
-        batched,
         packed,
         phase_cache,
     )

@@ -9,44 +9,26 @@ parsed to the desired file format", Section V.C).
 Versioning rules: optional additive keys (e.g. ``stats``) do not bump
 ``FORMAT_VERSION`` — readers ignore keys they do not know and tolerate
 missing optional ones; any change to the meaning of existing keys does.
-Writes go through a same-directory temporary file and ``os.replace`` so
-a crash (or a concurrent writer) can never leave a torn file behind.
+Writes go through :func:`repro.atomic.write_text_atomic` (a
+same-directory temporary file, then ``os.replace``) so a crash (or a
+concurrent writer) can never leave a torn file behind.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Union
 
 import numpy as np
 
+from repro.atomic import write_text_atomic
 from repro.camodel.model import CAModel
 from repro.camodel.stats import GenerationStats
 from repro.defects.model import Defect
 from repro.logic.fourval import V4, parse_word
 
 FORMAT_VERSION = 1
-
-
-def _write_json_atomic(path: Path, payload: Dict) -> None:
-    """Serialize *payload* to *path* without ever exposing a torn file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def model_to_dict(model: CAModel) -> Dict:
@@ -83,6 +65,14 @@ def model_from_dict(data: Dict) -> CAModel:
     defects = [
         Defect(d["name"], d["kind"], tuple(d["location"])) for d in data["defects"]
     ]
+    for index, row in enumerate(data["detection"]):
+        # A row is exactly one '0'/'1' per stimulus: anything else is a
+        # corrupt artifact, never a model (CAModel checks the row count).
+        if not isinstance(row, str) or len(row) != len(stimuli) or row.strip("01"):
+            raise ValueError(
+                f"detection row {index} must be {len(stimuli)} characters "
+                f"from {{0,1}} (one per stimulus)"
+            )
     detection = np.array(
         [[int(c) for c in row] for row in data["detection"]], dtype=np.int8
     )
@@ -109,7 +99,7 @@ def model_from_dict(data: Dict) -> CAModel:
 def save_model(model: CAModel, path: Union[str, Path]) -> Path:
     """Write one CA model to *path* (JSON, atomic)."""
     path = Path(path)
-    _write_json_atomic(path, model_to_dict(model))
+    write_text_atomic(path, json.dumps(model_to_dict(model)))
     return path
 
 
@@ -127,7 +117,7 @@ def save_models(models: List[CAModel], path: Union[str, Path]) -> Path:
     """
     path = Path(path)
     payload = {"format": FORMAT_VERSION, "models": [model_to_dict(m) for m in models]}
-    _write_json_atomic(path, payload)
+    write_text_atomic(path, json.dumps(payload))
     return path
 
 

@@ -2,10 +2,10 @@
 
 :func:`~repro.camodel.generate.generate_ca_model` already packs every
 (defect, stimulus set) pair of **one** cell into a handful of vectorized
-kernel calls.  At library scale that still leaves one golden batch and
+kernel calls.  At library scale that still leaves one golden call and
 one defect sweep per cell — for small cells the per-call NumPy overhead
 dominates and throughput stops scaling.  :func:`run_throughput` lifts
-the batching across the whole library: the pending phase batches of
+the packing across the whole library: the pending phase batches of
 *every* cell and *every* defect are packed into padded multi-topology
 :func:`~repro.simulation.packed.solve_packed` kernel calls (windowed at
 ``max_rows``), while the per-cell golden assembly and detection loops —
@@ -156,7 +156,7 @@ def run_throughput(
                     cell, cell_params, words, plans, defects, topology, store
                 )
                 run.golden_sim = CellSimulator(
-                    cell, params=cell_params, topology=topology, batched=True
+                    cell, params=cell_params, topology=topology
                 )
                 runs.append(run)
             except Exception as exc:  # noqa: BLE001 - collected below
@@ -179,12 +179,11 @@ def run_throughput(
                     [run.cell.outputs[0]],
                     delay_detection,
                     topology=run.topology,
-                    batched=True,
                     plans=run.plans,
                     sim=run.golden_sim,
                 )
                 run.rows = _prepare_defect_rows(
-                    run.cell, run.params, run.defects, run.topology, True
+                    run.cell, run.params, run.defects, run.topology
                 )
                 survivors.append(run)
             except Exception as exc:  # noqa: BLE001 - collected below
@@ -218,8 +217,6 @@ def run_throughput(
                     delay_detection,
                     slow_factor,
                     keep_responses,
-                    batched=True,
-                    packed=True,
                     prepared_rows=run.rows,
                 )
                 golden = run.golden_run

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.camatrix import rename_transistors, training_matrix
-from repro.camodel import generate_ca_model, load_models, save_model, save_models
+from repro.camodel import generate_library, load_models, save_model, save_models
 from repro.flow import HybridFlow
 from repro.library import build_cell, function_names, get_technology
 from repro.spice import parse_library, write_cell
@@ -83,41 +83,15 @@ def _cell_from_name(tech, cell_name: str):
 
 def cmd_generate(args) -> int:
     cells = _load_cells(args.netlist)
-    batched = not getattr(args, "scalar", False)
-    packed = getattr(args, "packed", False)
-    phase_cache = getattr(args, "phase_cache", None)
-    if args.processes and args.processes > 1:
-        from repro.camodel import generate_library
-
-        by_name = generate_library(
-            cells,
-            policy=args.policy,
-            processes=args.processes,
-            parallelism=args.parallelism,
-            batched=batched,
-            packed=packed,
-            phase_cache=phase_cache,
-        )
-        models = [by_name[cell.name] for cell in cells]
-    elif packed and batched and len(cells) > 1 and not args.parallelism:
-        from repro.camodel import run_throughput
-
-        by_name = run_throughput(
-            cells, policy=args.policy, phase_cache=phase_cache
-        )
-        models = [by_name[cell.name] for cell in cells]
-    else:
-        models = [
-            generate_ca_model(
-                cell,
-                policy=args.policy,
-                parallelism=args.parallelism,
-                batched=batched,
-                packed=packed,
-                phase_cache=phase_cache,
-            )
-            for cell in cells
-        ]
+    by_name = generate_library(
+        cells,
+        policy=args.policy,
+        processes=args.processes,
+        parallelism=args.parallelism,
+        packed=not args.scalar,
+        phase_cache=args.phase_cache,
+    )
+    models = [by_name[cell.name] for cell in cells]
     for cell, model in zip(cells, models):
         print(f"{cell.name}: {model.summary()}")
         if args.stats and model.stats is not None:
@@ -169,8 +143,7 @@ def cmd_batch(args) -> int:
             retry_backoff=args.retry_backoff,
             fault_plan=fault_plan,
             parallelism=args.parallelism,
-            batched=not args.scalar,
-            packed=args.packed,
+            packed=not args.scalar,
             phase_cache=args.phase_cache,
             output=args.output,
         )
@@ -217,8 +190,7 @@ def cmd_serve(args) -> int:
                 lease_ttl=args.lease_ttl,
                 fault_plan=fault_plan,
                 parallelism=args.parallelism,
-                batched=not args.scalar,
-                packed=args.packed,
+                packed=not args.scalar,
                 phase_cache=args.phase_cache,
             )
         else:
@@ -488,13 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scalar",
         action="store_true",
         help="force the scalar reference solver (disable the vectorized "
-        "batch kernel; results are byte-identical either way)",
-    )
-    p.add_argument(
-        "--packed",
-        action="store_true",
-        help="pack phase batches across cells/defects into multi-topology "
-        "kernel calls (byte-identical models, higher library throughput)",
+        "packed kernel; results are byte-identical either way)",
     )
     p.add_argument(
         "--phase-cache",
@@ -567,12 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="force the scalar reference solver",
     )
     p.add_argument(
-        "--packed",
-        action="store_true",
-        help="solve each worker's defect slice through the packed "
-        "multi-topology kernel (byte-identical artifacts)",
-    )
-    p.add_argument(
         "--phase-cache",
         metavar="DIR",
         default=None,
@@ -639,11 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--scalar", action="store_true", help="force the scalar solver"
-    )
-    p.add_argument(
-        "--packed",
-        action="store_true",
-        help="solve through the packed multi-topology kernel",
     )
     p.add_argument(
         "--phase-cache",

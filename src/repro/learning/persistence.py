@@ -22,7 +22,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.camodel.io import _write_json_atomic
+from repro.atomic import write_text_atomic
 from repro.learning.engine import PackedForest
 from repro.learning.forest import RandomForestClassifier
 from repro.learning.tree import DecisionTreeClassifier
@@ -249,7 +249,7 @@ def save_packed_forest(
 ) -> Path:
     """Write a packed forest to JSON (inference without retraining)."""
     path = Path(path)
-    _write_json_atomic(path, packed_forest_to_dict(packed))
+    write_text_atomic(path, json.dumps(packed_forest_to_dict(packed)))
     return path
 
 
@@ -263,7 +263,7 @@ def save_classifier(
 ) -> Path:
     """Write a fitted forest to JSON."""
     path = Path(path)
-    _write_json_atomic(path, forest_to_dict(forest))
+    write_text_atomic(path, json.dumps(forest_to_dict(forest)))
     return path
 
 

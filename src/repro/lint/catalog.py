@@ -76,8 +76,9 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "resilience.exceptions",
         "resilience.corrupt_artifacts",
         "resilience.quarantined",
-        # cross-cell packed throughput engine (repro.simulation.engine,
-        # repro.camodel.throughput, repro.camodel.planstore)
+        # packed planner flushes and the cross-cell throughput engine
+        # (repro.simulation.engine, repro.camodel.throughput,
+        # repro.camodel.planstore)
         "throughput.packed_rows",
         "throughput.flushes",
         "throughput.cells",

@@ -9,7 +9,7 @@ in a real run and ``tests/lint_corpus/resilience/...`` in the fixture
 corpus (the corpus mirrors the scoped directory names on purpose).
 
 Site allowlists use ``<path-pattern>::<qualname>`` — e.g.
-``*/camodel/io.py::_write_json_atomic`` sanctions the raw write inside
+``*/repro/atomic.py::write_text_atomic`` sanctions the raw write inside
 the one blessed atomic-writer implementation.  The whole-program pack
 (``repro.lint.program``) deliberately has *no* site allowlists: its
 fields below declare semantic roles (sinks, sanitizers, protocol
@@ -93,11 +93,7 @@ class LintConfig:
         "*/service/*",
     )
     #: the sanctioned atomic writer implementations
-    atomic_writers: Tuple[str, ...] = (
-        "*/camodel/io.py::_write_json_atomic",
-        "*/obs/store.py::_atomic_write",
-        "*/service/lease.py::_atomic_write",
-    )
+    atomic_writers: Tuple[str, ...] = ("*/repro/atomic.py::write_text_atomic",)
 
     # -- RPL007 payload-open-handles -------------------------------------
     #: dataclasses treated as cross-process worker payloads

@@ -55,7 +55,7 @@ FULL_SANITIZERS = frozenset({"len", "bool", "isinstance", "hasattr", "id"})
 ORDER_SANITIZERS = frozenset({"sorted", "min", "max", "sum", "any", "all"})
 #: write-ish leaf names that act as RPL104 artifact-path write sinks
 WRITE_SINK_LEAVES = frozenset(
-    {"_write_json_atomic", "write_text", "write_bytes", "save_model",
+    {"write_text_atomic", "write_text", "write_bytes", "save_model",
      "save_models"}
 )
 

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.atomic import write_text_atomic
 from repro.lint.config import LintConfig, match_path
 from repro.lint.engine import all_rules, check_unit, iter_python_files
 from repro.lint.engine import ModuleUnit
@@ -101,13 +100,7 @@ def _cache_read(path: Path) -> Optional[Dict[str, Any]]:
 
 def _cache_write(path: Path, payload: Dict[str, Any]) -> None:
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name, suffix=".tmp"
-        )
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
+        write_text_atomic(path, json.dumps(payload))
     except OSError:
         pass  # a cache that cannot be written is just a slow cache
 

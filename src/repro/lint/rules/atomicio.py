@@ -31,7 +31,7 @@ class AtomicWriteRule(Rule):
         "Crash recovery (RunLedger.recover, cache reload) trusts that "
         "any file present on disk is complete: every state transition "
         "and artifact write must go through the temp-file + os.replace "
-        "helper (repro.camodel.io._write_json_atomic) so a SIGKILL at "
+        "helper (repro.atomic.write_text_atomic) so a SIGKILL at "
         "any instant leaves either the previous or the next consistent "
         "state, never a torn file.  open(path, 'w'/'a'/'x') and "
         "Path.write_text/write_bytes are therefore banned in the scoped "

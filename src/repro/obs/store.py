@@ -16,8 +16,9 @@ Attempt shards are **content-keyed consistent with the ledger**: the
 artifact uses, and ``<NNN>`` is the *lifetime* attempt index the ledger
 hands out (it persists across resumed sessions), so a killed-and-resumed
 run can never collide with — or double-write — a shard a previous
-session already produced.  Every shard is written atomically (temp file
-+ ``os.replace``), so a SIGKILL mid-write never leaves a torn shard.
+session already produced.  Every shard is written atomically
+(:func:`repro.atomic.write_text_atomic`), so a SIGKILL mid-write never
+leaves a torn shard.
 
 An attempt shard carries everything one worker attempt observed: its
 span buffer, metric counters, buffered events, wall-clock window and
@@ -39,10 +40,10 @@ round-trip.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.atomic import write_text_atomic
 from repro.obs.trace import chrome_payload
 
 OBS_FORMAT = 1
@@ -57,13 +58,9 @@ E_SHARD_CORRUPT = "obs.shard_corrupt"
 OUTCOMES = ("ok", "exception", "crash", "timeout", "corrupt-artifact")
 
 
-def _atomic_write(path: Path, payload: Mapping[str, object]) -> None:
-    # Same temp-file + os.replace discipline as the ledger; local copy
-    # because repro.obs must not import repro.camodel (dependency
-    # direction: everything imports obs).
-    tmp = path.parent / f".{path.name}.tmp{os.getpid()}"
-    tmp.write_text(json.dumps(payload, sort_keys=True, default=str))
-    os.replace(tmp, path)
+def _shard_json(payload: Mapping[str, object]) -> str:
+    """The one serialization of every file this module writes."""
+    return json.dumps(payload, sort_keys=True, default=str)
 
 
 def attempt_shard_name(cell: str, key: str, attempt: int) -> str:
@@ -92,25 +89,22 @@ def write_attempt_shard(
     their payload — no store object crosses the process boundary.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(
-        path,
-        {
-            "format": OBS_FORMAT,
-            "kind": "attempt",
-            "cell": cell,
-            "key": key,
-            "attempt": int(attempt),
-            "outcome": outcome,
-            "pid": int(pid),
-            "started": float(started),
-            "seconds": float(seconds),
-            "counters": dict(counters),
-            "spans": [dict(span) for span in spans],
-            "events": [dict(event) for event in events],
-            "error": error,
-        },
-    )
+    shard = {
+        "format": OBS_FORMAT,
+        "kind": "attempt",
+        "cell": cell,
+        "key": key,
+        "attempt": int(attempt),
+        "outcome": outcome,
+        "pid": int(pid),
+        "started": float(started),
+        "seconds": float(seconds),
+        "counters": dict(counters),
+        "spans": [dict(span) for span in spans],
+        "events": [dict(event) for event in events],
+        "error": error,
+    }
+    write_text_atomic(path, _shard_json(shard))
     from repro import obs
 
     obs.metrics().inc(M_SHARDS_WRITTEN)
@@ -140,22 +134,19 @@ def write_worker_shard(
     reconstruct who did what after every process is gone.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(
-        path,
-        {
-            "format": OBS_FORMAT,
-            "kind": "worker",
-            "owner": owner,
-            "pid": int(pid),
-            "started": float(started),
-            "seconds": float(seconds),
-            "cells": list(cells),
-            "counters": dict(counters),
-            "spans": [dict(span) for span in spans],
-            "events": [dict(event) for event in events],
-        },
-    )
+    shard = {
+        "format": OBS_FORMAT,
+        "kind": "worker",
+        "owner": owner,
+        "pid": int(pid),
+        "started": float(started),
+        "seconds": float(seconds),
+        "cells": list(cells),
+        "counters": dict(counters),
+        "spans": [dict(span) for span in spans],
+        "events": [dict(event) for event in events],
+    }
+    write_text_atomic(path, _shard_json(shard))
     from repro import obs
 
     obs.metrics().inc(M_SHARDS_WRITTEN)
@@ -218,21 +209,19 @@ class ObsStore:
         source of truth.
         """
         path = self.next_session_path()
-        _atomic_write(
-            path,
-            {
-                "format": OBS_FORMAT,
-                "kind": "session",
-                "session": path.stem,
-                "pid": int(pid),
-                "started": float(started),
-                "seconds": float(seconds),
-                "root_span_id": root_span_id,
-                "counters": dict(counters),
-                "spans": [dict(span) for span in spans],
-                "events": [dict(event) for event in events],
-            },
-        )
+        shard = {
+            "format": OBS_FORMAT,
+            "kind": "session",
+            "session": path.stem,
+            "pid": int(pid),
+            "started": float(started),
+            "seconds": float(seconds),
+            "root_span_id": root_span_id,
+            "counters": dict(counters),
+            "spans": [dict(span) for span in spans],
+            "events": [dict(event) for event in events],
+        }
+        write_text_atomic(path, _shard_json(shard))
         from repro import obs
 
         obs.metrics().inc(M_SHARDS_WRITTEN)
@@ -376,7 +365,7 @@ class RunTelemetry:
 
     def write_chrome(self, path: Union[str, Path]) -> Path:
         path = Path(path)
-        _atomic_write(path, self.chrome())
+        write_text_atomic(path, _shard_json(self.chrome()))
         return path
 
     # ------------------------------------------------------------------
@@ -473,5 +462,5 @@ def write_chrome_spans(
 ) -> Path:
     """Write a Chrome trace for *spans* (same writer the store uses)."""
     path = Path(path)
-    _atomic_write(path, chrome_payload(spans, main_pid=main_pid))
+    write_text_atomic(path, _shard_json(chrome_payload(spans, main_pid=main_pid)))
     return path

@@ -23,8 +23,8 @@ Artifacts are **canonical** — wall-clock fields are zeroed, the real
 timings live in the ledger — so a killed-and-resumed run assembles a
 library byte-identical to an uninterrupted one.
 
-Every state transition rewrites ``ledger.json`` through the same
-temp-file + ``os.replace`` path as the CA model cache, so a SIGKILL at
+Every state transition rewrites ``ledger.json`` through the repo-wide
+atomic writer (:func:`repro.atomic.write_text_atomic`), so a SIGKILL at
 any instant leaves either the previous or the next consistent state,
 never a torn file.  :meth:`RunLedger.recover` reconciles after a crash:
 cells left ``running`` (or ``failed``) whose artifact landed on disk are
@@ -40,6 +40,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.atomic import write_text_atomic
+
 LEDGER_FORMAT = 1
 
 PENDING = "pending"
@@ -53,16 +55,6 @@ STATES = (PENDING, RUNNING, DONE, FAILED, QUARANTINED)
 
 class RunDirError(RuntimeError):
     """A run directory cannot be (re)used as requested."""
-
-
-def _write_json_atomic(path: Path, payload: Mapping) -> None:
-    # Same discipline as repro.camodel.io: serialize next to the target,
-    # then os.replace, so no reader ever sees a torn file.  Imported
-    # lazily to keep this module import-light (generate.py pulls in the
-    # faults sibling at import time).
-    from repro.camodel.io import _write_json_atomic as write
-
-    write(path, dict(payload))
 
 
 def content_key(cell_text: str, options: Mapping[str, object]) -> str:
@@ -164,16 +156,14 @@ class RunLedger:
         }
 
     def save(self) -> None:
-        _write_json_atomic(
-            self.path,
-            {
-                "format": LEDGER_FORMAT,
-                "created": self.created,
-                "config_key": self.config_key,
-                "config": self.config,
-                "cells": self.cells,
-            },
-        )
+        payload = {
+            "format": LEDGER_FORMAT,
+            "created": self.created,
+            "config_key": self.config_key,
+            "config": self.config,
+            "cells": self.cells,
+        }
+        write_text_atomic(self.path, json.dumps(payload))
 
     @classmethod
     def load(cls, run_dir: Union[str, Path]) -> "RunLedger":
@@ -401,7 +391,7 @@ class RunLedger:
         }
 
     def write_failure_report(self) -> Path:
-        _write_json_atomic(self.failures_path, self.failure_report())
+        write_text_atomic(self.failures_path, json.dumps(self.failure_report()))
         return self.failures_path
 
 

@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
+from repro.atomic import write_text_atomic
 from repro.obs import store as obs_store
 from repro.camodel.batch import ensure_unique_cell_names
 from repro.camodel.generate import (
@@ -56,12 +57,7 @@ from repro.camodel.generate import (
     PhaseCacheArg,
     generate_ca_model,
 )
-from repro.camodel.io import (
-    FORMAT_VERSION,
-    _write_json_atomic,
-    model_from_dict,
-    model_to_dict,
-)
+from repro.camodel.io import FORMAT_VERSION, model_from_dict, model_to_dict
 from repro.camodel.model import CAModel
 from repro.defects.model import Defect
 from repro.library.technology import ElectricalParams
@@ -121,10 +117,18 @@ def _options_fingerprint(
     universe: Optional[Sequence[Defect]],
     delay_detection: bool,
     slow_factor: float,
-    batched: bool,
+    packed: bool,
     parallelism: Optional[int],
 ) -> Dict[str, object]:
-    """JSON-stable fingerprint of every option that shapes an artifact."""
+    """JSON-stable fingerprint of every option that shapes an artifact.
+
+    ``packed`` shapes ``stats.batched_phases`` (0 under the scalar
+    solver); it is stored under the key ``"batched"`` so the content
+    keys of existing run directories stay valid and they still resume.
+    ``phase_cache`` is deliberately absent: it is identity-preserving,
+    so changing it must not invalidate existing artifacts or block a
+    resume.
+    """
     return {
         "format": FORMAT_VERSION,
         "policy": policy,
@@ -139,12 +143,8 @@ def _options_fingerprint(
         ),
         "delay_detection": delay_detection,
         "slow_factor": slow_factor,
-        "batched": batched,
+        "batched": packed,
         "parallelism": parallelism,
-        # packed / phase_cache are deliberately absent: both are
-        # identity-preserving solver knobs (models are byte-identical
-        # with or without them), so changing them must not invalidate
-        # existing artifacts or block a resume.
     }
 
 
@@ -235,15 +235,13 @@ def _cell_worker(payload: Dict[str, object]) -> None:
         if rule is not None:
             # Torn/corrupt checkpoint faults exit the process inside.
             faults.enact_artifact_fault(rule, artifact, data, name)
-        _write_json_atomic(artifact, data)
-        _write_json_atomic(
-            Path(payload["sidecar"]),
-            {
-                "seconds": elapsed,
-                "counters": worker_metrics.snapshot()["counters"],
-                "spans": worker_tracer.export(),
-            },
-        )
+        write_text_atomic(artifact, json.dumps(data))
+        sidecar = {
+            "seconds": elapsed,
+            "counters": worker_metrics.snapshot()["counters"],
+            "spans": worker_tracer.export(),
+        }
+        write_text_atomic(Path(payload["sidecar"]), json.dumps(sidecar))
         write_shard("ok", elapsed)
     except BaseException as exc:  # noqa: BLE001 - classified for the parent
         error_text = f"{type(exc).__name__}: {exc}"
@@ -253,7 +251,7 @@ def _cell_worker(payload: Dict[str, object]) -> None:
             "traceback": traceback.format_exc(),
         }
         try:
-            _write_json_atomic(Path(payload["error"]), record)
+            write_text_atomic(Path(payload["error"]), json.dumps(record))
             # The partial spans/counters of a dying attempt are still
             # part of what the run paid for — persist them too.
             write_shard(
@@ -357,9 +355,9 @@ def assemble_run_result(
     ledger.write_failure_report()
     if output is not None:
         result.library_path = Path(output)
-        _write_json_atomic(
+        write_text_atomic(
             result.library_path,
-            {"format": FORMAT_VERSION, "models": artifact_dicts},
+            json.dumps({"format": FORMAT_VERSION, "models": artifact_dicts}),
         )
     return artifact_dicts
 
@@ -380,8 +378,7 @@ def run_library(
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     parallelism: Optional[int] = None,
-    batched: bool = True,
-    packed: bool = False,
+    packed: bool = True,
     phase_cache: PhaseCacheArg = None,
     output: Optional[Union[str, Path]] = None,
 ) -> RunResult:
@@ -417,18 +414,18 @@ def run_library(
         resumed and uninterrupted runs.
     packed / phase_cache:
         Forwarded to :func:`~repro.camodel.generate.generate_ca_model`
-        in every worker.  Both are identity-preserving (and therefore
-        not part of the option fingerprint): ``packed`` routes solving
-        through the cross-topology packed kernel, ``phase_cache`` is a
-        directory persisting solved phases so retried attempts and
-        repeat runs skip already-solved work — with counters served
-        through the counter-neutral prefetch path, keeping artifacts
-        canonical.
+        in every worker.  ``packed=False`` selects the scalar reference
+        solver (part of the option fingerprint, since it zeroes
+        ``stats.batched_phases``).  ``phase_cache`` is a directory
+        persisting solved phases so retried attempts and repeat runs
+        skip already-solved work — identity-preserving and therefore not
+        fingerprinted: counters are served through the counter-neutral
+        prefetch path, keeping artifacts canonical.
     """
     names = [cell.name for cell in cells]
     ensure_unique_cell_names(names)
     options = _options_fingerprint(
-        policy, params, universe, delay_detection, slow_factor, batched,
+        policy, params, universe, delay_detection, slow_factor, packed,
         parallelism,
     )
     texts = {cell.name: write_cell(cell) for cell in cells}
@@ -467,7 +464,6 @@ def run_library(
         delay_detection=delay_detection,
         slow_factor=slow_factor,
         parallelism=parallelism,
-        batched=batched,
         packed=packed,
         phase_cache=(
             str(phase_cache)

@@ -34,13 +34,10 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro import obs
+from repro.atomic import write_text_atomic
 from repro.camodel.batch import ensure_unique_cell_names
 from repro.camodel.generate import DEFAULT_SLOW_FACTOR, PhaseCacheArg
-from repro.camodel.io import (
-    FORMAT_VERSION,
-    _write_json_atomic,
-    model_from_dict,
-)
+from repro.camodel.io import FORMAT_VERSION, model_from_dict
 from repro.camodel.model import CAModel
 from repro.defects.model import Defect
 from repro.library.technology import ElectricalParams
@@ -58,7 +55,8 @@ from repro.service.lease import DEFAULT_TTL, LeaseStore
 from repro.spice.netlist import CellNetlist
 from repro.spice.writer import write_cell
 
-MANIFEST_FORMAT = 1
+#: ``job.json`` layout version (2: ``kwargs`` carry ``packed`` only, no ``batched``)
+MANIFEST_FORMAT = 2
 MANIFEST_NAME = "job.json"
 
 # service event names (registered in repro.lint.catalog)
@@ -281,8 +279,7 @@ def submit_library(
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     parallelism: Optional[int] = None,
-    batched: bool = True,
-    packed: bool = False,
+    packed: bool = True,
     phase_cache: PhaseCacheArg = None,
 ) -> Job:
     """Materialize a library job into *run_dir* and return its handle.
@@ -297,7 +294,7 @@ def submit_library(
     names = [cell.name for cell in cells]
     ensure_unique_cell_names(names)
     options = _options_fingerprint(
-        policy, params, universe, delay_detection, slow_factor, batched,
+        policy, params, universe, delay_detection, slow_factor, packed,
         parallelism,
     )
     texts = {cell.name: write_cell(cell) for cell in cells}
@@ -312,7 +309,6 @@ def submit_library(
             "delay_detection": delay_detection,
             "slow_factor": slow_factor,
             "parallelism": parallelism,
-            "batched": batched,
             "packed": packed,
             "phase_cache": (
                 str(phase_cache)
@@ -337,7 +333,7 @@ def submit_library(
         fault_plan=fault_plan.to_dict() if fault_plan is not None else None,
     )
     job = Job(run_dir, manifest)
-    _write_json_atomic(job.manifest_path, manifest.to_dict())
+    write_text_atomic(job.manifest_path, json.dumps(manifest.to_dict()))
     obs.events().info(
         E_SUBMIT,
         run_dir=str(run_dir),

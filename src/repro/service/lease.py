@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from repro import obs
+from repro.atomic import write_text_atomic
 
 LEASE_FORMAT = 1
 
@@ -61,15 +62,6 @@ M_LOST = "lease.lost"
 M_RELEASES = "lease.releases"
 M_REAPED = "lease.reaped"
 E_EXPIRED = "lease.expired"
-
-
-def _atomic_write(path: Path, payload: Mapping[str, object]) -> None:
-    # Same temp-file + os.replace discipline as repro.obs.store; local
-    # copy because the service layer must stay importable without
-    # repro.camodel (workers arm it before any generation import).
-    tmp = path.parent / f".{path.name}.tmp{os.getpid()}"
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
 
 
 @dataclass
@@ -207,7 +199,9 @@ class LeaseStore:
         now = self.clock()
         lease.heartbeat = now
         lease.expires = now + self.ttl
-        _atomic_write(self.path(lease.cell), lease.to_dict())
+        write_text_atomic(
+            self.path(lease.cell), json.dumps(lease.to_dict(), sort_keys=True)
+        )
         self._metrics().inc(M_HEARTBEATS)
         return True
 

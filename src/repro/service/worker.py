@@ -51,9 +51,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro import obs
+from repro.atomic import write_text_atomic
 from repro.obs import store as obs_store
 from repro.camodel.generate import generate_ca_model
-from repro.camodel.io import _write_json_atomic
 from repro.camodel.planstore import fresh_store
 from repro.resilience import faults
 from repro.resilience.ledger import (
@@ -97,13 +97,12 @@ def commit_artifact(
     """
     blob = json.dumps(data)
     cas_dir = Path(run_dir) / "cas"
-    cas_dir.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:24]
     cas_path = cas_dir / f"{digest}.json"
     if not cas_path.exists():
-        # Serialization matches _write_json_atomic (plain json.dump), so
-        # the linked artifact is byte-identical to a runner-written one.
-        _write_json_atomic(cas_path, data)
+        # Serialization matches the runner's (plain json.dumps), so the
+        # linked artifact is byte-identical to a runner-written one.
+        write_text_atomic(cas_path, blob)
     try:
         os.link(cas_path, artifact)
     except FileExistsError:
@@ -258,14 +257,12 @@ def run_attempt(
                 # Sidecar strictly before the commit: the hardlink's
                 # appearance is the coordinator's done signal, and it
                 # reads the sidecar immediately after.
-                _write_json_atomic(
-                    ledger.sidecar_path(name),
-                    {
-                        "seconds": elapsed,
-                        "counters": worker_metrics.snapshot()["counters"],
-                        "spans": worker_tracer.export(),
-                    },
-                )
+                sidecar = {
+                    "seconds": elapsed,
+                    "counters": worker_metrics.snapshot()["counters"],
+                    "spans": worker_tracer.export(),
+                }
+                write_text_atomic(ledger.sidecar_path(name), json.dumps(sidecar))
                 if not commit_artifact(run_dir, artifact, data):
                     discard("lost the commit race")
                     return False
@@ -280,14 +277,12 @@ def run_attempt(
                     # double-charge the retry budget.
                     discard(f"lease lost during failure ({error_text})")
                     return False
-                _write_json_atomic(
-                    ledger.error_path(name),
-                    {
-                        "kind": "exception",
-                        "error": error_text,
-                        "traceback": traceback.format_exc(),
-                    },
-                )
+                error_record = {
+                    "kind": "exception",
+                    "error": error_text,
+                    "traceback": traceback.format_exc(),
+                }
+                write_text_atomic(ledger.error_path(name), json.dumps(error_record))
                 write_shard(
                     "exception", time.time() - started_wall, error=error_text
                 )

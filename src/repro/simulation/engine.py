@@ -16,13 +16,15 @@ with charge retention and gate-open lag fed from the initial phase.
 
 Solved phases are memoized per (final vector, initial vector), which makes
 exhaustive-stimulus characterization cost O(4^n) solves instead of
-O(4^n * patterns).  :meth:`CellSimulator.solve_words` additionally plans a
-whole stimulus set at once: the unique phases still missing from the caches
-are solved in one or two :meth:`~repro.simulation.solver.StaticSolver.solve_batch`
-calls (memoryless first, then the history-dependent survivors), and the
-per-word assembly then runs entirely against warm caches.  When the
-simulator shares a :class:`~repro.simulation.switchgraph.CellTopology`, the
-caches themselves are shared across defects with signature-equal effects.
+O(4^n * patterns).  :func:`solve_words_across` additionally plans whole
+stimulus sets at once — of one simulator (:meth:`CellSimulator.solve_words`)
+or of many: the unique phases still missing from the caches are solved
+through the vectorized kernel
+(:func:`~repro.simulation.packed.solve_packed`), memoryless first, then
+the history-dependent survivors, and the per-word assembly then runs
+entirely against warm caches.  When the simulator shares a
+:class:`~repro.simulation.switchgraph.CellTopology`, the caches themselves
+are shared across defects with signature-equal effects.
 """
 
 from __future__ import annotations
@@ -94,11 +96,12 @@ class CellSimulator:
         effect: DefectEffect = GOLDEN,
         driver_resistance: float = DRIVER_RESISTANCE,
         topology: Optional[CellTopology] = None,
-        batched: bool = True,
+        packed: bool = True,
     ):
         self.cell = cell
         self.effect = effect
-        self.batched = batched
+        #: plan through the vectorized kernel (False: scalar oracle)
+        self.packed = packed
         if topology is not None:
             self.graph = topology.graph(effect)
             # Cross-defect sharing: signature-equal effects build identical
@@ -149,8 +152,8 @@ class CellSimulator:
         self.solve_count = 0
         #: memoized phase lookups served without a solve (cost accounting)
         self.cache_hit_count = 0
-        #: phases solved through the vectorized batch kernel (a subset of
-        #: ``solve_count``; cost accounting for the batched path)
+        #: phases solved through the vectorized kernel (a subset of
+        #: ``solve_count``; cost accounting for the packed path)
         self.batched_count = 0
 
     def counters(self) -> Dict[str, int]:
@@ -253,61 +256,23 @@ class CellSimulator:
         words: Sequence[Sequence[V4]],
         plans: Optional[Sequence[WordPlan]] = None,
     ) -> List[Tuple[List[int], List[int]]]:
-        """Solve a whole stimulus set, batch-planning the missing phases.
+        """Solve a whole stimulus set, planning the missing phases at once.
 
-        Plans the unique phase set once: distinct vectors absent from the
-        memoryless cache go through one vectorized
-        :meth:`~repro.simulation.solver.StaticSolver.solve_batch` call;
-        the history-dependent survivors (words whose base solve used
-        charge retention, or any word under a gate-open defect) go through
-        a second.  Per-word assembly then runs the ordinary scalar path
-        against warm caches, so solve/cache-hit counter sequences — and
-        results — are identical to calling :meth:`solve_word` in a loop.
+        A one-task :func:`solve_words_across`: the distinct phases absent
+        from the caches go through the vectorized kernel, then per-word
+        assembly runs the ordinary scalar path against warm caches, so
+        solve/cache-hit counter sequences — and results — are identical
+        to calling :meth:`solve_word` in a loop (which is exactly what a
+        ``packed=False`` simulator does).
 
         *plans* is the precomputed per-word :func:`split_word` output; the
         generation flow computes it once per stimulus list and reuses it
         across every defect of a cell.
         """
-        if plans is None:
-            plans = [self._split_word(word) for word in words]
-        if not self.batched:
-            return [
-                self.solve_word(word, plan)
-                for word, plan in zip(words, plans)
-            ]
-
-        # Stage 1: memoryless solve of every distinct phase vector.
-        need = self._plan_stage1(plans)
-        if need:
-            to_solve = self._take_prefetched_stage1(need)
-            with obs.tracer().span(
-                "solver.batch", phases=len(need), history=False
-            ):
-                solved = self.solver.solve_batch(to_solve)
-            self.batched_count += len(need)
-            self._staged_memoryless.update(zip(to_solve, solved))
-
-        # Stage 2: history-dependent phases the base solve cannot answer.
-        pending, prevs = self._plan_stage2(plans)
-        if pending:
-            to_solve2, prevs2 = self._take_prefetched_stage2(pending, prevs)
-            with obs.tracer().span(
-                "solver.batch", phases=len(pending), history=True
-            ):
-                solved = self.solver.solve_batch(
-                    [key[0] for key in to_solve2], prevs2
-                )
-            self.batched_count += len(pending)
-            for key, result in zip(to_solve2, solved):
-                self._staged_history[key] = result.codes
-
-        # Stage 3: per-word assembly against warm caches.
-        return [
-            self.solve_word(word, plan) for word, plan in zip(words, plans)
-        ]
+        return solve_words_across([(self, words, plans)])[0]
 
     # ------------------------------------------------------------------
-    # Batch planning, shared by solve_words and solve_words_across
+    # Phase planning of solve_words_across
     # ------------------------------------------------------------------
     def _plan_stage1(
         self,
@@ -578,14 +543,12 @@ def solve_words_across(
 ) -> List[List[Tuple[List[int], List[int]]]]:
     """Solve many simulators' stimulus sets through one packed kernel.
 
-    The cross-cell analogue of :meth:`CellSimulator.solve_words`: instead
-    of one :meth:`~repro.simulation.solver.StaticSolver.solve_batch` call
-    per (cell, defect), the missing phases of *every* task are packed
-    into a handful of multi-topology
-    :func:`~repro.simulation.packed.solve_packed` flushes (windowed at
-    *max_rows* rows), which is where the throughput win at library scale
-    comes from — the per-call NumPy overhead stops scaling with the
-    number of defects.
+    The missing phases of *every* task are packed into a handful of
+    multi-topology :func:`~repro.simulation.packed.solve_packed` flushes
+    (windowed at *max_rows* rows) instead of one kernel call per (cell,
+    defect), which is where the throughput win at library scale comes
+    from — the per-call NumPy overhead stops scaling with the number of
+    defects.  :meth:`CellSimulator.solve_words` is the one-task case.
 
     Element ``[i][j]`` equals ``tasks[i]`` solving its word ``j`` through
     the ordinary sequential path, **including the cost accounting**:
@@ -594,16 +557,16 @@ def solve_words_across(
     sweep would have found memoized), and per-word assembly runs in task
     order against the shared staged dicts, so every task's solve /
     cache-hit / batched counters match a per-task ``solve_words`` sweep.
-    Tasks with ``batched=False`` simulators skip planning and assemble
-    through the scalar path; mixing them *before* batched signature
+    Tasks with ``packed=False`` simulators skip planning and assemble
+    through the scalar path; mixing them *before* packed signature
     siblings voids the counter-identity (the generation flow never does).
 
     With ``assemble=False`` the call stops after the packed flushes and
     returns ``[]``: every planned phase sits in the simulators' staged
-    dicts, and a later per-task :meth:`CellSimulator.solve_words` (in
-    task order) finds nothing left to plan and only assembles — the
-    generation flow uses this to keep its per-defect loop untouched
-    while the solving itself is packed across cells.
+    dicts, and a later per-word :meth:`CellSimulator.solve_word` sweep
+    (in task order) only assembles — the generation flow uses this to
+    keep its per-defect loop untouched while the solving itself is
+    packed across defects and cells.
     """
     normalized: List[
         Tuple[CellSimulator, Sequence[Sequence[V4]], Sequence[WordPlan]]
@@ -669,7 +632,7 @@ def solve_words_across(
     # per-group (shared staged dict == shared signature) in-flight sets.
     group_planned: Dict[int, set] = {}
     for sim, _words, plans in normalized:
-        if not sim.batched:
+        if not sim.packed:
             continue
         planned = group_planned.setdefault(id(sim._staged_memoryless), set())
         need = sim._plan_stage1(plans, planned)
@@ -686,7 +649,7 @@ def solve_words_across(
     # results, hence the barrier flush above).
     group_planned = {}
     for sim, _words, plans in normalized:
-        if not sim.batched:
+        if not sim.packed:
             continue
         planned = group_planned.setdefault(id(sim._staged_history), set())
         pending, prevs = sim._plan_stage2(plans, planned)

@@ -1,12 +1,13 @@
-"""Cross-topology packed solving: many cells/defects, one NumPy kernel call.
+"""The vectorized solver kernel: many phases of many solvers, one NumPy call.
 
-:meth:`~repro.simulation.solver.StaticSolver.solve_batch` vectorizes the
-phases of **one** (cell, defect) switch graph.  At library scale that
-still means hundreds of small kernel calls — one or two per defect — and
-on small cells the fixed per-call NumPy overhead dominates the actual
-arithmetic.  :func:`solve_packed` removes that wall: it takes phase
-batches from **many** solvers (different defects of one cell, different
-cells entirely) and runs them through a single padded kernel.
+:func:`solve_packed` is the one vectorized kernel behind every phase
+solve of the generation flow — the golden pass, a cell's defect sweep,
+a whole library — while the scalar
+:meth:`~repro.simulation.solver.StaticSolver.solve` stays the reference
+oracle.  It takes phase batches from one or many solvers (different
+defects of one cell, different cells entirely) and runs them through a
+single padded kernel, so the fixed per-call NumPy overhead is paid once
+per call rather than once per (cell, defect) pair.
 
 Mechanics
 ---------
@@ -15,10 +16,10 @@ Every distinct solver becomes one *topology slot*: its index arrays
 maximum node/device/degree count across the pack and stacked along a
 leading slot axis.  Every requested phase becomes one *row* carrying the
 slot index of its topology; per-step gathers (``stacked[topo_idx]``)
-give each row its own graph.  Rows then iterate exactly like
-``solve_batch``: per-row convergence dropout, Bryant off/on envelopes as
-two sub-resolves, min-label propagation for connected components, and a
-scalar exact-Laplacian fallback for the rare contended components.
+give each row its own graph.  Rows iterate together with per-row
+convergence dropout, Bryant off/on envelopes as two sub-resolves,
+min-label propagation for connected components, and a scalar
+exact-Laplacian fallback for the rare contended components.
 
 Padding is inert by construction:
 
@@ -35,14 +36,14 @@ Identity guarantee
 ------------------
 ``solve_packed(requests)[i][j]`` equals
 ``requests[i].solver.solve(requests[i].vectors[j], ...)`` exactly —
-codes and retention flag — for the same reason ``solve_batch`` does: all
-logic-level work is integer, per-row iteration counts match the scalar
-path, and contention (the only float arithmetic) is delegated to the
-same scalar :meth:`~repro.simulation.solver.StaticSolver._solve_contention`.
+codes and retention flag: all logic-level work is integer, per-row
+iteration counts match the scalar path, and contention (the only float
+arithmetic) is delegated to the same scalar
+:meth:`~repro.simulation.solver.StaticSolver._solve_contention`.
 The per-solver resolve-row memo (``_resolve_cache``) is keyed on the
-*trimmed* (conduction mask, source values) pair, byte-compatible with
-the keys ``solve_batch`` writes, so packed and per-cell calls share one
-cache.
+*trimmed* (conduction mask, source values) pair, so a solver's entries
+do not depend on which other topologies shared the call: a one-topology
+call and a mixed pack read and warm one cache.
 """
 
 from __future__ import annotations
@@ -176,10 +177,20 @@ def _resolve_packed_rows(
     src_vals: np.ndarray,
     topo_idx: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized resolve of one unknown-extreme across topologies."""
+    """Vectorized resolve of one unknown-extreme across topologies.
+
+    *conducting* is a (batch, D) bool mask of channels treated as ON.
+    Connected components are found with min-label propagation over the
+    padded per-node neighbour tables (gathers only — no scatter), with
+    pointer-jumping compression; stability implies every active edge
+    joins equal labels, i.e. labels are constant per component.  Every
+    gather is a flat ``np.take`` into the raveled (batch, N) arrays, so
+    row ``b``'s node ``i`` lives at ``b * N + i``.
+    """
     batch = conducting.shape[0]
     N = pk.N
     rows = np.arange(batch)
+    offsets = (rows * N)[:, None]
     edge_active = np.concatenate(
         [
             conducting,
@@ -188,32 +199,37 @@ def _resolve_packed_rows(
         ],
         axis=1,
     )
-    slot_edge = pk.slot_edge[topo_idx]  # batch x N x deg
-    slot_node = pk.slot_node[topo_idx]
-    act_slots = edge_active[rows[:, None, None], slot_edge]
-    labels = np.broadcast_to(np.arange(N), (batch, N)).copy()
+    slots = pk.slot_edge[topo_idx]  # batch x N x deg
+    slots += (rows * pk.E)[:, None, None]
+    act_slots = np.take(edge_active, slots)
+    # The neighbour table reuses that buffer.  An inactive slot points
+    # back at its own node: a node's own label never lowers its minimum,
+    # so the propagation needs no mask.
+    neighbour = np.take(pk.slot_node, topo_idx, axis=0, out=slots)
+    np.copyto(neighbour, np.arange(N)[:, None], where=~act_slots)
+    neighbour += offsets[:, :, None]
+    labels = np.broadcast_to(np.arange(N, dtype=np.int32), (batch, N))
     while True:
-        neighbour = labels[rows[:, None, None], slot_node]
-        neighbour = np.where(act_slots, neighbour, N)
-        new = np.minimum(labels, neighbour.min(axis=2))
-        new = np.take_along_axis(new, new, axis=1)  # pointer jumping
+        new = np.minimum(labels, np.take(labels, neighbour).min(axis=2))
+        new = np.take(new, new + offsets)  # pointer jumping
         if np.array_equal(new, labels):
             break
         labels = new
 
+    # Boundary facts per component root: padded fixed columns alias the
+    # ground rail with value 0; padded sources carry 0 as well.
     fnodes = pk.fixed_nodes[topo_idx]  # batch x max_fixed
-    max_fixed = fnodes.shape[1]
-    fixed_vals = np.zeros((batch, max_fixed), dtype=np.int16)
+    fixed_vals = np.zeros(fnodes.shape, dtype=np.int16)
     fixed_vals[:, 0] = 1  # power rail
-    fixed_vals[:, 2:] = src_vals  # padded sources carry 0 (alias ground)
-    has1 = np.zeros((batch, N), dtype=bool)
-    has0 = np.zeros((batch, N), dtype=bool)
-    for j in range(max_fixed):
-        root = labels[rows, fnodes[:, j]]
-        has1[rows, root] |= fixed_vals[:, j] == 1
-        has0[rows, root] |= fixed_vals[:, j] == 0
-    root1 = np.take_along_axis(has1, labels, axis=1)
-    root0 = np.take_along_axis(has0, labels, axis=1)
+    fixed_vals[:, 2:] = src_vals
+    roots = np.take(labels, fnodes + offsets) + offsets
+    has1 = np.zeros(batch * N, dtype=bool)
+    has0 = np.zeros(batch * N, dtype=bool)
+    has1[roots[fixed_vals == 1]] = True
+    has0[roots[fixed_vals == 0]] = True
+    flat_labels = labels + offsets
+    root1 = has1[flat_labels]
+    root0 = has0[flat_labels]
     result = np.where(
         root1 & root0,
         CONTENDED,
@@ -246,40 +262,52 @@ def _resolve_packed(
 ) -> np.ndarray:
     """Memoizing wrapper over :func:`_resolve_packed_rows`.
 
-    Keys are byte-compatible with
-    :meth:`~repro.simulation.solver.StaticSolver._batch_resolve` (the
-    *trimmed* conduction mask and source values), so packed flushes warm
-    the same per-solver cache the per-cell kernel reads.
+    A resolve row is a pure function of (conduction mask, source
+    values); the fixpoint and the Bryant envelopes revisit the same pair
+    constantly, so rows are served from the solver's ``_resolve_cache``
+    and only the distinct misses go through the vectorized computation.
+
+    The key is the uint8 conduction mask trimmed to the solver's own
+    device count, then the uint8 source values trimmed to its own input
+    count.  A row whose topology fills the padded widths is that key
+    already; narrower topologies join their two trimmed slices.
     """
-    batch = conducting.shape[0]
+    batch, D = conducting.shape
+    key_mat = np.concatenate(
+        [conducting.astype(np.uint8), src_vals.astype(np.uint8)], axis=1
+    )
+    caches = [solver._resolve_cache for solver in pk.solvers]
+    slices = [
+        None if d == D and m == src_vals.shape[1] else (d, m)
+        for d, m in zip(pk.n_devices.tolist(), pk.n_inputs.tolist())
+    ]
+    topo = topo_idx.tolist()
     result = np.full((batch, pk.N), FLOAT, dtype=np.int16)
-    misses: List[int] = []
     keys: List[Optional[bytes]] = [None] * batch
-    for b in range(batch):
-        t = int(topo_idx[b])
-        solver = pk.solvers[t]
-        d = int(pk.n_devices[t])
-        m = int(pk.n_inputs[t])
-        key = (
-            conducting[b, :d].astype(np.uint8).tobytes()
-            + src_vals[b, :m].astype(np.uint8).tobytes()
-        )
-        cached = solver._resolve_cache.get(key)
-        if cached is not None:
-            result[b, : cached.size] = cached
+    misses: List[int] = []
+    for b, t in enumerate(topo):
+        row = key_mat[b]
+        trim = slices[t]
+        if trim is None:
+            key = row.tobytes()
         else:
+            key = row[: trim[0]].tobytes() + row[D : D + trim[1]].tobytes()
+        cached = caches[t].get(key)
+        if cached is None:
             keys[b] = key
             misses.append(b)
+        else:
+            result[b, : cached.size] = cached
     if misses:
         rows = np.array(misses, dtype=np.intp)
         solved = _resolve_packed_rows(
             pk, conducting[rows], src_vals[rows], topo_idx[rows]
         )
         result[rows] = solved
+        n_nodes = pk.n_nodes.tolist()
         for k, b in enumerate(misses):
-            t = int(topo_idx[b])
-            n = int(pk.n_nodes[t])
-            pk.solvers[t]._resolve_cache[keys[b]] = solved[k, :n].copy()
+            t = topo[b]
+            caches[t][keys[b]] = solved[k, : n_nodes[t]].copy()
     return result
 
 
@@ -291,7 +319,7 @@ def _step_packed(
     src_vals: np.ndarray,
     topo_idx: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One packed fixpoint step (mirrors ``StaticSolver._batch_step``)."""
+    """One packed fixpoint step (vectorized ``StaticSolver._step``)."""
     batch = codes.shape[0]
     rows = np.arange(batch)
     if pk.D:

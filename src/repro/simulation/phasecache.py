@@ -17,21 +17,22 @@ same counter increments.  A warm-store run therefore produces models
 resumed library runs keep the PR 4 canonical-artifact guarantee while
 skipping the solves entirely.
 
-Writes go through the repo-wide temp-file + ``os.replace`` discipline,
-and the payload is canonically ordered, so concurrent writers of the
-same signature race benignly: they write byte-identical files.
+Writes go through the repo-wide atomic writer
+(:func:`repro.atomic.write_text_atomic`), and the payload is canonically
+ordered, so concurrent writers of the same signature race benignly: they
+write byte-identical files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
+from repro.atomic import write_text_atomic
 from repro.simulation.solver import SolveResult
 from repro.simulation.switchgraph import CellTopology, PhaseState
 from repro.spice.writer import write_cell
@@ -50,14 +51,6 @@ _INF = None
 
 class PhaseCacheError(RuntimeError):
     """A phase-cache directory cannot be used as requested."""
-
-
-def _atomic_write(path: Path, payload: Dict) -> None:
-    # Same discipline as repro.camodel.io / resilience.ledger, local copy
-    # because simulation must not import camodel (dependency direction).
-    tmp = path.parent / f".{path.name}.tmp{os.getpid()}"
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
 
 
 def _encode_resistance(value: float):
@@ -249,7 +242,7 @@ class PhaseCacheStore:
                     )
                 ],
             }
-            _atomic_write(path, payload)
+            write_text_atomic(path, json.dumps(payload, sort_keys=True))
             written.append(path)
         if written:
             obs.metrics().inc(M_PHASECACHE_STORES, len(written))

@@ -26,13 +26,15 @@ Two execution paths produce byte-identical results:
 * :meth:`StaticSolver.solve` — the scalar reference oracle, one phase at a
   time (the original Python implementation, kept as the ground truth the
   differential tests sweep against);
-* :meth:`StaticSolver.solve_batch` — the vectorized kernel: all phases of
-  one (cell, defect) pair are stacked into NumPy arrays, device conduction
-  is a batched gate lookup, the per-phase union-find is replaced by a
-  gather-based connected-components label propagation over the stacked
-  conduction masks (the Bryant off/on envelopes become two batched
-  resolves), and only the rare contended components drop to the exact
-  scalar Laplacian path.
+* :func:`repro.simulation.packed.solve_packed` — the vectorized kernel:
+  the phases of one or many solvers are stacked into NumPy arrays, device
+  conduction is a batched gate lookup, the per-phase union-find is
+  replaced by a gather-based connected-components label propagation over
+  the stacked conduction masks (the Bryant off/on envelopes become two
+  batched resolves), and only the rare contended components drop to the
+  exact scalar Laplacian path (:meth:`StaticSolver._solve_contention`).
+  This module keeps the per-solver index arrays it builds on
+  (:class:`_BatchArrays`) and its resolve-row memo.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.simulation.switchgraph import DeviceRec, SwitchGraph
 
 X = -1
 FLOAT = -2
-#: internal batch-resolve sentinel: component sees both rails (contention)
+#: internal vectorized-resolve sentinel: component sees both rails (contention)
 CONTENDED = -3
 MAX_ITERATIONS = 16
 
@@ -141,13 +143,14 @@ class StaticSolver:
             for pin, src in zip(graph.pin_nodes, graph.source_nodes)
             if pin not in channel_nets and pin not in bridged
         ]
-        # Stacked-array views for solve_batch, built on first use.
+        # Index arrays for the vectorized kernel, built on first use.
         self._batch: Optional[_BatchArrays] = None
         # Resolve rows memoized by (conduction mask, source values): the
         # component structure and boundary outcome — including the exact
         # contention solve — are a pure function of that pair, and the
-        # fixpoint revisits the same pair constantly.  Batched path only;
-        # the scalar path stays the untouched reference oracle.
+        # fixpoint revisits the same pair constantly.  Vectorized kernel
+        # only (keys: see simulation.packed._resolve_packed); the scalar
+        # path stays the untouched reference oracle.
         self._resolve_cache: Dict[bytes, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -329,247 +332,16 @@ class StaticSolver:
                 result[n] = X
 
     # ------------------------------------------------------------------
-    # Batched (vectorized) path — byte-identical to solve()
+    # Index arrays of the vectorized kernel (simulation.packed)
     # ------------------------------------------------------------------
     def _batch_arrays(self) -> "_BatchArrays":
         if self._batch is None:
             self._batch = _BatchArrays(self.graph, self._observable, self._seedable_pins)
         return self._batch
 
-    def solve_batch(
-        self,
-        vectors: Sequence[Tuple[int, ...]],
-        prevs: Optional[Sequence[Optional[Sequence[int]]]] = None,
-    ) -> List[SolveResult]:
-        """Solve many phases at once; element *i* equals ``solve(vectors[i],
-        prevs[i])`` exactly (codes and retention flag).
-
-        All phases are iterated together; a phase drops out of the stacked
-        fixpoint as soon as it converges, so per-phase iteration counts
-        match the scalar path.  Contended components (the only place float
-        arithmetic enters) are delegated to the scalar
-        :meth:`_solve_contention`, which keeps the two paths byte-identical.
-        """
-        batch = len(vectors)
-        if batch == 0:
-            return []
-        ba = self._batch_arrays()
-        graph = self.graph
-        n = graph.n_nodes
-        src_vals = np.asarray(vectors, dtype=np.int16)
-        if src_vals.ndim != 2 or src_vals.shape[1] != len(graph.source_nodes):
-            raise ValueError(
-                f"expected {len(graph.source_nodes)} input values per vector"
-            )
-
-        codes = np.full((batch, n), X, dtype=np.int16)
-        codes[:, graph.power] = 1
-        codes[:, graph.ground] = 0
-        codes[:, ba.source_nodes] = src_vals
-        if ba.seed_pins.size:
-            codes[:, ba.seed_pins] = codes[:, ba.seed_srcs]
-
-        prev = np.full((batch, n), X, dtype=np.int16)
-        has_prev = np.zeros(batch, dtype=bool)
-        if prevs is not None:
-            for i, p in enumerate(prevs):
-                if p is not None:
-                    prev[i] = np.asarray(p, dtype=np.int16)
-                    has_prev[i] = True
-
-        results: List[Optional[SolveResult]] = [None] * batch
-        active = np.arange(batch)
-        for _ in range(MAX_ITERATIONS):
-            new_codes, retention = self._batch_step(
-                codes[active], prev[active], has_prev[active], src_vals[active]
-            )
-            converged = (new_codes == codes[active]).all(axis=1)
-            for k in np.where(converged)[0]:
-                g = int(active[k])
-                results[g] = SolveResult(new_codes[k].tolist(), bool(retention[k]))
-            codes[active] = new_codes
-            active = active[~converged]
-            if active.size == 0:
-                break
-        if active.size:
-            # Non-convergence (defect-induced feedback): one more step,
-            # anything still changing is unknown — mirrors the scalar path.
-            final, _ = self._batch_step(
-                codes[active], prev[active], has_prev[active], src_vals[active]
-            )
-            merged = np.where(codes[active] == final, codes[active], X)
-            for k, g in enumerate(active):
-                results[int(g)] = SolveResult(merged[k].tolist(), True)
-        return results  # type: ignore[return-value]
-
-    def _batch_step(
-        self,
-        codes: np.ndarray,
-        prev: np.ndarray,
-        has_prev: np.ndarray,
-        src_vals: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_step` over a stack of phases."""
-        ba = self._batch_arrays()
-        batch = codes.shape[0]
-        if ba.n_devices:
-            gate_vals = codes[:, ba.dev_gate]
-            if ba.open_cols.size:
-                gate_vals[:, ba.open_cols] = prev[:, ba.dev_gate[ba.open_cols]]
-            conduction = np.where(
-                gate_vals == 1,
-                ba.on_if_1[None, :],
-                np.where(gate_vals == 0, ba.on_if_0[None, :], UNKNOWN),
-            )
-            if ba.open_cols.size and not has_prev.all():
-                # A gate-open device with no history is non-conducting.
-                conduction[np.ix_(~has_prev, ba.open_cols)] = OFF
-        else:
-            conduction = np.zeros((batch, 0), dtype=np.int16)
-
-        res_off = self._batch_resolve(conduction == ON, src_vals)
-        unknown_rows = (conduction == UNKNOWN).any(axis=1)
-        if unknown_rows.any():
-            res_on = res_off.copy()
-            sub = np.where(unknown_rows)[0]
-            act_on = conduction[sub] != OFF
-            res_on[sub] = self._batch_resolve(act_on, src_vals[sub])
-        else:
-            res_on = res_off
-
-        retained = np.where((prev == 0) | (prev == 1), prev, X)
-        float_off = res_off == FLOAT
-        float_on = res_on == FLOAT
-        agree = res_off == res_on
-        one_float = float_off ^ float_on
-        driven = np.where(float_off, res_on, res_off)
-        combined = np.where(
-            agree,
-            np.where(float_off, retained, res_off),
-            np.where(
-                one_float, np.where(driven == retained, driven, X), X
-            ),
-        ).astype(np.int16, copy=False)
-        # _retained() is consulted exactly when an envelope came up FLOAT;
-        # the flag records whether that happened on an observable net.
-        retention = ((float_off | float_on) & ba.observable[None, :]).any(axis=1)
-        return combined, retention
-
-    def _batch_resolve(
-        self, conducting: np.ndarray, src_vals: np.ndarray
-    ) -> np.ndarray:
-        """Memoizing wrapper over :meth:`_batch_resolve_rows`.
-
-        A resolve row is a pure function of (conduction mask, source
-        values); the fixpoint and the Bryant envelopes revisit the same
-        pair constantly, so rows are served from ``_resolve_cache`` and
-        only the distinct misses go through the vectorized computation.
-
-        The key layout — uint8 conduction mask (untrimmed device count)
-        then uint8 source values — is a contract shared with the
-        multi-topology kernel: ``simulation.packed._resolve_packed``
-        trims its padded rows back to this exact byte sequence so packed
-        and per-cell calls read and warm one cache.  Changing the layout
-        here requires the same change there.
-        """
-        batch = conducting.shape[0]
-        n = self.graph.n_nodes
-        key_mat = np.concatenate(
-            [conducting.astype(np.uint8), src_vals.astype(np.uint8)], axis=1
-        )
-        cache = self._resolve_cache
-        result = np.empty((batch, n), dtype=np.int16)
-        keys: List[Optional[bytes]] = [None] * batch
-        misses: List[int] = []
-        for b in range(batch):
-            key = key_mat[b].tobytes()
-            cached = cache.get(key)
-            if cached is not None:
-                result[b] = cached
-            else:
-                keys[b] = key
-                misses.append(b)
-        if misses:
-            rows = np.array(misses, dtype=np.intp)
-            solved = self._batch_resolve_rows(
-                conducting[rows], src_vals[rows]
-            )
-            result[rows] = solved
-            for k, b in enumerate(misses):
-                cache[keys[b]] = solved[k]
-        return result
-
-    def _batch_resolve_rows(
-        self, conducting: np.ndarray, src_vals: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`_resolve` for one unknown-extreme.
-
-        *conducting* is a (batch, n_devices) bool mask of channels treated
-        as ON.  Connected components are found with min-label propagation
-        over padded per-node neighbour tables (gathers only — no scatter),
-        with pointer-jumping compression; stability implies every active
-        edge joins equal labels, i.e. labels are constant per component.
-        """
-        ba = self._batch_arrays()
-        graph = self.graph
-        batch = conducting.shape[0]
-        n = graph.n_nodes
-
-        edge_active = np.concatenate(
-            [
-                conducting,
-                np.ones((batch, ba.n_static), dtype=bool),
-                np.zeros((batch, 1), dtype=bool),  # padding slots
-            ],
-            axis=1,
-        )
-        act_slots = edge_active[:, ba.slot_edge]  # batch × n × max_deg
-        labels = np.broadcast_to(np.arange(n), (batch, n)).copy()
-        while True:
-            neighbour = labels[:, ba.slot_node]
-            neighbour = np.where(act_slots, neighbour, n)
-            new = np.minimum(labels, neighbour.min(axis=2))
-            new = np.take_along_axis(new, new, axis=1)  # pointer jumping
-            if np.array_equal(new, labels):
-                break
-            labels = new
-
-        fixed_vals = np.empty((batch, ba.fixed_nodes.size), dtype=np.int16)
-        fixed_vals[:, 0] = 1  # power rail
-        fixed_vals[:, 1] = 0  # ground rail
-        fixed_vals[:, 2:] = src_vals
-        rows = np.arange(batch)
-        has1 = np.zeros((batch, n), dtype=bool)
-        has0 = np.zeros((batch, n), dtype=bool)
-        for j, node in enumerate(ba.fixed_nodes):
-            root = labels[:, node]
-            has1[rows, root] |= fixed_vals[:, j] == 1
-            has0[rows, root] |= fixed_vals[:, j] == 0
-        root1 = np.take_along_axis(has1, labels, axis=1)
-        root0 = np.take_along_axis(has0, labels, axis=1)
-        result = np.where(
-            root1 & root0,
-            CONTENDED,
-            np.where(root1, 1, np.where(root0, 0, FLOAT)),
-        ).astype(np.int16)
-
-        contended_rows = np.where((result == CONTENDED).any(axis=1))[0]
-        for b in contended_rows:
-            fixed = {graph.power: 1, graph.ground: 0}
-            for i, node in enumerate(graph.source_nodes):
-                fixed[node] = int(src_vals[b, i])
-            conducting_devs = [
-                graph.devices[d] for d in np.where(conducting[b])[0]
-            ]
-            row = result[b]
-            for root in np.unique(labels[b][row == CONTENDED]):
-                nodes = np.where(labels[b] == root)[0].tolist()
-                self._solve_contention(nodes, conducting_devs, fixed, row)
-        return result
-
 
 class _BatchArrays:
-    """Precomputed index arrays shared by every solve_batch call.
+    """Precomputed index arrays of one solver, stacked by the packed kernel.
 
     Edges are the device channels (activity varies per phase) followed by
     the static resistive edges (always active) plus one padding slot that

@@ -1,13 +1,13 @@
-"""Differential tests: batched solving vs the scalar reference oracle.
+"""Differential tests: packed solving vs the scalar reference oracle.
 
-The vectorized batch kernel (`StaticSolver.solve_batch` threaded through
-`CellSimulator.solve_words`) is an optimization, not a semantic change:
-the scalar per-word path is the reference implementation and the batched
-path must reproduce it byte for byte — same net codes, same retention
-behaviour, same detection tables, and even the same solve / cache-hit
-counter sequences.  These tests enforce that contract over the full
-synthesized cell catalog, over whole defect universes, and over
-Hypothesis-generated random cells.
+The vectorized kernel (`solve_packed` planned through
+`solve_words_across` / `CellSimulator.solve_words`) is an optimization,
+not a semantic change: the scalar per-word path is the reference
+implementation and the packed path must reproduce it byte for byte —
+same net codes, same retention behaviour, same detection tables, and
+even the same solve / cache-hit counter sequences.  These tests enforce
+that contract over the full synthesized cell catalog, over whole defect
+universes, and over Hypothesis-generated random cells.
 """
 
 import numpy as np
@@ -42,8 +42,8 @@ def _word_set(cell):
 
 def _assert_identical(cell, effect, words):
     """Scalar and batched simulators must agree on everything visible."""
-    scalar = CellSimulator(cell, params=PARAMS, effect=effect, batched=False)
-    batched = CellSimulator(cell, params=PARAMS, effect=effect, batched=True)
+    scalar = CellSimulator(cell, params=PARAMS, effect=effect, packed=False)
+    batched = CellSimulator(cell, params=PARAMS, effect=effect)
     expected = scalar.solve_words(words)
     got = batched.solve_words(words)
     assert got == expected
@@ -99,10 +99,10 @@ class TestModelDifferential:
     def test_generate_ca_model(self, function):
         cell = build_cell(SOI28, function, 1)
         scalar = generate_ca_model(
-            cell, params=PARAMS, keep_responses=True, batched=False
+            cell, params=PARAMS, keep_responses=True, packed=False
         )
         batched = generate_ca_model(
-            cell, params=PARAMS, keep_responses=True, batched=True
+            cell, params=PARAMS, keep_responses=True
         )
         assert scalar.stats.batched_phases == 0
         assert batched.stats.batched_phases > 0
@@ -111,10 +111,10 @@ class TestModelDifferential:
     def test_generate_multi(self):
         cell = build_cell(SOI28, "HA1", 1)
         scalar = generate_multi(
-            cell, params=PARAMS, keep_responses=True, batched=False
+            cell, params=PARAMS, keep_responses=True, packed=False
         )
         batched = generate_multi(
-            cell, params=PARAMS, keep_responses=True, batched=True
+            cell, params=PARAMS, keep_responses=True
         )
         assert set(scalar) == set(batched) == {"Z", "CO"}
         for port in scalar:
@@ -122,12 +122,12 @@ class TestModelDifferential:
 
 
 class TestPackedDifferential:
-    """Cross-cell packed kernel vs the per-cell batched / scalar paths.
+    """Cross-cell packed kernel vs the per-cell / scalar paths.
 
-    `solve_packed` pads many topologies into one kernel call; like
-    `solve_batch` it is an optimization with a byte-identity contract —
-    same codes, same retention flags, same counter sequences, and models
-    that round-trip identically through the canonical form.
+    `solve_packed` pads many topologies into one kernel call; it is an
+    optimization with a byte-identity contract — same codes, same
+    retention flags, same counter sequences, and models that round-trip
+    identically through the canonical form.
     """
 
     FUNCTIONS = ("INV", "NAND2", "NOR3", "XOR2", "MUX2")
@@ -157,23 +157,35 @@ class TestPackedDifferential:
                 assert result.codes == reference.codes
                 assert result.retention_used == reference.retention_used
 
+    @pytest.mark.parametrize("mixed_first", [True, False], ids=["mixed", "alone"])
+    def test_resolve_cache_shared_across_pack_widths(self, mixed_first):
+        """A solver's resolve-row memo must not depend on the pack that
+        filled it: INV's keys are trimmed next to AOI22 and full-width
+        alone, yet either call must hit every entry the other wrote —
+        equal results, no new (or rewritten) entries."""
+        from itertools import product
+
+        from repro.simulation import PackedRequest, solve_packed
+
+        small = CellSimulator(build_cell(SOI28, "INV", 1), params=PARAMS).solver
+        large = CellSimulator(build_cell(SOI28, "AOI22", 1), params=PARAMS).solver
+        alone = [PackedRequest(small, list(product((0, 1), repeat=1)))]
+        mixed = alone + [PackedRequest(large, list(product((0, 1), repeat=4)))]
+        first, second = (mixed, alone) if mixed_first else (alone, mixed)
+
+        expected = solve_packed(first)[0]
+        entries = dict(small._resolve_cache)
+        assert entries
+        got = solve_packed(second)[0]
+        assert got == expected
+        assert small._resolve_cache.keys() == entries.keys()
+        for key, row in entries.items():
+            assert small._resolve_cache[key] is row
+
     def _canonical(self, model):
         from repro.resilience.runner import canonical_model_dict
 
         return canonical_model_dict(model)
-
-    @pytest.mark.parametrize("function", ["NAND2", "XOR2"])
-    def test_generate_packed_canonical_identity(self, function):
-        """packed=True must be invisible in the canonical model — answers
-        AND cost counters (solves, cache hits, batched phases)."""
-        cell = build_cell(SOI28, function, 1)
-        batched = generate_ca_model(
-            cell, params=PARAMS, keep_responses=True, batched=True
-        )
-        packed = generate_ca_model(
-            cell, params=PARAMS, keep_responses=True, batched=True, packed=True
-        )
-        assert self._canonical(packed) == self._canonical(batched)
 
     def test_run_throughput_matches_per_cell_reference(self):
         """The cross-cell engine must reproduce per-cell generation
@@ -182,7 +194,7 @@ class TestPackedDifferential:
 
         cells = [build_cell(SOI28, fn, 1) for fn in self.FUNCTIONS]
         reference = {
-            cell.name: generate_ca_model(cell, params=PARAMS, batched=True)
+            cell.name: generate_ca_model(cell, params=PARAMS)
             for cell in cells
         }
         engine = run_throughput(cells, params=PARAMS)
@@ -259,11 +271,10 @@ class TestRandomizedDifferential:
         sample = [universe[int(i)] for i in picks]
         scalar = generate_ca_model(
             cell, params=PARAMS, universe=sample, keep_responses=True,
-            batched=False,
+            packed=False,
         )
         batched = generate_ca_model(
             cell, params=PARAMS, universe=sample, keep_responses=True,
-            batched=True,
         )
         assert scalar.golden == batched.golden
         assert np.array_equal(scalar.detection, batched.detection)

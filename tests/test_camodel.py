@@ -183,6 +183,21 @@ class TestIO:
         with pytest.raises(ValueError):
             model_from_dict(data)
 
+    def test_detection_value_outside_01_is_rejected(self, nand2_model):
+        # One flipped byte ('0' -> '2') in a saved model must not load.
+        data = model_to_dict(nand2_model)
+        row = data["detection"][3]
+        col = row.index("0")
+        data["detection"][3] = row[:col] + "2" + row[col + 1 :]
+        with pytest.raises(ValueError, match=r"detection row 3"):
+            model_from_dict(data)
+
+    def test_ragged_detection_row_is_rejected(self, nand2_model):
+        data = model_to_dict(nand2_model)
+        data["detection"][7] = data["detection"][7][:-1]
+        with pytest.raises(ValueError, match=r"detection row 7"):
+            model_from_dict(data)
+
     def test_model_validation(self, nand2_model):
         with pytest.raises(ValueError):
             CAModel(

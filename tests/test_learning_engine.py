@@ -752,13 +752,22 @@ class TestAtomicWrites:
         )
         before = path.read_text(), packed_path.read_text()
 
-        import json
+        import os
 
-        def torn_dump(payload, handle):
-            handle.write('{"kind": "random_fo')
-            raise OSError("disk full")
+        real_fdopen = os.fdopen
 
-        monkeypatch.setattr(json, "dump", torn_dump)
+        def torn_fdopen(fd, mode):
+            # The atomic writer's temp-file handle tears mid-write.
+            handle = real_fdopen(fd, mode)
+
+            def torn_write(text):
+                type(handle).write(handle, text[:19])
+                raise OSError("disk full")
+
+            handle.write = torn_write
+            return handle
+
+        monkeypatch.setattr(os, "fdopen", torn_fdopen)
         with pytest.raises(OSError):
             save_classifier(forest, path)
         with pytest.raises(OSError):

@@ -237,6 +237,28 @@ class TestCorruptCheckpoint:
         assert resumed.complete
         assert (run_dir / "library.json").read_bytes() == baseline
 
+    def test_flipped_detection_byte_fails_validation(self, tmp_path, nand2_model):
+        """A parseable artifact with one detection byte flipped to '2'
+        must fail resume validation, with the rejection surfaced."""
+        from repro import obs
+        from repro.camodel import model_to_dict
+
+        name = nand2_model.cell_name
+        ledger = RunLedger.open(tmp_path / "run", {"policy": "auto"}, [(name, "k")])
+        data = model_to_dict(nand2_model)
+        row = data["detection"][0]
+        col = row.index("0")
+        data["detection"][0] = row[:col] + "2" + row[col + 1 :]
+        artifact = ledger.artifact_path(name)
+        artifact.parent.mkdir(parents=True, exist_ok=True)
+        artifact.write_text(json.dumps(data))
+        sink = obs.ListSink()
+        with obs.scoped(events=obs.EventLog(sink)):
+            assert not ledger.validate_artifact(name)
+        (event,) = sink.named("resilience.artifact_invalid")
+        assert event.fields["cell"] == name
+        assert "detection row 0" in event.fields["error"]
+
 
 class TestRaiseInSolver:
     def test_exception_carries_traceback_and_retry_recovers(

@@ -182,3 +182,19 @@ def test_inspect_workers_report(distributed_run, capsys):
     for i in range(N_WORKERS):
         assert f"ext{i}" in out
     assert "lease" in out.lower()
+
+
+def test_pre_merge_manifest_is_refused_at_attach(tmp_path, capsys):
+    """A ``job.json`` from before the ``batched``/``packed`` merge (layout
+    1, with a ``batched`` kwarg) is refused when a worker attaches,
+    instead of failing every attempt with a ``TypeError``."""
+    from repro.service import submit_library
+
+    run_dir = tmp_path / "run"
+    job = submit_library([build_cell(SOI28, "NAND2", 1)], run_dir=run_dir)
+    data = json.loads(job.manifest_path.read_text())
+    data["format"] = 1
+    data["kwargs"]["batched"] = True
+    job.manifest_path.write_text(json.dumps(data))
+    assert main(["worker", str(run_dir), "--max-cells", "1"]) == 1
+    assert "unsupported job manifest format 1" in capsys.readouterr().err

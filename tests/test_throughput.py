@@ -288,7 +288,6 @@ class TestCliPackedFlags:
                     str(netlist),
                     "-o",
                     str(packed_out),
-                    "--packed",
                     "--phase-cache",
                     str(store),
                 ]
@@ -338,7 +337,6 @@ class TestCliPackedFlags:
                     str(packed_out),
                     "--retry-backoff",
                     "0",
-                    "--packed",
                     "--phase-cache",
                     str(tmp_path / "phases"),
                 ]
