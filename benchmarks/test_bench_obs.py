@@ -68,58 +68,6 @@ def test_tracing_overhead_parallel(benchmark):
     assert obs.orphan_parents(spans) == []
 
 
-def test_telemetry_persistence_overhead(benchmark, tmp_path):
-    """Durable run telemetry (obs/ shards) on vs. off: <5% overhead.
-
-    A resilient run with ``persist_telemetry=True`` (the default) writes
-    one attempt shard per worker, forces worker tracing on, and writes a
-    session shard; all of it rides on work the run already does (worker
-    sidecars, ledger transitions), so the wall-clock cost must stay in
-    the noise of an identical run with persistence off.
-    """
-    from repro.resilience.runner import run_library
-
-    cells = [
-        build_cell(SOI28, function, 1)
-        for function in ("INV", "NAND2", "NOR2", "AOI21")
-    ]
-    counter = [0]
-
-    def run(persist):
-        counter[0] += 1
-        run_library(
-            cells,
-            run_dir=tmp_path / f"run{counter[0]}",
-            processes=2,
-            retry_backoff=0.0,
-            persist_telemetry=persist,
-        )
-
-    run(False)  # warm caches (fork, imports) outside the measured window
-    base_seconds = _best_seconds(lambda: run(False))
-    persisted_seconds = _best_seconds(lambda: run(True))
-    overhead = persisted_seconds / base_seconds - 1.0
-
-    benchmark.extra_info["base_seconds"] = round(base_seconds, 3)
-    benchmark.extra_info["persisted_seconds"] = round(persisted_seconds, 3)
-    benchmark.extra_info["overhead"] = round(overhead, 4)
-    print(
-        f"\nlibrary of {len(cells)}: plain {base_seconds:.3f}s, persisted "
-        f"{persisted_seconds:.3f}s -> {overhead:+.2%} overhead"
-    )
-
-    # one timed round for the benchmark history
-    benchmark.pedantic(lambda: run(True), rounds=1, iterations=1)
-    assert overhead < 0.05
-
-    # and the persisted run is actually readable as one merged view
-    from repro.obs.store import RunTelemetry
-
-    tel = RunTelemetry.load(tmp_path / f"run{counter[0]}")
-    assert len(tel.attempts) == len(cells)
-    assert tel.reconcile() == []
-
-
 def test_disabled_tracer_costs_nothing(benchmark):
     """Tracing off (the default): a null span is a dict lookup and a branch."""
     tracer = obs.Tracer(enabled=False)

@@ -86,7 +86,6 @@ def cmd_generate(args) -> int:
     by_name = generate_library(
         cells,
         policy=args.policy,
-        processes=args.processes,
         parallelism=args.parallelism,
         packed=not args.scalar,
         phase_cache=args.phase_cache,
@@ -124,52 +123,60 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _report_run(names: List[str], result, output: Optional[str]) -> int:
+    """Per-cell lines and totals of a run-dir session; its exit code."""
+    resumed = set(result.resumed)
+    for name in names:
+        if name in result.models:
+            tag = " (resumed)" if name in resumed else ""
+            print(f"{name}: {result.models[name].summary()}{tag}")
+        else:
+            errors = result.quarantined.get(name, [])
+            kind = errors[-1].get("kind", "?") if errors else "?"
+            print(f"{name}: QUARANTINED ({kind}, {len(errors)} attempts)")
+    counts = result.report["counts"]
+    print(
+        f"done {counts['done']}/{len(names)} "
+        f"(resumed {len(result.resumed)}, quarantined {counts['quarantined']})"
+    )
+    if output:
+        print(f"wrote {output}")
+    if result.quarantined:
+        print(f"failure report: {result.run_dir / 'failures.json'}")
+        return 3
+    return 0
+
+
 def cmd_batch(args) -> int:
     """Checkpointed library characterization with resume and quarantine."""
     from repro.resilience import FaultPlan, RunDirError
-    from repro.resilience.runner import run_library
+    from repro.service import serve, submit_library
 
     cells = _load_cells(args.netlist)
     fault_plan = FaultPlan.load(args.faults) if args.faults else None
     try:
-        result = run_library(
+        job = submit_library(
             cells,
             run_dir=args.run_dir,
             policy=args.policy,
-            processes=args.processes,
             resume=args.resume,
             retries=args.retries,
             cell_timeout=args.cell_timeout,
-            retry_backoff=args.retry_backoff,
             fault_plan=fault_plan,
             parallelism=args.parallelism,
             packed=not args.scalar,
             phase_cache=args.phase_cache,
+        )
+        result = serve(
+            args.run_dir,
+            workers=args.processes or 1,
+            resume=args.resume,
             output=args.output,
         )
     except RunDirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    resumed = set(result.resumed)
-    for cell in cells:
-        if cell.name in result.models:
-            tag = " (resumed)" if cell.name in resumed else ""
-            print(f"{cell.name}: {result.models[cell.name].summary()}{tag}")
-        else:
-            errors = result.quarantined.get(cell.name, [])
-            kind = errors[-1].get("kind", "?") if errors else "?"
-            print(f"{cell.name}: QUARANTINED ({kind}, {len(errors)} attempts)")
-    counts = result.report["counts"]
-    print(
-        f"done {counts['done']}/{len(cells)} "
-        f"(resumed {len(result.resumed)}, quarantined {counts['quarantined']})"
-    )
-    if args.output:
-        print(f"wrote {args.output}")
-    if result.quarantined:
-        print(f"failure report: {result.run_dir / 'failures.json'}")
-        return 3
-    return 0
+    return _report_run(job.manifest.names(), result, args.output)
 
 
 def cmd_serve(args) -> int:
@@ -204,27 +211,7 @@ def cmd_serve(args) -> int:
     except RunDirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    names = job.manifest.names()
-    resumed = set(result.resumed)
-    for name in names:
-        if name in result.models:
-            tag = " (resumed)" if name in resumed else ""
-            print(f"{name}: {result.models[name].summary()}{tag}")
-        else:
-            errors = result.quarantined.get(name, [])
-            kind = errors[-1].get("kind", "?") if errors else "?"
-            print(f"{name}: QUARANTINED ({kind}, {len(errors)} attempts)")
-    counts = result.report["counts"]
-    print(
-        f"done {counts['done']}/{len(names)} "
-        f"(resumed {len(result.resumed)}, quarantined {counts['quarantined']})"
-    )
-    if args.output:
-        print(f"wrote {args.output}")
-    if result.quarantined:
-        print(f"failure report: {result.run_dir / 'failures.json'}")
-        return 3
-    return 0
+    return _report_run(job.manifest.names(), result, args.output)
 
 
 def cmd_worker(args) -> int:
@@ -446,12 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the per-defect simulation loop of each cell",
     )
     p.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="worker processes across cells (alternative to -j for many small cells)",
-    )
-    p.add_argument(
         "--stats",
         action="store_true",
         help="print per-cell generation cost accounting (solves, caches, timings)",
@@ -494,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--processes",
         type=int,
         default=None,
-        help="concurrent cell workers (each cell runs in its own process)",
+        help="local worker processes characterizing cells concurrently "
+        "(default 1)",
     )
     p.add_argument(
         "-j",
@@ -514,12 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="wall-clock seconds per cell attempt before the worker is killed",
-    )
-    p.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.1,
-        help="base retry delay in seconds, doubling per attempt (default 0.1)",
     )
     p.add_argument(
         "--faults",
@@ -595,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         metavar="PLAN.json",
         help="inject a deterministic FaultPlan (chaos testing; `hang` "
-        "mode is unsupported under the service — see docs/resilience.md)",
+        "mode needs a cell timeout, see `batch --cell-timeout` and "
+        "docs/resilience.md)",
     )
     p.add_argument(
         "--scalar", action="store_true", help="force the scalar solver"

@@ -14,10 +14,10 @@ Dependency-free instrumentation substrate for the whole repo:
 
 Metric/event namespaces: ``camodel.*`` (generation cost accounting),
 ``cache.*`` / ``hybrid.*`` (flow layers), and ``resilience.*`` —
-retries, timeouts, quarantines and resume reuse emitted by the
-checkpointed run layer (:mod:`repro.resilience.runner`), whose workers
-merge their counters through :meth:`Metrics.merge_counters` exactly
-once per completed cell.
+retries, timeouts, quarantines and resume reuse counted by the
+run-directory coordinator (:mod:`repro.service.coordinator`), which
+merges each worker's counters through :meth:`Metrics.merge_counters`
+exactly once per completed cell.
 
 State model: one process-wide :class:`ObsState` (tracer + metrics +
 event log), read through :func:`tracer` / :func:`metrics` /

@@ -3,13 +3,14 @@
 The in-process :mod:`repro.obs` state (tracer / metrics / events)
 evaporates when a worker exits, so a finished library run used to leave
 no queryable record of where its time went.  This module makes the
-``run_dir`` of a resilient run (:func:`repro.resilience.runner.run_library`)
-an *observability* substrate as well as a coordination one::
+``run_dir`` of a service run (:func:`repro.service.serve`) an
+*observability* substrate as well as a coordination one::
 
     run-dir/
       obs/
         <cell>-<key>.a<NNN>.json   # one shard per worker attempt
-        session-<NNN>.json         # one shard per parent session
+        session-<NNN>.json         # one shard per coordinator session
+        worker-<owner>.json        # one shard per worker process
 
 Attempt shards are **content-keyed consistent with the ledger**: the
 ``<key>`` is the same :func:`repro.resilience.ledger.content_key` the
@@ -22,10 +23,13 @@ leaves a torn shard.
 
 An attempt shard carries everything one worker attempt observed: its
 span buffer, metric counters, buffered events, wall-clock window and
-outcome.  A session shard carries the parent side: the parent-process
-spans of that session, parent-only counters (worker counters are
-excluded — the ledger is their single source of truth, merged exactly
-once per ``done`` cell), and the parent's event stream.
+outcome; the coordinator writes the shard of an attempt that died
+before writing its own.  A session shard carries the coordinator side:
+its spans of that session, coordinator-only counters (worker counters
+are excluded — the ledger is their single source of truth, merged
+exactly once per ``done`` cell), and its event stream.  The
+coordinator always writes shards: the next attempt index of a cell is
+numbered from them.
 
 :class:`RunTelemetry` is the merged read side: it joins the ledger with
 every shard into one run view — winning attempts per done cell, a
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.atomic import write_text_atomic
 from repro.obs.trace import chrome_payload
@@ -54,7 +58,7 @@ M_SHARDS_READ = "obs.shards_read"
 E_SHARD_CORRUPT = "obs.shard_corrupt"
 
 #: outcome values an attempt shard may carry (``ok`` plus the failure
-#: kinds the runner classifies)
+#: kinds the coordinator classifies)
 OUTCOMES = ("ok", "exception", "crash", "timeout", "corrupt-artifact")
 
 
@@ -83,11 +87,7 @@ def write_attempt_shard(
     events: Sequence[Mapping[str, object]],
     error: Optional[str] = None,
 ) -> Path:
-    """Atomically persist one attempt's telemetry (worker or parent side).
-
-    Module-level (not a method) so workers need only the path string from
-    their payload — no store object crosses the process boundary.
-    """
+    """Atomically persist one attempt's telemetry (worker or coordinator side)."""
     path = Path(path)
     shard = {
         "format": OBS_FORMAT,
@@ -129,7 +129,7 @@ def write_worker_shard(
     per :func:`repro.service.worker.worker_loop` process, carrying the
     worker's process-level counters (lease traffic, cells committed —
     attempt-scoped generation counters flow through the sidecars and the
-    ledger instead, exactly as in a sequential run) and its buffered
+    ledger instead) and its buffered
     event stream, so ``python -m repro inspect RUN_DIR workers`` can
     reconstruct who did what after every process is gone.
     """

@@ -1,6 +1,7 @@
 """repro.resilience — checkpointed, fault-tolerant library runs.
 
-Three layers (see ``docs/resilience.md``):
+Three layers under the run-directory service (:mod:`repro.service`;
+see ``docs/resilience.md``):
 
 * :mod:`repro.resilience.faults` — deterministic fault injection: a
   :class:`FaultPlan` scripts crashes, hangs, raised exceptions and
@@ -10,10 +11,12 @@ Three layers (see ``docs/resilience.md``):
   state (pending / running / done / failed / quarantined) and
   content-keyed model artifacts persisted atomically to a run
   directory; crash recovery promotes finished-but-unrecorded work.
-* :mod:`repro.resilience.runner` — :func:`run_library`: one worker
-  process per cell with wall-clock timeouts, retry-with-backoff and
-  quarantine; a killed run resumed with ``resume=True`` yields a
-  library byte-identical to an uninterrupted one.
+* :mod:`repro.resilience.runner` — what the job API and the
+  coordinator share: canonical (wall-clock-free) model artifacts, the
+  option fingerprint behind each content key, and the assembly of a
+  :class:`RunResult`, which is why a killed run resumed with
+  ``resume=True`` yields a library byte-identical to an uninterrupted
+  one.
 
 Import discipline: :mod:`~repro.resilience.faults` is standard-library
 only and imported eagerly (``repro.camodel.generate`` fires its solver
@@ -39,7 +42,6 @@ __all__ = [
     "RunResult",
     "canonical_model_dict",
     "quarantined_cells",
-    "run_library",
 ]
 
 _LAZY = {
@@ -48,7 +50,6 @@ _LAZY = {
     "quarantined_cells": ("repro.resilience.ledger", "quarantined_cells"),
     "RunResult": ("repro.resilience.runner", "RunResult"),
     "canonical_model_dict": ("repro.resilience.runner", "canonical_model_dict"),
-    "run_library": ("repro.resilience.runner", "run_library"),
 }
 
 

@@ -4,14 +4,15 @@ Real crash-recovery bugs hide behind nondeterministic failures; this
 module makes failure *scriptable* so the chaos suites can assert exact
 recovery behaviour without real crashes.  A :class:`FaultPlan` is a list
 of :class:`FaultRule`\\ s, each naming a cell, a failure mode and the
-attempt indices it fires on.  The plan rides the worker payload of
-:func:`repro.resilience.runner.run_library`; the worker *activates* it
-for its (cell, attempt) and production code calls :func:`fire` at a few
-well-known sites:
+attempt indices it fires on.  The plan rides the ``job.json`` manifest
+of :func:`repro.service.submit_library`; a service worker *activates*
+it for each (cell, attempt) it claims and production code calls
+:func:`fire` at a few well-known sites:
 
 ``worker.start``
-    entered right after the worker process starts (``crash`` and
-    ``hang`` modes fire here)
+    entered when the worker starts an attempt (``crash`` and ``hang``
+    modes fire here: ``crash`` exits the whole worker process, ``hang``
+    blocks until the coordinator's ``cell_timeout`` stops it)
 ``solver``
     inside :func:`repro.camodel.generate.generate_ca_model`, after the
     stimulus set and defect universe are built (``raise`` mode fires
@@ -186,7 +187,7 @@ def fire(site: str, cell: Optional[str] = None) -> Optional[FaultRule]:
     if rule.mode == "crash":
         os._exit(CRASH_EXIT)
     if rule.mode == "hang":
-        while True:  # until the parent's timeout terminates us
+        while True:  # until the coordinator's cell_timeout stops us
             time.sleep(0.05)
     if rule.mode == "raise":
         raise InjectedFault(
@@ -208,17 +209,17 @@ def enact_artifact_fault(
 ) -> None:
     """Carry out an ``artifact.write``-site fault; exits when one fires.
 
-    Shared by the per-attempt worker of :mod:`repro.resilience.runner`
-    and the leased worker of :mod:`repro.service.worker`, so both
-    execution environments tear checkpoints in exactly the same way:
+    Called by the leased worker of :mod:`repro.service.worker` just
+    before its commit; each mode tears the checkpoint the way a real
+    failure would:
 
     * ``corrupt-artifact`` — a valid-looking path with unparseable
       content, written *without* the atomic rename (this fault exists to
-      violate the write discipline), then a clean exit: the recovering
-      parent must detect the corruption itself.
+      violate the write discipline), then a clean exit: the coordinator
+      must detect the corruption itself.
     * ``midwrite-kill`` — a torn same-directory temp file and a hard
-      exit before any rename, mimicking SIGKILL mid-write: the parent
-      must see a crash and no artifact.
+      exit before any rename, mimicking SIGKILL mid-write: the
+      coordinator must see a crash and no artifact.
     """
     if rule.mode == "corrupt-artifact":
         artifact.write_text('{"format": 1, "cell": "' + cell)  # reprolint: disable=RPL005

@@ -3,8 +3,9 @@
 The coordination substrate of :mod:`repro.service` is the run directory
 itself, so the job API is deliberately thin: :func:`submit_library`
 materializes everything a worker needs — the cell netlist texts, the
-option fingerprint, per-cell content keys, the lease TTL and retry
-budget — into an atomic ``job.json`` manifest next to the
+option fingerprint, per-cell content keys, the lease TTL, the retry
+budget and the per-attempt ``cell_timeout`` — into an atomic
+``job.json`` manifest next to the
 :class:`~repro.resilience.ledger.RunLedger`, and every later call
 (``status`` / ``stream`` / ``fetch_models``) is a pure read over the
 ledger, the lease directory and the checkpoint artifacts.  Any number
@@ -17,12 +18,13 @@ machine that sees the directory:
 ...     print(status.render())
 >>> models = job.fetch_models()                       # doctest: +SKIP
 
-The manifest carries the **same** option fingerprint
-:func:`repro.resilience.runner.run_library` computes, so a service run
-and a sequential run of the same cells share content keys — which is
-what makes their artifacts, ``failures.json`` and
-``metrics_total()`` byte-comparable (the guarantee the chaos suites
-enforce).
+The content keys hash the option fingerprint
+(:func:`repro.resilience.runner._options_fingerprint`) with each cell's
+netlist text, so every session of a run — killed, resumed, served by
+any number of workers — checkpoints the same canonical artifacts, and
+the assembled library equals the in-process
+:func:`repro.camodel.generate_library` models byte for byte (the
+guarantee the chaos suites enforce).
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ class JobManifest:
     lease_ttl: float = DEFAULT_TTL
     retries: int = 1
     fault_plan: Optional[Dict[str, object]] = None
+    #: wall-clock seconds per attempt before the coordinator reaps it
+    cell_timeout: Optional[float] = None
 
     # ------------------------------------------------------------------
     def names(self) -> List[str]:
@@ -122,6 +126,7 @@ class JobManifest:
             "lease_ttl": self.lease_ttl,
             "retries": self.retries,
             "fault_plan": self.fault_plan,
+            "cell_timeout": self.cell_timeout,
         }
 
     @classmethod
@@ -140,6 +145,11 @@ class JobManifest:
             fault_plan=(
                 dict(data["fault_plan"])  # type: ignore[call-overload]
                 if data.get("fault_plan") is not None
+                else None
+            ),
+            cell_timeout=(
+                float(data["cell_timeout"])  # type: ignore[arg-type]
+                if data.get("cell_timeout") is not None
                 else None
             ),
         )
@@ -247,11 +257,11 @@ class Job:
         return out
 
     def fetch_library_bytes(self) -> bytes:
-        """The assembled library JSON, byte-identical to the runner's.
+        """The assembled library JSON, byte-identical to ``serve``'s.
 
-        Same payload shape and serialization as
-        :func:`repro.resilience.runner.run_library`'s ``output`` file:
-        artifact dicts in submitted cell order under a ``models`` key.
+        Same payload shape and serialization as the ``output`` file of
+        :func:`repro.service.serve`: artifact dicts in submitted cell
+        order under a ``models`` key.
         """
         ledger = self.ledger()
         artifact_dicts: List[Dict[str, object]] = []
@@ -273,6 +283,7 @@ def submit_library(
     resume: bool = False,
     retries: int = 1,
     lease_ttl: float = DEFAULT_TTL,
+    cell_timeout: Optional[float] = None,
     fault_plan: Optional[faults.FaultPlan] = None,
     params: Optional[ElectricalParams] = None,
     universe: Optional[Sequence[Defect]] = None,
@@ -284,12 +295,23 @@ def submit_library(
 ) -> Job:
     """Materialize a library job into *run_dir* and return its handle.
 
-    Creates (or, with ``resume=True``, reopens) the run ledger exactly
-    as :func:`~repro.resilience.runner.run_library` would — same option
-    fingerprint, same content keys — then writes the ``job.json``
-    manifest workers read.  No worker is started; pair with
+    Creates (or, with ``resume=True``, reopens) the run ledger — one
+    content key per cell from the option fingerprint — then writes the
+    ``job.json`` manifest workers read.  No worker is started; pair with
     :func:`repro.service.coordinator.serve` or external
     ``python -m repro worker RUN_DIR`` processes.
+
+    ``retries`` failed attempts are allowed per cell beyond the first
+    before it is quarantined.  ``cell_timeout`` bounds each attempt's
+    wall-clock seconds: the coordinator stops an over-deadline local
+    worker, reaps the lease of any holder and charges a ``timeout``
+    failure.  ``fault_plan`` scripts failures for chaos testing
+    (:mod:`repro.resilience.faults`).  ``packed`` and ``phase_cache``
+    are forwarded to :func:`~repro.camodel.generate.generate_ca_model`
+    in every worker; ``phase_cache`` is identity-preserving and not
+    fingerprinted.  ``retries``, ``lease_ttl``, ``cell_timeout`` and
+    ``fault_plan`` shape how a run proceeds, not its artifacts, so a
+    resumed submission may change them.
     """
     names = [cell.name for cell in cells]
     ensure_unique_cell_names(names)
@@ -319,8 +341,8 @@ def submit_library(
         cells=[
             {
                 # technology rides verbatim (may be None/""): the worker
-                # must hand plan_store().cell exactly what a sequential
-                # worker would, or model bytes diverge.
+                # must rebuild the cell with exactly its own technology,
+                # or model bytes diverge from the in-process path's.
                 "name": name,
                 "text": texts[name],
                 "technology": cells[i].technology,
@@ -331,6 +353,7 @@ def submit_library(
         lease_ttl=float(lease_ttl),
         retries=int(retries),
         fault_plan=fault_plan.to_dict() if fault_plan is not None else None,
+        cell_timeout=float(cell_timeout) if cell_timeout is not None else None,
     )
     job = Job(run_dir, manifest)
     write_text_atomic(job.manifest_path, json.dumps(manifest.to_dict()))

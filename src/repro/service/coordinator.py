@@ -2,30 +2,35 @@
 
 :func:`serve` owns everything the stateless workers must not touch —
 the :class:`~repro.resilience.ledger.RunLedger` state machine, lease
-expiry (:meth:`~repro.service.lease.LeaseStore.reap_expired`), the
-retry/quarantine budget, and the final library assembly.  Workers only
-ever *read* the ledger and write their own artifacts/shards; every
-state transition funnels through this one process, which is what keeps
-an N-worker run's ledger — and therefore ``metrics_total()``,
-``failures.json`` and the assembled library bytes — identical to a
-sequential :func:`repro.resilience.runner.run_library` run.
+reaping (:meth:`~repro.service.lease.LeaseStore.reap_expired`), the
+per-attempt deadline, the retry/quarantine budget, and the final
+library assembly.  Workers only ever *read* the ledger and write their
+own artifacts/shards; every state transition funnels through this one
+process, which is what keeps an N-worker run's ledger — and therefore
+``metrics_total()``, ``failures.json`` and the assembled library bytes
+— identical whatever the number of workers, kills and resumes.
 
-Each coordination tick:
+Each coordination tick reads the lease directory once and:
 
-1. **Reap** expired leases.  Inside the reap callback — while the dead
-   lease still blocks re-claiming — the orphaned attempt is classified
-   (a valid committed artifact means the worker died *after* finishing
-   and is no failure at all; an invalid artifact is a corrupt
-   checkpoint; otherwise a crash), its telemetry shard and ledger
-   failure are persisted, and only then does the lease path go vacant.
-2. **Observe** live leases: cells whose lease is held are marked
+1. **Reaps** leases whose holder cannot finish: a local worker process
+   that died (classified from its exit code, in the same tick), an
+   attempt older than the job's ``cell_timeout`` (an over-deadline
+   local holder is terminated, then killed; an external one only loses
+   its lease), and any lease past its heartbeat TTL.  Inside the reap
+   callback — while the dead lease still blocks re-claiming — the
+   orphaned attempt is classified (a valid committed artifact means the
+   worker finished and is no failure at all; an invalid artifact is a
+   corrupt checkpoint; otherwise a crash or a timeout), its telemetry
+   shard and ledger failure are persisted, and only then does the lease
+   path go vacant.  Each (cell, attempt) is charged at most once, even
+   when a hung external holder's heartbeat re-creates its reaped lease.
+2. **Observes** live leases: cells whose lease is held are marked
    ``running`` with the worker's own attempt index (floored, so polling
    a lease twice never inflates the count).
-3. **Collect** completions: a valid artifact for a non-``done`` cell is
-   the worker's commit signal; the coordinator reads the obs sidecar
-   and performs the exactly-once ``done`` transition + counter merge,
-   exactly like the sequential parent.
-4. **Consume** error records (written by workers that failed cleanly),
+3. **Collects** completions: a valid artifact for a non-``done`` cell
+   is the worker's commit signal; the coordinator reads the obs sidecar
+   and performs the exactly-once ``done`` transition + counter merge.
+4. **Consumes** error records (written by workers that failed cleanly),
    charging the session retry budget and quarantining cells that
    exhaust it — quarantined cells stop being claimable immediately.
 
@@ -36,11 +41,6 @@ claimable work remains, so even a fault plan that kills every worker
 ``workers=0`` the coordinator drives externally started workers only
 (``python -m repro worker RUN_DIR`` on any machine sharing the
 directory — see ``docs/resilience.md``).
-
-Injected ``hang`` faults are **not** supported under the service: a
-hanging worker's heartbeat thread keeps its lease alive indefinitely
-(there is no per-cell wall-clock timeout here); use the sequential
-runner's ``cell_timeout`` to exercise hang recovery.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ import multiprocessing
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro import obs
 from repro.obs import store as obs_store
+from repro.resilience import faults
 from repro.resilience.ledger import (
     DONE,
     FAILED,
@@ -92,6 +93,29 @@ def _worker_entry(run_dir: str) -> None:
     worker_loop(run_dir)
 
 
+def _owner(process: multiprocessing.Process) -> str:
+    """Lease owner id of a local worker (``worker_loop``'s default)."""
+    return f"w{process.pid}"
+
+
+def _exit_detail(exitcode: Optional[int]) -> str:
+    """Why a worker process died, from its exit code."""
+    if exitcode == faults.CRASH_EXIT:
+        return "injected crash"
+    if exitcode is not None and exitcode < 0:
+        return f"killed by signal {-exitcode}"
+    return f"exit code {exitcode}"
+
+
+def _stop(process: multiprocessing.Process) -> None:
+    """Terminate *process*, killing it if it ignores the request."""
+    process.terminate()
+    process.join(timeout=1.0)
+    if process.is_alive():
+        process.kill()
+        process.join()
+
+
 def serve(
     run_dir: Union[str, Path],
     workers: int = 2,
@@ -105,28 +129,32 @@ def serve(
     :func:`repro.service.api.submit_library`.  *workers* local worker
     processes are spawned (0 means external workers drive the cells and
     this process only coordinates).  With ``resume=True`` quarantined
-    cells are re-admitted with a fresh retry budget, mirroring
-    ``run_library(resume=True)``.
+    cells are re-admitted with a fresh retry budget, and cells completed
+    by an earlier session are reused.  *output*, when given, receives
+    the (possibly partial) library JSON, written atomically from the
+    checkpoint artifacts.
     """
     run_dir = Path(run_dir)
     job = Job.attach(run_dir)
     manifest = job.manifest
     names = manifest.names()
     retries = manifest.retries
+    cell_timeout = manifest.cell_timeout
     ledger = RunLedger.load(run_dir)
     store = obs_store.ObsStore(run_dir)
 
     tracer = obs.tracer()
     if not tracer.enabled:
         # The session shard needs coordinator spans even when the CLI
-        # ran untraced (same local-tracer trick as run_library).
+        # ran untraced; a local enabled tracer keeps the global (null)
+        # state untouched — only this coordinator writes through it.
         tracer = obs.Tracer(enabled=True)
     registry = obs.metrics()
     result = RunResult(run_dir=run_dir)
 
-    # Session-shard bookkeeping (mirrors run_library): this session's
-    # own spans/events/counters, with merged worker counters subtracted
-    # back out — the ledger is their single source of truth.
+    # Session-shard bookkeeping: this session's own spans/events/
+    # counters, with merged worker counters subtracted back out — the
+    # ledger is their single source of truth.
     session_started = time.time()
     span_mark = tracer.mark()
     counter_mark = registry.checkpoint()
@@ -142,6 +170,12 @@ def serve(
     #: failed attempts charged per cell THIS session (the retry budget;
     #: lifetime attempt counts live in the ledger)
     session_failures: Dict[str, int] = {}
+    #: (cell, attempt) pairs already charged: a hung external holder's
+    #: heartbeat can re-create a lease just reaped, and the second reap
+    #: must not charge the same attempt again
+    charged: Set[Tuple[str, int]] = set()
+    #: this tick's leases to reap now, with the failure each one charges
+    doomed: Dict[str, Tuple[str, str]] = {}
 
     def complete() -> bool:
         return all(
@@ -183,7 +217,10 @@ def serve(
     def handle_failure(
         name: str, attempt: int, record: Dict[str, object], elapsed: float
     ) -> None:
-        """Charge one failed attempt (mirrors run_library's finish_failure)."""
+        """Charge one failed attempt against the session retry budget."""
+        if (name, attempt) in charged:
+            return
+        charged.add((name, attempt))
         record = dict(record)
         record["attempt"] = attempt
         record["elapsed"] = round(elapsed, 4)
@@ -231,7 +268,11 @@ def serve(
             )
 
     def on_reap(name: str, lease_record: Dict[str, object]) -> None:
-        """Classify a reaped lease while its file still blocks claims."""
+        """Classify a reaped lease while its file still blocks claims.
+
+        *doomed* holds the verdict of a lease reaped for a dead local
+        holder or a timeout; any other lease was reaped for its TTL.
+        """
         if name not in ledger.cells:
             return
         if ledger.cells[name]["state"] in (DONE, QUARANTINED):
@@ -254,10 +295,11 @@ def serve(
         elapsed = max(0.0, time.time() - started)
         if ledger.artifact_path(name).exists():
             kind = "corrupt-artifact"
-            error = (
-                "worker left an unreadable checkpoint artifact and its "
-                "lease expired"
+            error = "worker left an unreadable checkpoint artifact" + (
+                "" if name in doomed else " and its lease expired"
             )
+        elif name in doomed:
+            kind, error = doomed[name]
         else:
             kind = "crash"
             error = (
@@ -302,7 +344,7 @@ def serve(
         handle_failure(name, attempt, record, seconds)
 
     def collect_done(name: str) -> None:
-        """Exactly-once done transition (mirrors finish_success)."""
+        """Exactly-once done transition with the worker's counters."""
         seconds, metrics, spans = read_sidecar(ledger, name)
         if spans and tracer.enabled:
             tracer.absorb(spans, parent_id=run_span.span_id)
@@ -324,6 +366,53 @@ def serve(
         )
 
     procs: List[multiprocessing.Process] = []
+
+    def survey() -> Dict[str, Dict[str, object]]:
+        """This tick's lease snapshot; fills *doomed* from it.
+
+        Local workers are polled *before* the snapshot, so every lease a
+        worker that exited since the last tick still holds is in it.  An
+        attempt past ``cell_timeout`` is timed from its lease's
+        ``acquired`` stamp; its holder is stopped first when it is a
+        local worker.  If the holder finished the attempt just before
+        the stop, ``on_reap`` finds the committed artifact or the error
+        record and charges nothing.
+        """
+        doomed.clear()
+        exited: Dict[str, Optional[int]] = {}
+        for process in list(procs):
+            if not process.is_alive():
+                process.join()
+                procs.remove(process)
+                exited[_owner(process)] = process.exitcode
+        local = {_owner(process): process for process in procs}
+        held = leases.held()
+        now = leases.clock()
+        for name, lease_record in held.items():
+            owner = str(lease_record.get("owner", ""))
+            if owner in exited:
+                doomed[name] = (
+                    "crash",
+                    "worker died without a result "
+                    f"({_exit_detail(exited[owner])})",
+                )
+                continue
+            if cell_timeout is None:
+                continue
+            try:
+                age = now - float(lease_record["acquired"])  # type: ignore[arg-type]
+            except (KeyError, TypeError, ValueError):
+                continue  # torn record: the TTL reaper takes it
+            if age <= cell_timeout:
+                continue
+            if owner in local:
+                _stop(local[owner])
+            doomed[name] = (
+                "timeout",
+                f"cell exceeded --cell-timeout {cell_timeout}s; "
+                "worker terminated",
+            )
+        return held
 
     def spawn_worker() -> None:
         process = multiprocessing.Process(
@@ -377,8 +466,11 @@ def serve(
             for _ in range(max(0, workers)):
                 spawn_worker()
             while not complete():
-                leases.reap_expired(before_unlink=on_reap)
-                held = leases.held()
+                held = survey()
+                for record in leases.reap_expired(
+                    before_unlink=on_reap, held=held, doomed=doomed
+                ):
+                    held.pop(str(record["cell"]), None)
                 for name, lease_record in held.items():
                     if name not in ledger.cells:
                         continue
@@ -404,13 +496,8 @@ def serve(
                         consume_error(name)
                 if complete():
                     break
-                if workers > 0:
-                    for i, process in enumerate(list(procs)):
-                        if not process.is_alive():
-                            process.join()
-                            procs.remove(process)
-                    while len(procs) < workers:
-                        spawn_worker()
+                while len(procs) < workers:
+                    spawn_worker()
                 time.sleep(tick)
         finally:
             deadline = time.monotonic() + 10.0

@@ -2,15 +2,17 @@
 
 A lease is one JSON file ``<run_dir>/leases/<cell>.json`` holding the
 owner id, the attempt index, the acquire/heartbeat timestamps and the
-expiry deadline.  Claiming is an **exclusive create**
-(``os.open(..., O_CREAT | O_EXCL)``): the filesystem serializes racing
-workers, exactly one claim per vacant path succeeds, everyone else gets
-``FileExistsError`` and moves on.  Holding a lease entitles a worker to
-characterize that cell; it does **not** decide correctness — the single
-serialization point for completion is the artifact commit
-(:func:`repro.service.worker.commit_artifact`'s exclusive hardlink), so
-even a pathological lease race can only waste work, never complete a
-cell twice or corrupt a byte.
+expiry deadline.  Claiming is an **exclusive publish**: the complete
+record goes to a private temp file in the lease directory, which is then
+hardlinked to the lease path (``os.link`` fails when the path exists).
+The filesystem serializes racing workers, exactly one claim per vacant
+path succeeds, everyone else gets ``FileExistsError`` and moves on — and
+no reader ever sees a claim before its record is whole.  Holding a lease
+entitles a worker to characterize that cell; it does **not** decide
+correctness — the single serialization point for completion is the
+artifact commit (:func:`repro.service.worker.commit_artifact`'s
+exclusive hardlink), so even a pathological lease race can only waste
+work, never complete a cell twice or corrupt a byte.
 
 Liveness comes from the heartbeat/expiry pair:
 
@@ -21,19 +23,22 @@ Liveness comes from the heartbeat/expiry pair:
 * the coordinator — and only the coordinator, so expiry has a single
   reaper and no steal races between workers — removes leases whose
   deadline passed (:meth:`LeaseStore.reap_expired`).  A SIGKILLed
-  worker's cell is therefore re-leased after at most one TTL, not lost.
+  external worker's cell is therefore re-leased after at most one TTL,
+  not lost.  The coordinator also reaps, without waiting for the TTL,
+  the leases of its own local workers that died and of attempts past
+  the job's ``cell_timeout``.
 
-An unparseable lease file (a claim create was itself interrupted) is
-treated as expired: the claimant died before finishing its first write,
-so the reaper may take it immediately.
+An unparseable lease file (torn by hand or by a foreign writer) is
+treated as expired, so the reaper may take it immediately.
 
 The lease state machine of one cell (see ``docs/resilience.md``)::
 
-    pending ── claim (O_EXCL create) ──► leased
+    pending ── claim (exclusive link) ──► leased
     leased  ── heartbeat ─────────────► leased      (deadline pushed)
     leased  ── release / commit ──────► done        (artifact committed)
     leased  ── worker failure ────────► pending     (error recorded)
     leased  ── TTL expiry, reaped ────► pending     (re-leased, not lost)
+    leased  ── holder dead / timeout ─► pending     (reaped at once)
     pending ── retry budget exhausted ► quarantined
 """
 
@@ -41,10 +46,11 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Union
 
 from repro import obs
 from repro.atomic import write_text_atomic
@@ -157,8 +163,11 @@ class LeaseStore:
     def claim(self, cell: str, owner: str, attempt: int) -> Optional[Lease]:
         """Try to claim *cell*; ``None`` when someone else holds it.
 
-        The exclusive create is the whole protocol: exactly one racer
-        per vacant path wins, and nobody ever overwrites a live claim.
+        The exclusive link is the whole protocol: exactly one racer per
+        vacant path wins, and nobody ever overwrites a live claim.  The
+        record is complete on disk before the link publishes it — a
+        reaper reading an empty, just-created lease file would take it
+        for a torn claim and reap a live lease.
         """
         now = self.clock()
         lease = Lease(
@@ -171,17 +180,20 @@ class LeaseStore:
             ttl=self.ttl,
         )
         blob = json.dumps(lease.to_dict(), sort_keys=True).encode()
+        fd, tmp = tempfile.mkstemp(
+            dir=self.lease_dir, prefix=f".{cell}.", suffix=".claim.tmp"
+        )
         try:
-            fd = os.open(
-                self.path(cell), os.O_CREAT | os.O_EXCL | os.O_WRONLY
-            )
+            try:
+                os.write(fd, blob)
+            finally:
+                os.close(fd)
+            os.link(tmp, self.path(cell))
         except FileExistsError:
             self._metrics().inc(M_CONFLICTS)
             return None
-        try:
-            os.write(fd, blob)
         finally:
-            os.close(fd)
+            os.unlink(tmp)
         self._metrics().inc(M_CLAIMS)
         return lease
 
@@ -222,7 +234,7 @@ class LeaseStore:
     def expired(self, record: Mapping[str, object]) -> bool:
         """True when *record* (from :meth:`read`) is past its deadline."""
         if not record:
-            return True  # torn claim: the claimant died mid-create
+            return True  # torn record: nothing left to wait for
         try:
             return self.clock() > float(record["expires"])  # type: ignore[arg-type]
         except (KeyError, TypeError, ValueError):
@@ -233,6 +245,8 @@ class LeaseStore:
         before_unlink: Optional[
             Callable[[str, Dict[str, object]], None]
         ] = None,
+        held: Optional[Mapping[str, Dict[str, object]]] = None,
+        doomed: Collection[str] = (),
     ) -> List[Dict[str, object]]:
         """Remove every expired lease; returns the reaped records.
 
@@ -245,10 +259,16 @@ class LeaseStore:
         attempt's failure (shard + ledger record) first, so a worker that
         claims the vacant path immediately afterwards always sees the
         previous attempt on disk and can never reuse its attempt index.
+
+        *held* is a snapshot from :meth:`held` to reap from instead of
+        scanning the directory again; *doomed* names cells whose lease
+        goes now whatever its deadline (a dead holder, an attempt past
+        its timeout).
         """
         reaped: List[Dict[str, object]] = []
-        for cell, record in self.held().items():
-            if not self.expired(record):
+        snapshot = self.held() if held is None else held
+        for cell, record in snapshot.items():
+            if cell not in doomed and not self.expired(record):
                 continue
             record = dict(record)
             record.setdefault("cell", cell)
@@ -269,7 +289,7 @@ class LeaseStore:
                 else -1,
                 msg=(
                     f"lease on {cell} (owner "
-                    f"{record.get('owner', '?')}) expired; re-leasing"
+                    f"{record.get('owner', '?')}) reaped; re-leasing"
                 ),
             )
         return reaped

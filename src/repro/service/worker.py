@@ -13,7 +13,7 @@ channel beyond the filesystem.
 A cell is **claimable** when its ledger state is ``pending`` or
 ``failed``, its artifact is absent, no structured error record is
 waiting for the coordinator, and its lease path is vacant.  The claim
-itself (exclusive create) is the only serialization needed; everything
+itself (exclusive link) is the only serialization needed; everything
 afterwards is belt-and-braces:
 
 * a heartbeat thread re-stamps the lease at ``ttl/4``; if the lease is
@@ -27,22 +27,27 @@ afterwards is belt-and-braces:
   most once.
 
 Replay identity: each attempt runs under a fresh obs scope *and* a
-fresh plan store (:func:`repro.camodel.planstore.fresh_store`), exactly
-like the one-process-per-attempt workers of
-:func:`repro.resilience.runner.run_library` — the attempt's counters,
-and therefore ``metrics_total()``, are byte-identical between a service
-run and a sequential run.
+fresh plan store (:func:`repro.camodel.planstore.fresh_store`), so a
+warm long-lived worker records exactly the counters a cold one-attempt
+process records — ``metrics_total()`` does not depend on which worker
+ran which cell, or how many cells it ran before.
 
 The lifetime attempt index is recovered from the run directory itself
 (existing telemetry shards + the ledger's attempt count), not from any
 in-memory state, so a worker that dies and a fresh one that takes over
-continue the same numbering a sequential resumed run would use.
+continue one numbering across workers and resumed sessions.
+
+A local worker (spawned by :func:`repro.service.coordinator.serve`)
+leaves at its next claim scan once that coordinator has died; an
+external ``python -m repro worker`` has no such parent and runs until
+the job completes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -94,14 +99,21 @@ def commit_artifact(
     ``FileExistsError`` back as ``False`` and discards its attempt.
     This hardlink is the exactly-once point of the whole service; the
     lease protocol above it only exists to make losing rare.
+
+    A blob is linked only when its bytes are the commit's: an artifact
+    written in place (a corrupt checkpoint) rewrites its blob through
+    the shared inode, so a name match alone proves nothing.  A stale
+    blob is replaced atomically, which gives it a fresh inode.
     """
     blob = json.dumps(data)
     cas_dir = Path(run_dir) / "cas"
     digest = hashlib.sha256(blob.encode()).hexdigest()[:24]
     cas_path = cas_dir / f"{digest}.json"
-    if not cas_path.exists():
-        # Serialization matches the runner's (plain json.dumps), so the
-        # linked artifact is byte-identical to a runner-written one.
+    try:
+        current: Optional[str] = cas_path.read_text()
+    except FileNotFoundError:
+        current = None
+    if current != blob:
         write_text_atomic(cas_path, blob)
     try:
         os.link(cas_path, artifact)
@@ -176,10 +188,11 @@ def run_attempt(
 ) -> bool:
     """Characterize one claimed cell; True when this attempt committed.
 
-    Mirrors :func:`repro.resilience.runner._cell_worker` step for step —
-    same fault sites, same scoped obs state, same sidecar/shard writes —
-    except that results are only persisted while the lease is still
-    held, and the artifact lands through the exclusive CAS commit.
+    The fault plan is armed for this (cell, attempt) first.  Results
+    are only persisted while the lease is still held: the sidecar, then
+    the artifact through the exclusive CAS commit, then the attempt's
+    telemetry shard.  A clean failure leaves a structured error record
+    for the coordinator instead.
     """
     name = lease.cell
     key = str(ledger.cells[name]["key"])
@@ -302,9 +315,11 @@ def worker_loop(
 
     Returns the number of cells this worker committed.  ``max_cells``
     bounds the worker's share (tests use it to force interleaving).
-    The worker exits when every cell is ``done`` or ``quarantined`` —
-    quarantining is the coordinator's call, so a run whose coordinator
-    died leaves workers idling at the poll interval, not spinning.
+    The worker exits when every cell is ``done`` or ``quarantined``, or
+    when it was spawned by a coordinator that has since died — nothing
+    would ever mark its cells done.  Quarantining is the coordinator's
+    call, so an external worker whose coordinator died idles at the poll
+    interval, not spinning, until one attaches again.
     """
     run_dir = Path(run_dir)
     job = Job.attach(run_dir)
@@ -332,8 +347,11 @@ def worker_loop(
         pid=os.getpid(),
         msg=f"worker {owner} joining {run_dir}",
     )
+    parent = multiprocessing.parent_process()
     try:
         while True:
+            if parent is not None and not parent.is_alive():
+                break  # our coordinator is gone
             ledger = RunLedger.load(run_dir)
             open_cells = [
                 n

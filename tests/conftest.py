@@ -1,9 +1,13 @@
 """Shared fixtures: small cells and CA models, built once per session."""
 
+import json
+
 import pytest
 
 from repro.library import SOI28, C28, C40, build_cell
-from repro.camodel import generate_ca_model
+from repro.camodel import generate_ca_model, generate_library
+from repro.camodel.io import FORMAT_VERSION
+from repro.resilience.runner import canonical_model_dict
 from repro.simulation import golden_simulator
 
 
@@ -60,3 +64,20 @@ def aoi21_model(aoi21):
 @pytest.fixture(scope="session")
 def nand2_sim(nand2):
     return golden_simulator(nand2, SOI28.electrical)
+
+
+@pytest.fixture(scope="session")
+def reference_library():
+    """``reference_library(cells)``: the library JSON bytes a run-dir
+    session must assemble, built by the in-process path."""
+
+    def build(cells):
+        models = generate_library(cells)
+        return json.dumps(
+            {
+                "format": FORMAT_VERSION,
+                "models": [canonical_model_dict(models[c.name]) for c in cells],
+            }
+        ).encode()
+
+    return build

@@ -17,6 +17,7 @@ from repro.learning.persistence import (
     save_classifier,
 )
 from repro.library import SOI28, build_cell
+from repro.service import serve, submit_library
 from repro.simulation import CellSimulator, golden_simulator
 from repro.simulation.trace import capture, dump_vcd, to_vcd
 
@@ -161,14 +162,15 @@ class TestPersistence:
 
 class TestBatchGeneration:
     def test_inline_matches_direct(self, nand2):
-        inline = generate_library([nand2], processes=1)
+        inline = generate_library([nand2])
         direct = generate_ca_model(nand2)
         assert (inline[nand2.name].detection == direct.detection).all()
 
-    def test_parallel_matches_inline(self):
+    def test_parallel_matches_inline(self, tmp_path):
         cells = [build_cell(SOI28, fn, 1) for fn in ("INV", "NAND2", "NOR2")]
-        inline = generate_library(cells, processes=1)
-        parallel = generate_library(cells, processes=2)
+        inline = generate_library(cells)
+        submit_library(cells, run_dir=tmp_path / "run")
+        parallel = serve(tmp_path / "run", workers=2).models
         assert set(parallel) == set(inline)
         for name in inline:
             assert (parallel[name].detection == inline[name].detection).all()

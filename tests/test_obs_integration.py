@@ -15,7 +15,7 @@ Pins down the subsystem's load-bearing guarantees:
 import pytest
 
 from repro import obs
-from repro.camodel import generate_ca_model, generate_library
+from repro.camodel import generate_ca_model
 from repro.camodel.stats import (
     GenerationStats,
     M_CACHE_HITS,
@@ -29,6 +29,7 @@ from repro.camodel.stats import (
 from repro.flow import HybridFlow
 from repro.learning import build_samples
 from repro.library import C28, SOI28, build_cell
+from repro.service import serve, submit_library
 
 
 def traced_state():
@@ -95,18 +96,17 @@ class TestParallelTraceMerge:
             generate_ca_model(nand2, params=SOI28.electrical, parallelism=2)
             assert state.tracer.export() == []
 
-    def test_batch_pool_reparents_under_library_span(self):
+    def test_batch_pool_reparents_under_library_span(self, tmp_path):
         cells = [build_cell(SOI28, fn, 1) for fn in ("NAND2", "NOR2")]
         with obs.scoped(**traced_state()) as state:
-            models = generate_library(
-                cells, params=SOI28.electrical, processes=2
+            submit_library(
+                cells, run_dir=tmp_path / "run", params=SOI28.electrical
             )
+            models = serve(tmp_path / "run", workers=2).models
             spans = state.tracer.export()
             registry = state.metrics
         assert set(models) == {c.name for c in cells}
-        library_span = next(
-            s for s in spans if s["name"] == "camodel.generate_library"
-        )
+        library_span = next(s for s in spans if s["name"] == "service.serve")
         generate_spans = [s for s in spans if s["name"] == "camodel.generate"]
         assert len(generate_spans) == 2
         for span in generate_spans:

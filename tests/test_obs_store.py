@@ -1,7 +1,8 @@
 """Integration tests for the durable run-telemetry store.
 
 Exercises :mod:`repro.obs.store` against real
-:func:`~repro.resilience.runner.run_library` runs: shard layout and
+:func:`~repro.service.submit_library` + :func:`~repro.service.serve`
+runs: shard layout and
 naming, the cross-process merged Chrome trace (export → load → re-export
 must be byte-identical), failed workers' telemetry, and the
 no-duplicate-shards / exact-reconciliation guarantees across a
@@ -24,7 +25,7 @@ from repro.obs.store import (
     write_chrome_spans,
 )
 from repro.resilience import FaultPlan, FaultRule, faults
-from repro.resilience.runner import run_library
+from repro.service import serve, submit_library
 
 CELLS = ("NAND2", "NOR2", "AND2")
 VICTIM = "S28_NOR2X1"
@@ -41,10 +42,9 @@ def _no_leaked_plan():
     faults.deactivate()
 
 
-def _run(run_dir, cells, **kwargs):
-    kwargs.setdefault("retry_backoff", 0.0)
-    kwargs.setdefault("processes", 2)
-    return run_library(cells, run_dir=run_dir, **kwargs)
+def _run(run_dir, cells, workers=2, resume=False, **kwargs):
+    submit_library(cells, run_dir=run_dir, resume=resume, **kwargs)
+    return serve(run_dir, workers=workers, resume=resume)
 
 
 class TestShardLayout:
@@ -61,13 +61,6 @@ class TestShardLayout:
         for name, record in tel.ledger.cells.items():
             expected = attempt_shard_name(name, str(record["key"]), 0)
             assert (tmp_path / "obs" / expected).exists()
-
-    def test_persist_telemetry_false_writes_nothing(
-        self, tmp_path, library_cells
-    ):
-        result = _run(tmp_path, library_cells, persist_telemetry=False)
-        assert result.complete
-        assert not (tmp_path / "obs").exists()
 
     def test_shard_counters_match_ledger_exactly(
         self, tmp_path, library_cells
@@ -126,7 +119,7 @@ class TestMergedChromeTrace:
         assert len(pids) >= 2  # parent + at least one worker
         # parent session contributes the run-level span
         names = {span["name"] for span in spans}
-        assert "resilience.run" in names
+        assert "service.serve" in names
         assert "camodel.generate" in names
         # the viewer payload labels the parent track "main"
         payload = tel.chrome()

@@ -7,6 +7,7 @@ import pytest
 from repro.camodel import generate_ca_model, generate_library
 from repro.defects import default_universe
 from repro.library import SOI28, ElectricalParams, build_cell
+from repro.service import serve, submit_library
 from repro.simulation import CellSimulator, CellTopology
 
 
@@ -105,25 +106,30 @@ class TestSharedTopology:
                 assert shared.output_response(word) is fresh.output_response(word)
 
 
+def _served(run_dir, cells, **kwargs):
+    """Models of a two-worker service run of *cells*."""
+    submit_library(cells, run_dir=run_dir, **kwargs)
+    return serve(run_dir, workers=2).models
+
+
 class TestBatchKwargsForwarding:
-    """processes=N must return the same models as processes=1 (the
-    dropped-kwargs regression: workers used to run defaults silently)."""
+    """The service must return the same models as the in-process path
+    (the dropped-kwargs regression: workers used to run defaults
+    silently)."""
 
     def _cells(self):
         return [build_cell(SOI28, fn, 1) for fn in ("INV", "NAND2", "NOR2")]
 
-    def test_inline_vs_pool_with_non_default_options(self):
+    def test_inline_vs_pool_with_non_default_options(self, tmp_path):
         cells = self._cells()
         # Weak shorts + no delay detection change the detection tables, so
         # a worker silently falling back to defaults would be caught.
         params = ElectricalParams(short_resistance=50_000.0)
-        inline = generate_library(
-            cells, processes=1, params=params, delay_detection=False
+        inline = generate_library(cells, params=params, delay_detection=False)
+        pooled = _served(
+            tmp_path / "run", cells, params=params, delay_detection=False
         )
-        pooled = generate_library(
-            cells, processes=2, params=params, delay_detection=False
-        )
-        defaults = generate_library(cells, processes=1)
+        defaults = generate_library(cells)
         assert set(inline) == set(pooled) == set(defaults)
         changed_any = False
         for name in inline:
@@ -132,10 +138,10 @@ class TestBatchKwargsForwarding:
                 changed_any = True
         assert changed_any, "options were expected to change at least one model"
 
-    def test_universe_forwarded_to_workers(self, nand2):
+    def test_universe_forwarded_to_workers(self, nand2, tmp_path):
         universe = default_universe(nand2)[:12]
-        inline = generate_library([nand2], processes=1, universe=universe)
-        pooled = generate_library([nand2], processes=2, universe=universe)
+        inline = generate_library([nand2], universe=universe)
+        pooled = _served(tmp_path / "run", [nand2], universe=universe)
         assert inline[nand2.name].n_defects == 12
         assert pooled[nand2.name].n_defects == 12
         assert (
@@ -143,11 +149,11 @@ class TestBatchKwargsForwarding:
             == pooled[nand2.name].detection.tobytes()
         )
 
-    def test_duplicate_cell_names_raise(self, nand2):
+    def test_duplicate_cell_names_raise(self, nand2, tmp_path):
         with pytest.raises(ValueError, match="duplicate"):
-            generate_library([nand2, nand2], processes=1)
+            generate_library([nand2, nand2])
         with pytest.raises(ValueError, match="duplicate"):
-            generate_library([nand2, nand2], processes=2)
+            submit_library([nand2, nand2], run_dir=tmp_path / "run")
 
     def test_generate_multi_forwards_parallelism(self, nand2):
         from repro.camodel import generate_multi

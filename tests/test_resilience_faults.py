@@ -1,10 +1,11 @@
 """Chaos suite for the resilient run layer.
 
 Every :class:`~repro.resilience.faults.FaultPlan` mode is injected into a
-real :func:`~repro.resilience.runner.run_library` run; the suite asserts
-the run survives, quarantines exactly the faulted cells with structured
-error records, and a subsequent ``resume`` converges to a library
-byte-identical to an uninterrupted run.
+real :func:`~repro.service.submit_library` + :func:`~repro.service.serve`
+run; the suite asserts the run survives, quarantines exactly the faulted
+cells with structured error records, and a subsequent ``resume``
+converges to a library byte-identical to the in-process
+:func:`~repro.camodel.generate_library` reference.
 
 The quarantine scenario's failure report is copied to
 ``CHAOS_failure_report.json`` at the repo root (the same machine-readable
@@ -28,7 +29,7 @@ from repro.resilience.ledger import (
     RunLedger,
     quarantined_cells,
 )
-from repro.resilience.runner import run_library
+from repro.service import serve, submit_library
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,19 +43,14 @@ def library_cells():
 
 
 @pytest.fixture(scope="module")
-def baseline(tmp_path_factory, library_cells):
-    """Uninterrupted reference run; its library bytes anchor every test."""
+def baseline(tmp_path_factory, library_cells, reference_library):
+    """In-process reference bytes; a clean service run must match them."""
+    reference = reference_library(library_cells)
     run_dir = tmp_path_factory.mktemp("baseline")
-    output = run_dir / "library.json"
-    result = run_library(
-        library_cells,
-        run_dir=run_dir,
-        processes=2,
-        retry_backoff=0.0,
-        output=output,
-    )
+    result = _run(run_dir, cells=library_cells)
     assert result.complete and len(result.models) == len(CELLS)
-    return output.read_bytes()
+    assert (run_dir / "library.json").read_bytes() == reference
+    return reference
 
 
 @pytest.fixture(autouse=True)
@@ -63,11 +59,13 @@ def _no_leaked_plan():
     faults.deactivate()
 
 
-def _run(run_dir, cells, **kwargs):
-    kwargs.setdefault("retry_backoff", 0.0)
-    kwargs.setdefault("processes", 2)
-    return run_library(
-        cells, run_dir=run_dir, output=Path(run_dir) / "library.json", **kwargs
+def _run(run_dir, cells, workers=2, resume=False, **kwargs):
+    submit_library(cells, run_dir=run_dir, resume=resume, **kwargs)
+    return serve(
+        run_dir,
+        workers=workers,
+        resume=resume,
+        output=Path(run_dir) / "library.json",
     )
 
 
@@ -285,7 +283,7 @@ class TestOptionsSafety:
 
         _run(tmp_path / "run", cells=library_cells)
         with pytest.raises(RunDirError, match="different"):
-            run_library(
+            submit_library(
                 library_cells,
                 run_dir=tmp_path / "run",
                 resume=True,
@@ -299,7 +297,7 @@ class TestOptionsSafety:
 
         _run(tmp_path / "run", cells=library_cells)
         with pytest.raises(RunDirError, match="resume"):
-            run_library(library_cells, run_dir=tmp_path / "run")
+            submit_library(library_cells, run_dir=tmp_path / "run")
 
 
 class TestObsIntegration:
@@ -401,27 +399,6 @@ class TestHybridQuarantineRouting:
 
 class TestGenerateLibraryFailureCollection:
     """The pre-ledger satellite fix: completed siblings survive a failure."""
-
-    def test_pool_path_attaches_completed_models(self, library_cells):
-        plan = FaultPlan([FaultRule(cell=VICTIM, mode="raise")])
-        payload = plan.to_dict()
-
-        # arm the plan inside each pool worker via an initializer-free
-        # trick: activate in the parent; fork propagates it
-        faults.activate(FaultPlan.from_dict(payload), cell="", attempt=0)
-        try:
-            with pytest.raises(LibraryGenerationError) as excinfo:
-                generate_library(
-                    library_cells, params=SOI28.electrical, processes=2
-                )
-        finally:
-            faults.deactivate()
-        error = excinfo.value
-        assert sorted(error.completed) == sorted(
-            c.name for c in library_cells if c.name != VICTIM
-        )
-        assert [f["cell"] for f in error.failures] == [VICTIM]
-        assert "InjectedFault" in error.failures[0]["traceback"]
 
     def test_inline_path_attaches_completed_models(self, library_cells):
         faults.activate(

@@ -9,7 +9,7 @@ Two layers are exercised:
   process would).  Invariants: a completed model is never lost, metrics
   are counted exactly once per done cell no matter how many resumes
   happen, and attempt counts are monotonic.
-* **Real runner** — fault scripts whose failures stay within the retry
+* **Real service** — fault scripts whose failures stay within the retry
   budget never change the output library bytes.
 """
 
@@ -32,7 +32,8 @@ from repro.resilience.ledger import (
     QUARANTINED,
     RunLedger,
 )
-from repro.resilience.runner import canonical_model_dict, run_library
+from repro.resilience.runner import canonical_model_dict
+from repro.service import serve, submit_library
 
 # ----------------------------------------------------------------------
 # Ledger interleaving property
@@ -45,7 +46,7 @@ FAIL = "fail"
 TIMEOUT = "timeout"
 KILLED_AFTER_ARTIFACT = "killed-after-artifact"
 
-#: retry budget per simulated session (mirrors the runner's default of
+#: retry budget per simulated session (mirrors the service's default of
 #: ``retries=1`` → two attempts per session)
 SESSION_ATTEMPTS = 2
 
@@ -187,25 +188,26 @@ def test_interleavings_never_lose_models_or_double_count(
 
 
 # ----------------------------------------------------------------------
-# Real-runner property: in-budget faults never change the output bytes
+# Real-service property: in-budget faults never change the output bytes
 # ----------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def runner_cells():
+def service_cells():
     return [build_cell(SOI28, f, 1) for f in ("NAND2", "NOR2")]
 
 
 @pytest.fixture(scope="module")
-def runner_baseline(tmp_path_factory, runner_cells):
+def service_baseline(tmp_path_factory, service_cells, reference_library):
+    """In-process reference bytes; a clean service run must match them."""
+    reference = reference_library(service_cells)
     run_dir = tmp_path_factory.mktemp("prop-clean")
     output = run_dir / "library.json"
-    result = run_library(
-        runner_cells, run_dir=run_dir, processes=2,
-        retry_backoff=0.0, output=output,
-    )
+    submit_library(service_cells, run_dir=run_dir)
+    result = serve(run_dir, workers=2, output=output)
     assert result.complete
-    return output.read_bytes()
+    assert output.read_bytes() == reference
+    return reference
 
 
 failing_attempts = st.sets(st.integers(min_value=0, max_value=2), max_size=3)
@@ -221,7 +223,7 @@ failing_attempts = st.sets(st.integers(min_value=0, max_value=2), max_size=3)
     nor_fails=failing_attempts,
 )
 def test_in_budget_faults_preserve_output_bytes(
-    nand_fails, nor_fails, runner_cells, runner_baseline
+    nand_fails, nor_fails, service_cells, service_baseline
 ):
     rules = []
     if nand_fails:
@@ -238,20 +240,18 @@ def test_in_budget_faults_preserve_output_bytes(
                 attempts=tuple(sorted(nor_fails)),
             )
         )
-    run_dir = Path(tempfile.mkdtemp(prefix="resilience-runner-prop-"))
+    run_dir = Path(tempfile.mkdtemp(prefix="resilience-service-prop-"))
     try:
         output = run_dir / "library.json"
-        result = run_library(
-            runner_cells,
+        submit_library(
+            service_cells,
             run_dir=run_dir / "run",
-            processes=2,
             retries=3,  # 4 attempts/session > max 3 scripted failures
-            retry_backoff=0.0,
             fault_plan=FaultPlan(rules=rules),
-            output=output,
         )
+        result = serve(run_dir / "run", workers=2, output=output)
         assert result.complete
-        assert output.read_bytes() == runner_baseline
+        assert output.read_bytes() == service_baseline
         ledger = RunLedger.load(run_dir / "run")
         for name, fails in (
             ("S28_NAND2X1", nand_fails),

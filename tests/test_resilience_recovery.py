@@ -1,10 +1,11 @@
 """Crash-recovery integration: SIGKILL a real ``batch`` CLI subprocess
-mid-run, resume, and diff the result against a clean baseline.
+mid-run, resume, and diff the result against the in-process reference.
 
-This is the one suite that exercises a *real* unscripted kill — the
-parent orchestrator dies at an arbitrary instant (as soon as at least
-one checkpoint artifact exists) and the resumed session must converge
-to the exact bytes an uninterrupted run produces.
+This is the one suite that exercises *real* unscripted kills — the
+coordinator dies at an arbitrary instant (as soon as at least one
+checkpoint artifact exists), its local workers must leave on their own,
+and the resumed session must converge to the exact bytes the in-process
+path produces.  The service half kills and hangs external workers.
 """
 
 import json
@@ -22,7 +23,6 @@ from repro.library import SOI28, build_cell
 from repro.obs.store import RunTelemetry
 from repro.resilience.faults import FaultPlan, FaultRule
 from repro.resilience.ledger import RunLedger
-from repro.resilience.runner import run_library
 from repro.service import serve, submit_library
 from repro.spice import parse_library, write_library
 
@@ -47,14 +47,16 @@ def cells(netlist_file):
 
 
 @pytest.fixture(scope="module")
-def baseline_bytes(tmp_path_factory, cells):
+def baseline_bytes(tmp_path_factory, cells, reference_library):
+    """In-process reference bytes; a clean service run must match them."""
+    reference = reference_library(cells)
     run_dir = tmp_path_factory.mktemp("clean")
     output = run_dir / "library.json"
-    result = run_library(
-        cells, run_dir=run_dir, processes=2, retry_backoff=0.0, output=output
-    )
+    submit_library(cells, run_dir=run_dir)
+    result = serve(run_dir, workers=2, output=output)
     assert result.complete
-    return output.read_bytes()
+    assert output.read_bytes() == reference
+    return reference
 
 
 def _spawn_batch(netlist_file, run_dir, output):
@@ -75,8 +77,6 @@ def _spawn_batch(netlist_file, run_dir, output):
             str(output),
             "--processes",
             "1",
-            "--retry-backoff",
-            "0",
         ],
         env=env,
         stdout=subprocess.DEVNULL,
@@ -111,6 +111,9 @@ class TestSigkillRecovery:
             process.wait()
         assert process.returncode == -signal.SIGKILL
         assert not output.exists()  # the killed run never assembled a library
+        # The orphaned local worker notices its dead coordinator and
+        # leaves, writing its exit shard like any finished worker.
+        _wait_for_worker_exit_shards(run_dir)
 
         # Resume through the CLI and diff against the clean baseline.
         rc = main(
@@ -122,8 +125,6 @@ class TestSigkillRecovery:
                 "--resume",
                 "-o",
                 str(output),
-                "--retry-backoff",
-                "0",
             ]
         )
         assert rc == 0
@@ -165,14 +166,8 @@ class TestSigkillRecovery:
         finally:
             process.wait()
 
-        result = run_library(
-            cells,
-            run_dir=run_dir,
-            processes=2,
-            resume=True,
-            retry_backoff=0.0,
-            output=output,
-        )
+        submit_library(cells, run_dir=run_dir, resume=True)
+        result = serve(run_dir, workers=2, resume=True, output=output)
         assert result.complete
         assert result.resumed, "resume should reuse completed checkpoints"
         assert output.read_bytes() == baseline_bytes
@@ -180,6 +175,27 @@ class TestSigkillRecovery:
         for name in result.resumed:
             # reused cells were not regenerated by the resumed session
             assert ledger.cells[name]["state"] == "done"
+
+
+def _wait_for_worker_exit_shards(run_dir, timeout=60.0):
+    """Block until every worker that wrote an attempt shard has exited.
+
+    Local workers write their attempt shards before their exit shard
+    (``obs/worker-w<pid>.json``), so once each attempt shard's pid has
+    an exit shard, no worker of the killed session is left running.
+    """
+    obs_dir = Path(run_dir) / "obs"
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        exited = {path.name for path in obs_dir.glob("worker-*.json")}
+        pids = {
+            int(json.loads(path.read_text())["pid"])
+            for path in obs_dir.glob("*.a[0-9][0-9][0-9].json")
+        }
+        if exited and all(f"worker-w{pid}.json" in exited for pid in pids):
+            return
+        time.sleep(0.05)
+    pytest.fail(f"local workers still running {timeout}s after the kill")
 
 
 def _ledger_cells(run_dir):
@@ -193,7 +209,7 @@ def _ledger_cells(run_dir):
 
 
 # ----------------------------------------------------------------------
-# Service chaos: kill leased workers, diff against the sequential bytes
+# Service chaos: kill or hang external workers, diff against the reference
 # ----------------------------------------------------------------------
 
 
@@ -234,8 +250,8 @@ class TestServiceWorkerSigkill:
         """SIGKILL a live worker subprocess mid-lease.
 
         The orphaned lease must expire, the coordinator must re-lease
-        the cell exactly once, and the final library bytes must match an
-        uninterrupted sequential run.
+        the cell exactly once, and the final library bytes must match the
+        in-process reference.
         """
         run_dir = tmp_path / "run"
         output = tmp_path / "library.json"
@@ -301,10 +317,10 @@ class TestServiceWorkerSigkill:
     ):
         """A crash fault exits the whole worker process mid-lease.
 
-        The coordinator must reap the expired lease, respawn a local
-        worker, retry the cell within budget, and still produce the
-        sequential bytes — with the dead attempt visible in the
-        reconciled telemetry.
+        The coordinator must reap the dead worker's lease at once,
+        respawn a local worker, retry the cell within budget, and still
+        produce the reference bytes — with the dead attempt visible in
+        the reconciled telemetry.
         """
         run_dir = tmp_path / "run"
         output = tmp_path / "library.json"
@@ -358,3 +374,52 @@ class TestServiceWorkerSigkill:
             )
             + "\n"
         )
+
+
+class TestExternalWorkerTimeout:
+    def test_hung_external_worker_is_timed_out_once(
+        self, tmp_path, cells, baseline_bytes
+    ):
+        """An external worker hangs past ``cell_timeout`` on attempt 0.
+
+        The coordinator cannot stop a process it did not spawn, so it
+        reaps the lease, charges the attempt as a ``timeout`` exactly
+        once (the hung worker's heartbeat may re-create the lease), and
+        its local worker completes the cell as attempt 1.
+        """
+        run_dir = tmp_path / "run"
+        output = tmp_path / "library.json"
+        victim = cells[0].name
+        plan = FaultPlan(rules=[FaultRule(cell=victim, mode="hang", attempts=(0,))])
+        submit_library(
+            cells, run_dir, retries=1, cell_timeout=1.0, fault_plan=plan
+        )
+        hung = _spawn_worker(run_dir, owner="hung")
+        try:
+            lease = run_dir / "leases" / f"{victim}.json"
+            deadline = time.monotonic() + 120
+            while not lease.exists():
+                if hung.poll() is not None or time.monotonic() > deadline:
+                    pytest.fail("external worker never claimed the victim")
+                time.sleep(0.01)
+            result = serve(run_dir, workers=1, output=output)
+            assert hung.poll() is None  # still hung: nobody stopped it
+        finally:
+            hung.kill()
+            hung.wait()
+        assert result.complete
+        assert output.read_bytes() == baseline_bytes
+
+        record = RunLedger.load(run_dir).cells[victim]
+        errors = record.get("errors", [])
+        assert len(errors) == 1
+        assert errors[0]["kind"] == "timeout"
+        assert "cell-timeout" in errors[0]["error"]
+        assert int(record["attempts"]) == 2
+        assert _attempt_outcomes(run_dir, victim) == [
+            (0, "timeout"),
+            (1, "ok"),
+        ]
+        # the retry ran in the coordinator's local worker, not the hung one
+        retry = RunTelemetry.load(run_dir).winning_attempts()[victim]
+        assert int(retry["pid"]) not in (0, hung.pid)

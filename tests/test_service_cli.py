@@ -5,7 +5,7 @@ coordinator subprocess owns the ledger while four external
 ``python -m repro worker RUN_DIR`` subprocesses — the multi-machine
 deployment shape, minus the shared filesystem being remote — lease and
 characterize the cells.  The assembled library must be byte-identical
-to a sequential in-process run, every cell must have been committed by
+to the in-process reference, every cell must have been committed by
 exactly one worker, and the merged per-worker telemetry shards must
 reconcile cleanly.
 """
@@ -23,7 +23,7 @@ import pytest
 from repro.cli import main
 from repro.library import SOI28, build_cell
 from repro.obs.store import RunTelemetry
-from repro.resilience.runner import run_library
+from repro.service import serve, submit_library
 from repro.spice import parse_library, write_library
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,15 +50,17 @@ def netlist_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def baseline_bytes(tmp_path_factory, netlist_file):
+def baseline_bytes(tmp_path_factory, netlist_file, reference_library):
+    """In-process reference bytes; a clean in-process serve must match."""
     cells = parse_library(netlist_file.read_text())
+    reference = reference_library(cells)
     run_dir = tmp_path_factory.mktemp("clean")
     output = run_dir / "library.json"
-    result = run_library(
-        cells, run_dir=run_dir, processes=2, retry_backoff=0.0, output=output
-    )
+    submit_library(cells, run_dir=run_dir)
+    result = serve(run_dir, workers=2, output=output)
     assert result.complete
-    return output.read_bytes()
+    assert output.read_bytes() == reference
+    return reference
 
 
 @pytest.fixture(scope="module")
@@ -188,8 +190,6 @@ def test_pre_merge_manifest_is_refused_at_attach(tmp_path, capsys):
     """A ``job.json`` from before the ``batched``/``packed`` merge (layout
     1, with a ``batched`` kwarg) is refused when a worker attaches,
     instead of failing every attempt with a ``TypeError``."""
-    from repro.service import submit_library
-
     run_dir = tmp_path / "run"
     job = submit_library([build_cell(SOI28, "NAND2", 1)], run_dir=run_dir)
     data = json.loads(job.manifest_path.read_text())

@@ -17,8 +17,9 @@ Three layers are exercised, all against real on-disk state:
   once no matter how many sessions it took, and no cell is collected
   twice.
 * **Commit/claim edges** — deterministic checks of the exactly-once
-  hardlink commit and of torn (unparseable) claim files being
-  immediately reapable.
+  hardlink commit, of a corrupted CAS blob never being linked again, of
+  claims being published whole, and of torn (unparseable) claim files
+  being immediately reapable.
 """
 
 import json
@@ -124,7 +125,7 @@ class _World:
         attempt = next_attempt_index(self.store.obs_dir, name, KEY, 0)
         lease = self.leases.claim(name, worker, attempt)
         if lease is None:
-            return  # lost the O_EXCL race (impossible sequentially)
+            return  # lost the exclusive-link race (impossible sequentially)
         # the shard-recovered index is never reused by a later attempt
         assert attempt not in self.attempts_used[name]
         self.attempts_used[name].add(attempt)
@@ -369,6 +370,43 @@ def test_commit_artifact_admits_exactly_one_winner(tmp_path):
     # the second committer loses the hardlink race and must discard
     assert commit_artifact(tmp_path, artifact, data) is False
     assert json.loads(artifact.read_text()) == data
+
+
+def test_commit_artifact_never_relinks_a_corrupted_blob(tmp_path):
+    """Writing into a committed artifact in place rewrites its CAS blob
+    too (one inode); committing the same model again must publish the
+    model's bytes, not link the corrupted blob a second time."""
+    artifact = tmp_path / "models" / f"C0-{KEY}.json"
+    artifact.parent.mkdir(parents=True)
+    data = _cell_data("C0")
+    assert commit_artifact(tmp_path, artifact, data) is True
+    artifact.write_text('{"format": 1, "cell": "C0')
+    artifact.unlink()
+    assert commit_artifact(tmp_path, artifact, data) is True
+    assert artifact.read_text() == json.dumps(data)
+
+
+def test_claim_is_published_whole(tmp_path, monkeypatch):
+    """A reaper running in the middle of a claim must never find an
+    empty lease file, take it for a torn claim and reap a live lease."""
+    from repro.service import lease as lease_module
+
+    clock = FakeClock()
+    claimer = LeaseStore(tmp_path, ttl=TTL, clock=clock)
+    reaper = LeaseStore(tmp_path, ttl=TTL, clock=clock)
+    reaped = []
+    real_write = lease_module.os.write
+
+    def reap_then_write(fd, data):
+        reaped.extend(reaper.reap_expired())
+        return real_write(fd, data)
+
+    monkeypatch.setattr(lease_module.os, "write", reap_then_write)
+    lease = claimer.claim("C0", "w0", 0)
+    monkeypatch.undo()
+    assert lease is not None
+    assert reaped == []
+    assert claimer.read("C0") == lease.to_dict()
 
 
 def test_torn_claim_is_immediately_reapable(tmp_path):

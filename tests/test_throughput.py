@@ -1,13 +1,11 @@
-"""Cross-cell throughput engine, plan store, and pool-path fixes.
+"""Cross-cell throughput engine, plan store, and run-dir options.
 
-Covers the three correctness fixes that rode along with the packed
-engine (failed pool workers must not drop their spans/metrics; duplicate
-cell names are rejected by one shared helper; run-dir-only facade kwargs
-are rejected loudly instead of silently ignored) plus the engine-level
-behaviours the differential suite does not touch: per-cell failure
-containment, progress reporting, metric registration, on-disk phase
-cache corruption tolerance, and quarantine-then-resume with a warm
-store.
+Covers the duplicate-name guard every library path shares, the run-dir
+options :func:`~repro.service.submit_library` carries to every worker
+through ``job.json``, plus the engine-level behaviours the differential
+suite does not touch: per-cell failure containment, progress reporting,
+metric registration, on-disk phase cache corruption tolerance, and
+quarantine-then-resume with a warm store.
 """
 
 import json
@@ -22,11 +20,11 @@ from repro.camodel import (
     generate_library,
     run_throughput,
 )
-from repro.camodel.stats import M_GOLDEN_SECONDS
-from repro.defects.model import Defect
 from repro.library import SOI28, build_cell
 from repro.resilience import FaultPlan, FaultRule, faults
-from repro.resilience.runner import canonical_model_dict, run_library
+from repro.resilience.ledger import RunLedger
+from repro.resilience.runner import canonical_model_dict
+from repro.service import serve, submit_library
 
 PARAMS = SOI28.electrical
 
@@ -68,107 +66,57 @@ class TestEnsureUniqueCellNames:
 
     def test_shared_by_resilient_runner(self, tmp_path, library_cells):
         with pytest.raises(ValueError, match="duplicate"):
-            run_library(
+            submit_library(
                 [library_cells[0], library_cells[0]], run_dir=tmp_path / "run"
             )
 
 
 class TestRunDirOnlyOptions:
-    """Run-dir-only kwargs without run_dir used to be silently dropped."""
+    """Run-dir options ride ``job.json`` from submit to every worker."""
 
-    def test_each_option_is_rejected_loudly(self, library_cells):
-        cells = library_cells[:1]
-        for kwargs, option in (
-            ({"resume": True}, "resume"),
-            ({"retries": 3}, "retries"),
-            ({"cell_timeout": 5.0}, "cell_timeout"),
-            ({"retry_backoff": 0.0}, "retry_backoff"),
-            ({"fault_plan": FaultPlan()}, "fault_plan"),
-            ({"output": "library.json"}, "output"),
-        ):
-            with pytest.raises(ValueError) as err:
-                generate_library(cells, **kwargs)
-            assert option in str(err.value)
-            assert "run_dir" in str(err.value)
-
-    def test_multiple_offenders_listed_sorted(self, library_cells):
-        with pytest.raises(ValueError, match="output, resume, retries"):
-            generate_library(
-                library_cells, resume=True, retries=2, output="x.json"
-            )
-
-    def test_defaults_are_not_rejected(self, library_cells):
-        models = generate_library(library_cells[:1])
-        assert set(models) == {library_cells[0].name}
-
-    def test_run_dir_forwards_every_option(self, tmp_path, library_cells, monkeypatch):
-        import repro.resilience.runner as runner_module
-
-        captured = {}
-
-        class _Result:
-            models = {"stub": None}
-
-        def fake_run_library(cells, **kwargs):
-            captured.update(kwargs, cells=list(cells))
-            return _Result()
-
-        monkeypatch.setattr(runner_module, "run_library", fake_run_library)
-        plan = FaultPlan([FaultRule(cell="X", mode="raise")])
-        out = generate_library(
+    def test_run_dir_forwards_every_option(self, tmp_path, library_cells):
+        broken, hung = library_cells[-1].name, library_cells[0].name
+        plan = FaultPlan(
+            [
+                FaultRule(cell=broken, mode="raise"),
+                FaultRule(cell=hung, mode="hang", attempts=(0,)),
+            ]
+        )
+        run_dir = tmp_path / "run"
+        store = tmp_path / "phases"
+        job = submit_library(
             library_cells,
-            run_dir=tmp_path / "run",
-            retries=3,
-            retry_backoff=0.0,
-            cell_timeout=9.0,
+            run_dir=run_dir,
+            retries=2,
+            cell_timeout=1.0,
             fault_plan=plan,
-            output=tmp_path / "library.json",
-            packed=True,
-            phase_cache=tmp_path / "phases",
+            packed=False,
+            phase_cache=store,
         )
-        assert out == _Result.models
-        assert captured["retries"] == 3
-        assert captured["retry_backoff"] == 0.0
-        assert captured["cell_timeout"] == 9.0
-        assert captured["fault_plan"] is plan
-        assert captured["output"] == tmp_path / "library.json"
-        assert captured["packed"] is True
-        assert captured["phase_cache"] == tmp_path / "phases"
+        manifest = json.loads(job.manifest_path.read_text())
+        assert manifest["retries"] == 2
+        assert manifest["cell_timeout"] == 1.0
+        assert manifest["fault_plan"] == plan.to_dict()
+        assert manifest["kwargs"]["packed"] is False
+        assert manifest["kwargs"]["phase_cache"] == str(store)
 
-
-class TestPoolErrorAbsorption:
-    """A failing worker's partial work (spans, counters) must merge into
-    the parent exactly like a successful one's."""
-
-    def test_failed_workers_ship_spans_and_metrics(self, library_cells):
-        # Every cell's defect loop dies on a defect naming a transistor
-        # that does not exist — but only after the golden run solved.
-        bad_universe = [Defect("bogus", "open", ("MZZ9", "drain"))]
-        with obs.scoped(
-            tracer=obs.Tracer(enabled=True),
-            metrics=obs.Metrics(),
-            events=obs.EventLog(obs.ListSink()),
-        ) as state:
-            with pytest.raises(LibraryGenerationError) as err:
-                generate_library(
-                    library_cells, processes=2, universe=bad_universe
-                )
-            spans = state.tracer.export()
-            golden_seconds = state.metrics.get(M_GOLDEN_SECONDS)
-        assert len(err.value.failures) == len(library_cells)
-        assert err.value.completed == {}
-        # The golden passes ran inside the workers before the failures
-        # (M_GOLDEN_SECONDS is recorded before the defect loop): their
-        # counters and spans must survive the error path.
-        assert golden_seconds > 0
-        golden_spans = [s for s in spans if s["name"] == "generate.golden"]
-        assert len(golden_spans) >= len(library_cells)
-        assert obs.orphan_parents(spans) == []
-        library_span = next(
-            s for s in spans if s["name"] == "camodel.generate_library"
-        )
-        worker_pids = {s["pid"] for s in golden_spans}
-        assert library_span["pid"] not in worker_pids
+        result = serve(run_dir, workers=1)
+        # fault_plan + retries: the broken cell fails 1 + 2 attempts
+        assert list(result.quarantined) == [broken]
+        assert [e["kind"] for e in result.quarantined[broken]] == [
+            "exception"
+        ] * 3
+        # cell_timeout: the hung attempt is stopped and retried
+        errors = RunLedger.load(run_dir).cells[hung]["errors"]
+        assert [e["kind"] for e in errors] == ["timeout"]
+        # packed=False: the scalar reference solver packs nothing
+        assert set(result.models) == {
+            c.name for c in library_cells if c.name != broken
+        }
+        for model in result.models.values():
+            assert model.stats.batched_phases == 0
+        # phase_cache: the workers solved through the on-disk store
+        assert list(store.glob("*.json"))
 
 
 class TestRunThroughput:
@@ -320,8 +268,6 @@ class TestCliPackedFlags:
                     str(tmp_path / "plain_run"),
                     "-o",
                     str(plain_out),
-                    "--retry-backoff",
-                    "0",
                 ]
             )
             == 0
@@ -335,8 +281,6 @@ class TestCliPackedFlags:
                     str(tmp_path / "packed_run"),
                     "-o",
                     str(packed_out),
-                    "--retry-backoff",
-                    "0",
                     "--phase-cache",
                     str(tmp_path / "phases"),
                 ]
@@ -354,11 +298,9 @@ class TestQuarantineResumeWithWarmStore:
         phase cache: the assembled library must match a clean plain run
         byte for byte."""
         baseline_dir = tmp_path / "baseline"
-        baseline = run_library(
-            library_cells,
-            run_dir=baseline_dir,
-            retry_backoff=0.0,
-            output=baseline_dir / "library.json",
+        submit_library(library_cells, run_dir=baseline_dir)
+        baseline = serve(
+            baseline_dir, workers=1, output=baseline_dir / "library.json"
         )
         assert baseline.complete
         baseline_bytes = (baseline_dir / "library.json").read_bytes()
@@ -367,27 +309,27 @@ class TestQuarantineResumeWithWarmStore:
         run_dir = tmp_path / "run"
         store = tmp_path / "phases"
         plan = FaultPlan([FaultRule(cell=victim, mode="raise")])
-        first = run_library(
+        submit_library(
             library_cells,
             run_dir=run_dir,
             retries=1,
-            retry_backoff=0.0,
             fault_plan=plan,
             packed=True,
             phase_cache=store,
-            output=run_dir / "library.json",
         )
+        first = serve(run_dir, workers=1, output=run_dir / "library.json")
         assert set(first.quarantined) == {victim}
         assert list(store.glob("*.json")), "first run must warm the store"
 
-        resumed = run_library(
+        submit_library(
             library_cells,
             run_dir=run_dir,
             resume=True,
-            retry_backoff=0.0,
             packed=True,
             phase_cache=store,
-            output=run_dir / "library.json",
+        )
+        resumed = serve(
+            run_dir, workers=1, resume=True, output=run_dir / "library.json"
         )
         assert resumed.complete
         assert (run_dir / "library.json").read_bytes() == baseline_bytes
