@@ -21,6 +21,7 @@ from repro.learning import (
     sample_rows,
     stack_group,
 )
+from repro.learning.forest import fit_per_tree
 from repro.library import SOI28, build_cell
 
 
@@ -128,21 +129,20 @@ def test_frontier_fit_speedup(bench_record, group_data):
 
     X, y, _, _ = group_data
 
-    def best_of(engine, rounds=3):
+    def best_of(fit, rounds=3):
         best = float("inf")
         clf = None
         for _ in range(rounds):
             clf = RandomForestClassifier(
-                n_estimators=20, max_features=0.5, random_state=0,
-                engine=engine,
+                n_estimators=20, max_features=0.5, random_state=0
             )
             start = time.perf_counter()
-            clf.fit(X, y)
+            fit(clf)
             best = min(best, time.perf_counter() - start)
         return best, clf
 
-    recursive_seconds, recursive = best_of("recursive")
-    frontier_seconds, frontier = best_of("frontier")
+    recursive_seconds, recursive = best_of(lambda clf: fit_per_tree(clf, X, y))
+    frontier_seconds, frontier = best_of(lambda clf: clf.fit(X, y))
 
     for a, b in zip(recursive.estimators_, frontier.estimators_):
         assert np.array_equal(a._feature, b._feature)

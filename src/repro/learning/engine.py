@@ -18,20 +18,19 @@ evaluates every tree of a forest together:
   is chunked so ``rows x candidate slots`` stays near one tree's root
   level.  Child ids, heap keys and the DFS-preorder renumbering come
   from per-level arrays (subtree sizes bottom-up, preorder offsets
-  top-down), never from a per-node Python loop.  A single
-  ``DecisionTreeClassifier(engine="frontier")`` is a one-tree call with
-  unit weights.
+  top-down), never from a per-node Python loop.
+  ``DecisionTreeClassifier.fit`` is a one-tree call with unit weights.
 
 * :class:`PackedForest` packs every estimator's flattened node arrays
   into one offset-indexed structure and runs a single level-synchronous
   descent over all ``(sample, tree)`` lanes with active-lane
-  compaction, replacing the per-tree Python loop of
-  ``RandomForestClassifier.predict_proba``.  Per-tree vote dispersion —
+  compaction, replacing the per-tree Python loop (kept as the oracle
+  ``repro.learning.forest.predict_proba_per_tree``).  Per-tree vote dispersion —
   the confidence signal for uncertainty-gated routing — comes out of
   the same descent for free.
 
-Grown forests are **byte-identical** to the recursive reference
-(``DecisionTreeClassifier(engine="recursive")`` on each bootstrap copy):
+Grown forests are **byte-identical** to the depth-first reference
+(``repro.learning.tree.fit_depth_first`` on each bootstrap copy):
 same features, thresholds, counts and DFS-preorder node numbering
 (``tests/test_learning_engine.py`` enforces it differentially).  That
 rests on four facts:
@@ -389,7 +388,7 @@ class GrownTree:
 
 
 def sum_over_classes(terms: np.ndarray, axis: int) -> np.ndarray:
-    """Sum the class *axis* strictly left to right (both growth engines).
+    """Sum the class *axis* strictly left to right (both growers).
 
     Adding an exact zero anywhere in a left-to-right sum changes
     nothing, so a class a tree never saw cannot move its Gini values,
@@ -523,7 +522,7 @@ def grow_forest(
     *y* must be integer-encoded class labels (``0 .. n_classes - 1``).
     ``weights[t, r]`` is how often tree ``t``'s sample holds row ``r``
     (its bootstrap multiplicity); ``None`` gives every tree every row
-    once.  Tree ``t`` equals the recursive reference grown on the rows
+    once.  Tree ``t`` equals the depth-first reference grown on the rows
     ``weights[t]`` selects, with base seed ``base_seeds[t]``.
     """
     X = np.ascontiguousarray(X)

@@ -5,7 +5,7 @@ Classifiers ... the Forest averages the responses of all Trees and outputs
 the class of the data sample."  Each tree is fitted on a bootstrap sample
 with a random feature subset considered per split.
 
-Throughput knobs (all identity-preserving):
+Throughput (all identity-preserving):
 
 * Growth is fused: every tree of the forest grows in one
   level-synchronous frontier (:func:`~repro.learning.engine.grow_forest`)
@@ -13,15 +13,15 @@ Throughput knobs (all identity-preserving):
   bootstrap multiplicity.  Per-tree seeds and bootstrap samples are
   drawn from the forest generator in exactly the serial order first,
   and a tree is a pure function of ``(bootstrap sample, seed)``, so the
-  forest equals per-tree fits of ``engine="recursive"`` on bootstrap
-  copies (the oracle ``engine="recursive"`` still runs).
+  forest equals the oracle :func:`fit_per_tree` (each tree grown
+  depth-first on its own bootstrap copy).
 * ``parallelism`` splits the trees into that many contiguous groups and
   grows each group on a process pool; the forest is byte-identical to a
-  serial fit.  (The recursive oracle always fits serially.)
+  serial fit.
 * Inference runs through the fused :class:`~repro.learning.engine.PackedForest`
-  by default — one level-synchronous descent over every
-  ``(sample, tree)`` lane instead of a per-tree Python loop — and is
-  bit-for-bit equal to the per-tree path (``predict_proba(packed=False)``).
+  — one level-synchronous descent over every ``(sample, tree)`` lane
+  instead of a per-tree Python loop — and is bit-for-bit equal to the
+  oracle :func:`predict_proba_per_tree`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro import obs
 from repro.learning.engine import M_FIT_SECONDS, GrownTree, PackedForest, grow_forest
-from repro.learning.tree import DecisionTreeClassifier
+from repro.learning.tree import DecisionTreeClassifier, fit_depth_first
 
 #: per-worker growth context installed by the pool initializer, so group
 #: payloads stay small (seeds + bootstrap weights, not the matrix)
@@ -73,7 +73,6 @@ class RandomForestClassifier:
         max_samples: Optional[float] = None,
         random_state: Optional[int] = None,
         parallelism: Optional[int] = None,
-        engine: str = "frontier",
     ) -> None:
         self.n_estimators = n_estimators
         self.max_depth = max_depth
@@ -83,7 +82,6 @@ class RandomForestClassifier:
         self.max_samples = max_samples
         self.random_state = random_state
         self.parallelism = parallelism
-        self.engine = engine
         self.estimators_: List[DecisionTreeClassifier] = []
         self.classes_: Optional[np.ndarray] = None
         self._packed: Optional[PackedForest] = None
@@ -93,15 +91,27 @@ class RandomForestClassifier:
             "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
             "max_features": self.max_features,
-            "engine": self.engine,
         }
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
+        started = time.perf_counter()
+        X, labels, trees, samples = self._draw(X, y)
+        if trees:
+            self._grow(trees, samples, X, labels)
+        self.estimators_ = trees
+        obs.metrics().observe(M_FIT_SECONDS, time.perf_counter() - started)
+        return self
+
+    def _draw(
+        self, X: np.ndarray, y: np.ndarray
+    ) -> Tuple[
+        np.ndarray, np.ndarray, List[DecisionTreeClassifier], List[np.ndarray]
+    ]:
+        """Reset the fit; returns ``(X, label codes, trees, bootstraps)``."""
         X = np.asarray(X)
         y = np.asarray(y)
         if len(X) != len(y):
             raise ValueError("X and y are misaligned")
-        started = time.perf_counter()
         rng = np.random.default_rng(self.random_state)
         self.classes_, encoded = np.unique(y, return_inverse=True)
         self.estimators_ = []
@@ -121,15 +131,7 @@ class RandomForestClassifier:
             )
             if self.bootstrap:
                 samples.append(rng.integers(0, n, size=sample_size))
-        if self.engine == "recursive":
-            for t, tree in enumerate(trees):
-                index = samples[t] if self.bootstrap else np.arange(n)
-                tree.fit(X[index], y[index])
-        elif trees:
-            self._grow(trees, samples, X, encoded.astype(np.int64))
-        self.estimators_ = trees
-        obs.metrics().observe(M_FIT_SECONDS, time.perf_counter() - started)
-        return self
+        return X, encoded.astype(np.int64), trees, samples
 
     def _grow(
         self,
@@ -188,22 +190,8 @@ class RandomForestClassifier:
             self._packed = PackedForest.from_forest(self)
         return self._packed
 
-    def predict_proba(
-        self, X: np.ndarray, *, packed: bool = True
-    ) -> np.ndarray:
-        if not self.estimators_:
-            raise RuntimeError("classifier is not fitted")
-        X = np.asarray(X)
-        if packed:
-            return self.packed_forest().predict_proba(X)
-        assert self.classes_ is not None
-        accumulated = np.zeros((len(X), len(self.classes_)))
-        for tree in self.estimators_:
-            proba = tree.predict_proba(X)
-            # align tree classes (a bootstrap can miss a class entirely)
-            columns = np.searchsorted(self.classes_, tree.classes_)
-            accumulated[:, columns] += proba
-        return accumulated / len(self.estimators_)
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        return self.packed_forest().predict_proba(np.asarray(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         proba = self.predict_proba(X)
@@ -224,3 +212,42 @@ class RandomForestClassifier:
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         """Mean accuracy, scikit-learn style."""
         return float((self.predict(X) == np.asarray(y)).mean())
+
+
+def fit_per_tree(
+    forest: RandomForestClassifier, X: np.ndarray, y: np.ndarray
+) -> RandomForestClassifier:
+    """Oracle: grow each tree depth-first on its own bootstrap copy.
+
+    Seeds and bootstraps are drawn exactly as :meth:`fit` draws them,
+    so the fused fit must serialize identically to this one.
+    """
+    X, _, trees, samples = forest._draw(X, y)
+    y = np.asarray(y)
+    for t, tree in enumerate(trees):
+        index = samples[t] if forest.bootstrap else np.arange(len(X))
+        fit_depth_first(tree, X[index], y[index])
+    forest.estimators_ = trees
+    return forest
+
+
+def predict_proba_per_tree(
+    forest: RandomForestClassifier, X: np.ndarray
+) -> np.ndarray:
+    """Oracle: average the trees' probabilities, one tree at a time.
+
+    The fused :class:`PackedForest` descent behind
+    :meth:`RandomForestClassifier.predict_proba` must equal it bit for
+    bit.
+    """
+    if not forest.estimators_:
+        raise RuntimeError("classifier is not fitted")
+    assert forest.classes_ is not None
+    X = np.asarray(X)
+    accumulated = np.zeros((len(X), len(forest.classes_)))
+    for tree in forest.estimators_:
+        proba = tree.predict_proba(X)
+        # align tree classes (a bootstrap can miss a class entirely)
+        columns = np.searchsorted(forest.classes_, tree.classes_)
+        accumulated[:, columns] += proba
+    return accumulated / len(forest.estimators_)

@@ -5,16 +5,15 @@ estimators are re-implemented.  The tree exploits a property of the
 CA-matrix: every feature is a small integer code, so exhaustive split
 search per feature is a bincount away and splits are exact.
 
-Two growth engines produce **node-for-node identical** trees:
-
-* ``engine="frontier"`` (default) — a one-tree, unit-weight call of the
-  fused level-synchronous grower
-  :func:`repro.learning.engine.grow_forest`: one flat histogram pass per
-  level over the whole frontier of open nodes, no recursion (deep
-  chain-shaped trees cannot hit the recursion limit).
-* ``engine="recursive"`` — the original depth-first reference, kept as
-  the oracle for the differential suite in
-  ``tests/test_learning_engine.py``.
+:meth:`DecisionTreeClassifier.fit` is a one-tree, unit-weight call of
+the fused level-synchronous grower
+:func:`repro.learning.engine.grow_forest`: one flat histogram pass per
+level over the whole frontier of open nodes, no recursion (deep
+chain-shaped trees cannot hit the recursion limit).
+:func:`fit_depth_first` is the original depth-first grower, kept only
+as the oracle the frontier must equal **node for node** (the
+differential suite in ``tests/test_learning_engine.py`` and the fit
+bench compare against it).
 
 Both draw each node's candidate-feature subset from a per-node
 generator keyed on the node's heap path
@@ -41,8 +40,6 @@ from repro.learning.engine import (
     sum_over_classes,
 )
 
-GROWTH_ENGINES = ("frontier", "recursive")
-
 
 @dataclass
 class _Node:
@@ -68,13 +65,7 @@ class DecisionTreeClassifier:
         min_samples_leaf: int = 1,
         max_features: Optional[object] = None,
         random_state: Optional[int] = None,
-        engine: str = "frontier",
     ) -> None:
-        if engine not in GROWTH_ENGINES:
-            raise ValueError(
-                f"unknown growth engine {engine!r}; expected one of "
-                f"{', '.join(GROWTH_ENGINES)}"
-            )
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         self.max_depth = max_depth
@@ -82,38 +73,22 @@ class DecisionTreeClassifier:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.engine = engine
         self._set_nodes([])
         self.classes_: Optional[np.ndarray] = None
         self.n_features_: int = 0
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
-        X = np.asarray(X)
-        y = np.asarray(y)
-        if X.ndim != 2 or len(X) != len(y):
-            raise ValueError("X must be 2-D and aligned with y")
-        if len(y) == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        classes, encoded = np.unique(y, return_inverse=True)
-        labels = encoded.astype(np.int64)
-        base_seed = self._start_fit(X.shape[1])
-        if self.engine == "recursive":
-            self.classes_ = classes
-            self._n_classes = len(classes)
-            nodes: List[_Node] = []
-            self._grow(nodes, X, labels, np.arange(len(y)), depth=0, path_key=1)
-            self._set_nodes(nodes)
-        else:
-            (grown,) = grow_forest(
-                X,
-                labels,
-                len(classes),
-                base_seeds=[base_seed],
-                weights=None,
-                **self._growth_params(),
-            )
-            self._adopt(grown, classes)
+        X, classes, labels = _encode(X, y)
+        (grown,) = grow_forest(
+            X,
+            labels,
+            len(classes),
+            base_seeds=[self._start_fit(X.shape[1])],
+            weights=None,
+            **self._growth_params(),
+        )
+        self._adopt(grown, classes)
         return self
 
     def _start_fit(self, n_features: int) -> int:
@@ -166,7 +141,7 @@ class DecisionTreeClassifier:
         self._counts = counts
 
     def _set_nodes(self, nodes: List[_Node]) -> None:
-        """Install the recursive builder's node objects as flat arrays."""
+        """Install the depth-first grower's node objects as flat arrays."""
         self._set_arrays(
             np.array([node.feature for node in nodes], dtype=np.int64),
             np.array([node.threshold for node in nodes], dtype=np.float64),
@@ -185,98 +160,6 @@ class DecisionTreeClassifier:
         if isinstance(self.max_features, float):
             return max(1, int(self.max_features * self.n_features_))
         return min(self.n_features_, int(self.max_features))
-
-    def _grow(
-        self,
-        nodes: List[_Node],
-        X: np.ndarray,
-        y: np.ndarray,
-        index: np.ndarray,
-        depth: int,
-        path_key: int = 1,
-    ) -> int:
-        node_id = len(nodes)
-        node = _Node()
-        nodes.append(node)
-        labels = y[index]
-        counts = np.bincount(labels, minlength=self._n_classes).astype(np.float64)
-        node.counts = counts
-
-        if (
-            len(index) < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or counts.max() == counts.sum()
-        ):
-            return node_id
-
-        split = self._best_split(X, y, index, path_key)
-        if split is None:
-            return node_id
-        feature, threshold = split
-        mask = X[index, feature] <= threshold
-        left_index = index[mask]
-        right_index = index[~mask]
-        if len(left_index) < self.min_samples_leaf or len(right_index) < self.min_samples_leaf:
-            return node_id
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(nodes, X, y, left_index, depth + 1, 2 * path_key)
-        node.right = self._grow(
-            nodes, X, y, right_index, depth + 1, 2 * path_key + 1
-        )
-        return node_id
-
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, index: np.ndarray, path_key: int
-    ) -> Optional[Tuple[int, float]]:
-        n = len(index)
-        labels = y[index]
-        candidates = candidate_features(
-            self._base_seed,
-            path_key,
-            self.n_features_,
-            self._n_candidate_features(),
-        )
-        best_score = np.inf
-        best: Optional[Tuple[int, float]] = None
-        min_leaf = self.min_samples_leaf
-        for feature in candidates:
-            column = X[index, feature].astype(np.int64)
-            low = column.min()
-            span = int(column.max() - low)
-            if span == 0:
-                continue
-            shifted = column - low
-            # per-value class histogram in one bincount
-            flat = shifted * self._n_classes + labels
-            histogram = np.bincount(
-                flat, minlength=(span + 1) * self._n_classes
-            ).reshape(span + 1, self._n_classes)
-            prefix = histogram.cumsum(axis=0)[:-1]  # candidate left partitions
-            left_totals = prefix.sum(axis=1)
-            right_totals = n - left_totals
-            valid = (left_totals >= min_leaf) & (right_totals >= min_leaf)
-            if not valid.any():
-                continue
-            total = prefix[-1] + histogram[-1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gini_left = 1.0 - sum_over_classes(
-                    (prefix / left_totals[:, None]) ** 2, axis=1
-                )
-                right_counts = total[None, :] - prefix
-                gini_right = 1.0 - sum_over_classes(
-                    (right_counts / right_totals[:, None]) ** 2, axis=1
-                )
-            weighted = (left_totals * gini_left + right_totals * gini_right) / n
-            weighted[~valid] = np.inf
-            k = int(np.argmin(weighted))
-            if weighted[k] < best_score:
-                best_score = weighted[k]
-                best = (int(feature), float(low + k + 0.5))
-        # Zero-gain splits are allowed (XOR-style regions need them to make
-        # progress); termination is guaranteed because both sides of a
-        # valid split are non-empty.
-        return best
 
     # ------------------------------------------------------------------
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -325,3 +208,133 @@ class DecisionTreeClassifier:
             if left[node_id] >= 0:
                 below[node_id] = 1 + max(below[left[node_id]], below[right[node_id]])
         return below[0]
+
+
+def _encode(
+    X: np.ndarray, y: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a training set; returns ``(X, classes, label codes)``."""
+    X = np.asarray(X)
+    y = np.asarray(y)
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError("X must be 2-D and aligned with y")
+    if len(y) == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    classes, encoded = np.unique(y, return_inverse=True)
+    return X, classes, encoded.astype(np.int64)
+
+
+def fit_depth_first(
+    tree: DecisionTreeClassifier, X: np.ndarray, y: np.ndarray
+) -> DecisionTreeClassifier:
+    """Oracle: fit *tree* with the recursive depth-first grower.
+
+    :meth:`DecisionTreeClassifier.fit` must produce the same tree node
+    for node; tests and benches compare against this reference.
+    """
+    X, classes, labels = _encode(X, y)
+    tree._start_fit(X.shape[1])
+    tree.classes_ = classes
+    tree._n_classes = len(classes)
+    nodes: List[_Node] = []
+    _grow_depth_first(tree, nodes, X, labels, np.arange(len(labels)), 0, 1)
+    tree._set_nodes(nodes)
+    return tree
+
+
+def _grow_depth_first(
+    tree: DecisionTreeClassifier,
+    nodes: List[_Node],
+    X: np.ndarray,
+    y: np.ndarray,
+    index: np.ndarray,
+    depth: int,
+    path_key: int = 1,
+) -> int:
+    node_id = len(nodes)
+    node = _Node()
+    nodes.append(node)
+    labels = y[index]
+    counts = np.bincount(labels, minlength=tree._n_classes).astype(np.float64)
+    node.counts = counts
+
+    if (
+        len(index) < tree.min_samples_split
+        or (tree.max_depth is not None and depth >= tree.max_depth)
+        or counts.max() == counts.sum()
+    ):
+        return node_id
+
+    split = _best_split(tree, X, y, index, path_key)
+    if split is None:
+        return node_id
+    feature, threshold = split
+    mask = X[index, feature] <= threshold
+    left_index = index[mask]
+    right_index = index[~mask]
+    if len(left_index) < tree.min_samples_leaf or len(right_index) < tree.min_samples_leaf:
+        return node_id
+    node.feature = feature
+    node.threshold = threshold
+    node.left = _grow_depth_first(tree, nodes, X, y, left_index, depth + 1, 2 * path_key)
+    node.right = _grow_depth_first(
+        tree, nodes, X, y, right_index, depth + 1, 2 * path_key + 1
+    )
+    return node_id
+
+
+def _best_split(
+    tree: DecisionTreeClassifier,
+    X: np.ndarray,
+    y: np.ndarray,
+    index: np.ndarray,
+    path_key: int,
+) -> Optional[Tuple[int, float]]:
+    n = len(index)
+    labels = y[index]
+    candidates = candidate_features(
+        tree._base_seed,
+        path_key,
+        tree.n_features_,
+        tree._n_candidate_features(),
+    )
+    best_score = np.inf
+    best: Optional[Tuple[int, float]] = None
+    min_leaf = tree.min_samples_leaf
+    for feature in candidates:
+        column = X[index, feature].astype(np.int64)
+        low = column.min()
+        span = int(column.max() - low)
+        if span == 0:
+            continue
+        shifted = column - low
+        # per-value class histogram in one bincount
+        flat = shifted * tree._n_classes + labels
+        histogram = np.bincount(
+            flat, minlength=(span + 1) * tree._n_classes
+        ).reshape(span + 1, tree._n_classes)
+        prefix = histogram.cumsum(axis=0)[:-1]  # candidate left partitions
+        left_totals = prefix.sum(axis=1)
+        right_totals = n - left_totals
+        valid = (left_totals >= min_leaf) & (right_totals >= min_leaf)
+        if not valid.any():
+            continue
+        total = prefix[-1] + histogram[-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gini_left = 1.0 - sum_over_classes(
+                (prefix / left_totals[:, None]) ** 2, axis=1
+            )
+            right_counts = total[None, :] - prefix
+            gini_right = 1.0 - sum_over_classes(
+                (right_counts / right_totals[:, None]) ** 2, axis=1
+            )
+        weighted = (left_totals * gini_left + right_totals * gini_right) / n
+        weighted[~valid] = np.inf
+        k = int(np.argmin(weighted))
+        if weighted[k] < best_score:
+            best_score = weighted[k]
+            best = (int(feature), float(low + k + 0.5))
+    # Zero-gain splits are allowed (XOR-style regions need them to make
+    # progress); termination is guaranteed because both sides of a
+    # valid split are non-empty.
+    return best

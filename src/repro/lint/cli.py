@@ -7,10 +7,9 @@ JSON/SARIF reporter produced it, with no obs indirection);
 ``--timings`` writes its one stats line to stderr so the stdout
 JSON/SARIF contract is unchanged.
 
-``--program`` adds the whole-program pack (RPL101..RPL106, see
-:mod:`repro.lint.program`) to the run: one merged report, one SARIF,
-one baseline — program findings ride the same machinery as per-file
-ones.
+Every run is whole-program: the module-local rules and the
+whole-program rules (RPL101..RPL106, see :mod:`repro.lint.program`)
+share one registry, one report, one SARIF and one baseline.
 """
 
 from __future__ import annotations
@@ -18,11 +17,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.config import LintConfig
-from repro.lint.engine import all_rules, get_rule, run_lint, select_rules
+from repro.lint.driver import DEFAULT_CACHE_DIR, run_lint
+from repro.lint.engine import all_rules, get_rule, select_rules
 from repro.lint.reporters import render
 
 USAGE_ERROR = 2
@@ -45,13 +45,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--select",
         action="append",
-        metavar="RPL0xx",
+        metavar="RPLnnn",
         help="run only these rule ids (repeatable, comma-separated ok)",
     )
     parser.add_argument(
         "--ignore",
         action="append",
-        metavar="RPL0xx",
+        metavar="RPLnnn",
         help="skip these rule ids (repeatable, comma-separated ok)",
     )
     parser.add_argument(
@@ -71,13 +71,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--explain",
-        metavar="RPL0xx",
+        metavar="RPLnnn",
         help="print one rule's full rationale and exit",
-    )
-    parser.add_argument(
-        "--program",
-        action="store_true",
-        help="also run the whole-program pack (RPL101..RPL106)",
     )
     parser.add_argument(
         "--jobs",
@@ -89,13 +84,12 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="program-analysis cache directory "
-        "(default: .reprolint-cache)",
+        help=f"analysis cache directory (default: {DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the program-analysis cache for this run",
+        help="disable the analysis cache for this run",
     )
     parser.add_argument(
         "--timings",
@@ -113,35 +107,10 @@ def _split_ids(values: Optional[List[str]]) -> Optional[List[str]]:
     return out
 
 
-def _split_selection(
-    ids: Optional[List[str]], program: bool
-) -> Tuple[Optional[List[str]], Optional[List[str]]]:
-    """Split rule ids between the per-file and program registries."""
-    from repro.lint.program.rules import program_rules
-
-    if ids is None:
-        return None, None
-    perfile_known = {r.id for r in all_rules()}
-    program_known = {r.id for r in program_rules()}
-    perfile = [i for i in ids if i in perfile_known]
-    prog = [i for i in ids if i in program_known]
-    unknown = [i for i in ids if i not in perfile_known | program_known]
-    if unknown:
-        raise ValueError(f"unknown rule ids: {', '.join(sorted(unknown))}")
-    if prog and not program:
-        raise ValueError(
-            f"rule ids {', '.join(sorted(prog))} belong to the "
-            "whole-program pack; pass --program"
-        )
-    return perfile, prog
-
-
 def run(args: argparse.Namespace) -> int:
-    from repro.lint.program.rules import program_rules
-
     out = sys.stdout
     if args.list_rules:
-        for rule in list(all_rules()) + list(program_rules()):
+        for rule in all_rules():
             out.write(f"{rule.id}  {rule.name:<24} {rule.summary}\n")
         return 0
     if args.explain:
@@ -153,13 +122,7 @@ def run(args: argparse.Namespace) -> int:
         out.write(rule.rationale + "\n")
         return 0
     try:
-        select_perfile, select_prog = _split_selection(
-            _split_ids(args.select), args.program
-        )
-        ignore_perfile, ignore_prog = _split_selection(
-            _split_ids(args.ignore), args.program
-        )
-        rules = select_rules(select_perfile, ignore_perfile)
+        rules = select_rules(_split_ids(args.select), _split_ids(args.ignore))
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
@@ -167,36 +130,15 @@ def run(args: argparse.Namespace) -> int:
     if missing:
         sys.stderr.write(f"error: no such path: {', '.join(missing)}\n")
         return USAGE_ERROR
-    config = LintConfig()
-    report_rules = list(rules)
-    if args.program:
-        from repro.lint.program.driver import (
-            DEFAULT_CACHE_DIR,
-            run_program_lint,
-        )
-
-        prog_ids = [
-            r.id
-            for r in program_rules()
-            if (select_prog is None or r.id in set(select_prog))
-            and (not ignore_prog or r.id not in set(ignore_prog))
-        ]
-        findings, stats = run_program_lint(
-            [Path(p) for p in args.paths],
-            rules,
-            config,
-            program_rule_ids=prog_ids,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
-            use_cache=not args.no_cache,
-        )
-        report_rules += [r for r in program_rules() if r.id in set(prog_ids)]
-        if args.timings:
-            sys.stderr.write(stats.render() + "\n")
-    else:
-        findings = run_lint(
-            [Path(p) for p in args.paths], rules, config, jobs=args.jobs
-        )
+    findings, stats = run_lint(
+        [Path(p) for p in args.paths],
+        rules,
+        LintConfig(),
+        jobs=args.jobs,
+        cache_dir=None if args.no_cache else args.cache_dir or DEFAULT_CACHE_DIR,
+    )
+    if args.timings:
+        sys.stderr.write(stats.render() + "\n")
     if args.write_baseline:
         path = write_baseline(args.write_baseline, findings)
         out.write(
@@ -211,7 +153,7 @@ def run(args: argparse.Namespace) -> int:
             sys.stderr.write(f"error: cannot read baseline: {exc}\n")
             return USAGE_ERROR
         findings, baselined = apply_baseline(findings, fingerprints)
-    report = render(findings, report_rules, args.fmt)
+    report = render(findings, rules, args.fmt)
     if report:
         out.write(report + "\n")
     if args.fmt == "text" and baselined:

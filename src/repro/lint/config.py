@@ -1,19 +1,16 @@
 """Lint configuration: path scopes and allowlists for the rule pack.
 
 The defaults encode *this repository's* invariants — which modules
-construct canonical artifacts, which console sinks may print, which
-function is the one sanctioned atomic writer.  Patterns are matched
-with :func:`fnmatch.fnmatch` against the posix form of each file's
-path, so ``*/resilience/*`` scopes both ``src/repro/resilience/...``
-in a real run and ``tests/lint_corpus/resilience/...`` in the fixture
-corpus (the corpus mirrors the scoped directory names on purpose).
+construct canonical artifacts, which modules write run directories,
+which console sinks may print.  Patterns are matched with
+:func:`fnmatch.fnmatch` against the posix form of each file's path, so
+``*/resilience/*`` scopes both ``src/repro/resilience/...`` in a real
+run and ``tests/lint_corpus/resilience/...`` in the fixture corpus (the
+corpus mirrors the scoped directory names on purpose).
 
-Site allowlists use ``<path-pattern>::<qualname>`` — e.g.
-``*/repro/atomic.py::write_text_atomic`` sanctions the raw write inside
-the one blessed atomic-writer implementation.  The whole-program pack
-(``repro.lint.program``) deliberately has *no* site allowlists: its
-fields below declare semantic roles (sinks, sanitizers, protocol
-parties) and the dataflow engine proves what reaches them.
+There are deliberately *no* site allowlists: the fields below scope
+modules or declare semantic roles (sinks, sanitizers, protocol
+parties), and the dataflow engine proves what reaches them.
 """
 
 from __future__ import annotations
@@ -26,26 +23,6 @@ from typing import Tuple
 def match_path(path: str, pattern: str) -> bool:
     """fnmatch on posix paths, also accepting bare-suffix patterns."""
     return fnmatch(path, pattern) or fnmatch(path, "*/" + pattern)
-
-
-def site_allowed(
-    path: str, qualname: str, allowlist: Tuple[str, ...]
-) -> bool:
-    """True when ``path::qualname`` matches a sanctioned-site entry.
-
-    Used for *implementation* roles (the atomic writer helpers are the
-    one place allowed to write non-atomically).  The qualname side
-    matches exactly, or as a prefix so nested helpers are covered.
-    """
-    for entry in allowlist:
-        pattern, _, allowed_qual = entry.partition("::")
-        if not match_path(path, pattern):
-            continue
-        if not allowed_qual or qualname == allowed_qual:
-            return True
-        if qualname.startswith(allowed_qual + "."):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -69,13 +46,12 @@ class LintConfig:
     # -- RPL003 unseeded-random ------------------------------------------
     #: nothing to configure: seeded generator objects are always the fix
 
-    # -- RPL004 wall-clock -----------------------------------------------
-    #: modules reachable from canonical-artifact construction.  The
-    #: ledger is deliberately *not* listed: the whole-program pack's
-    #: RPL101 tracks its wall-clock reads by dataflow instead, and has
-    #: proven that ``RunLedger.open``'s ``created`` stamp only ever
-    #: reaches ``ledger.json`` (not canonical) — the old
-    #: ``RunLedger.open`` site allowlist is retired.
+    # -- RPL101 taint-into-artifacts (direct sites) -----------------------
+    #: modules that build canonical artifacts: every wall-clock read in
+    #: them is flagged.  The ledger is deliberately *not* listed: its
+    #: wall-clock reads are tracked by dataflow instead, which proves
+    #: that ``RunLedger.open``'s ``created`` stamp only ever reaches
+    #: ``ledger.json`` (not canonical).
     wallclock_paths: Tuple[str, ...] = (
         "*/camodel/io.py",
         "*/camodel/merge.py",
@@ -83,8 +59,9 @@ class LintConfig:
         "*/experiments/cache.py",
     )
 
-    # -- RPL005 atomic-write ---------------------------------------------
-    #: run-dir / artifact code paths where every write must be atomic
+    # -- RPL102 reachable-raw-write ---------------------------------------
+    #: run-dir / artifact code paths where every write must be atomic,
+    #: in the module itself and in any helper it calls
     atomic_paths: Tuple[str, ...] = (
         "*/resilience/*",
         "*/camodel/io.py",
@@ -92,24 +69,21 @@ class LintConfig:
         "*/obs/store.py",
         "*/service/*",
     )
-    #: the sanctioned atomic writer implementations
-    atomic_writers: Tuple[str, ...] = ("*/repro/atomic.py::write_text_atomic",)
 
-    # -- RPL007 payload-open-handles -------------------------------------
+    # -- RPL103 transitive-picklability ----------------------------------
     #: dataclasses treated as cross-process worker payloads
     payload_suffixes: Tuple[str, ...] = ("Payload", "WorkItem")
 
     # ---------------------------------------------------------------
-    # Whole-program pack (RPL101..RPL106).  These are *semantic role
-    # declarations* — which callables hash content, sanitize taint, or
-    # commit artifacts — not violation allowlists; the dataflow engine
-    # decides what actually reaches them.  Patterns are fnmatch globs
-    # over dotted callable names as resolved by the project graph
-    # (``repro.service.worker.commit_artifact``), so corpus fixtures
-    # match via the ``*.`` prefix.
+    # Semantic role declarations — which callables hash content,
+    # sanitize taint, or commit artifacts — not violation allowlists;
+    # the dataflow engine decides what actually reaches them.  Patterns
+    # are fnmatch globs over dotted callable names as resolved by the
+    # project graph (``repro.service.worker.commit_artifact``), so
+    # corpus fixtures match via the ``*.`` prefix.
     # ---------------------------------------------------------------
 
-    # -- RPL101 taint-into-artifacts --------------------------------------
+    # -- RPL101 taint-into-artifacts (flows) ------------------------------
     #: content-hash sinks: tainted bytes here poison content keys
     taint_hash_sinks: Tuple[str, ...] = (
         "hashlib.sha256",

@@ -1,11 +1,15 @@
-"""Rule registry and per-file analysis driver.
+"""The parsed-module view, the rule base class and the one rule registry.
 
-One :class:`ModuleUnit` is parsed per file and shared by every rule, so
-a lint run costs one ``ast.parse`` per module regardless of how many
-rules are selected.  Suppressions are handled here, uniformly for all
-rules: a ``# reprolint: disable=RPL001`` (comma-separated ids, or
-``all``) comment suppresses findings of those rules on its physical
-line, ``# reprolint: disable-next-line=...`` on the following line, and
+One :class:`ModuleUnit` is built per file: it parses the source once,
+tokenizes it once for suppression comments and scans the module-level
+tables (imports, string constants, nested functions).  The driver
+(:mod:`repro.lint.driver`) hands that one unit to the module-local
+rules and to fact extraction for the whole-program rules.
+
+Suppressions are handled uniformly for every rule: a
+``# reprolint: disable=RPL001`` (comma-separated ids, or ``all``)
+comment suppresses findings of those rules on its physical line,
+``# reprolint: disable-next-line=...`` on the following line, and
 ``# reprolint: disable-file=...`` anywhere in the file suppresses the
 whole file.  For multi-line statements, a suppression on the line where
 the violating *node* starts also applies.
@@ -18,12 +22,26 @@ import io
 import re
 import tokenize
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.lint.config import LintConfig, match_path
-from repro.lint.findings import Finding, number_occurrences
+from repro.lint.config import LintConfig
+from repro.lint.findings import Finding
 
-#: ``# reprolint: disable=RPL001,RPL005`` (also disable-next-line / disable-file)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lint.program.dataflow import Analysis
+
+#: ``# reprolint: disable=RPL001,RPL102`` (also disable-next-line / disable-file)
 _SUPPRESS = re.compile(
     r"#\s*reprolint:\s*(disable(?:-next-line|-file)?)\s*=\s*"
     r"([A-Za-z0-9_,\s]+)"
@@ -32,13 +50,60 @@ _SUPPRESS = re.compile(
 PARSE_ERROR_ID = "RPL000"
 
 
-class ModuleUnit:
-    """One parsed source file plus the derived tables rules share."""
+def scan_suppressions(text: str) -> Tuple[Dict[str, List[str]], List[str]]:
+    """Suppression tables from the comment tokens of *text*.
 
-    def __init__(self, path: Path, display_path: str, text: str):
-        self.path = path
+    Returns ``(line -> rule ids, file-level rule ids)`` with stringified
+    line keys, so the tables survive a JSON cache round-trip unchanged.
+    Tokenizing (rather than regex-scanning raw lines) is what keeps a
+    directive *inside a string literal or docstring* from acting as a
+    suppression.  Tokenization can fail where parsing would too (the
+    file then only gets RPL000) — comments seen before the error still
+    count.
+    """
+    suppressed: Dict[str, List[str]] = {}
+    file_suppressed: Set[str] = set()
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type != tokenize.COMMENT:
+                continue
+            match = _SUPPRESS.search(tok.string)
+            if not match:
+                continue
+            kind = match.group(1)
+            ids = {p.strip() for p in match.group(2).split(",") if p.strip()}
+            if kind == "disable-file":
+                file_suppressed |= ids
+                continue
+            line = tok.start[0] + (1 if kind == "disable-next-line" else 0)
+            bucket = suppressed.setdefault(str(line), [])
+            bucket.extend(sorted(ids - set(bucket)))
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        pass
+    return suppressed, sorted(file_suppressed)
+
+
+def is_suppressed(
+    suppressed: Mapping[str, Sequence[str]],
+    file_suppressed: Sequence[str],
+    rule_id: str,
+    line: int,
+) -> bool:
+    """True when a directive silences *rule_id* on *line*."""
+    if "all" in file_suppressed or rule_id in file_suppressed:
+        return True
+    ids = suppressed.get(str(line)) or ()
+    return "all" in ids or rule_id in ids
+
+
+class ModuleUnit:
+    """One parsed source file plus the module tables rules share."""
+
+    def __init__(self, display_path: str, text: str, module_name: str = ""):
         #: path as reported in findings (posix, as given on the CLI)
         self.display_path = display_path
+        #: dotted module name (resolves relative imports)
+        self.module_name = module_name
         self.text = text
         self.lines: List[str] = text.splitlines()
         self.tree: Optional[ast.Module] = None
@@ -47,87 +112,54 @@ class ModuleUnit:
             self.tree = ast.parse(text)
         except SyntaxError as exc:
             self.parse_error = exc
-        #: line -> set of rule ids (or {'all'}) suppressed on that line
-        self.suppressed: Dict[int, Set[str]] = {}
-        #: rule ids (or {'all'}) suppressed for the whole file
-        self.file_suppressed: Set[str] = set()
-        self._scan_suppressions()
-        #: import alias -> dotted module name ("np" -> "numpy")
-        self.import_aliases: Dict[str, str] = {}
-        #: imported-from names: local name -> "module.name"
-        self.from_imports: Dict[str, str] = {}
+        self.suppressed, self.file_suppressed = scan_suppressions(text)
+        #: local name -> dotted target, for both import styles
+        #: ("np" -> "numpy", "datetime" -> "datetime.datetime")
+        self.imports: Dict[str, str] = {}
+        #: local names bound by a plain ``import`` (to a module)
+        self.module_aliases: Set[str] = set()
+        #: dotted modules this module imports (project-graph edges)
+        self.import_modules: Set[str] = set()
         #: module-level NAME = "string constant" assignments
-        self.str_constants: Dict[str, str] = {}
+        self.constants: Dict[str, str] = {}
         #: names of functions defined *inside* another function (unpicklable
         #: as pool entry points), plus names bound to lambdas at any level
         self.nested_functions: Set[str] = set()
         self.lambda_names: Set[str] = set()
         if self.tree is not None:
-            self._scan_module()
+            self._scan_module(self.tree)
 
-    # ------------------------------------------------------------------
-    def _iter_comment_tokens(self) -> Iterator[Tuple[int, str]]:
-        """Yield ``(line, comment_text)`` for real comment tokens only.
-
-        Tokenizing (rather than regex-scanning raw lines) is what keeps a
-        ``# reprolint: disable=...`` *inside a string literal or docstring*
-        from acting as a suppression.  Tokenization can fail where parsing
-        would too (the file then only gets RPL000, so nothing is lost) —
-        comments seen before the error still count.
-        """
-        try:
-            for tok in tokenize.generate_tokens(
-                io.StringIO(self.text).readline
-            ):
-                if tok.type == tokenize.COMMENT:
-                    yield tok.start[0], tok.string
-        except (tokenize.TokenError, IndentationError, SyntaxError):
-            return
-
-    def _scan_suppressions(self) -> None:
-        for number, comment in self._iter_comment_tokens():
-            match = _SUPPRESS.search(comment)
-            if not match:
-                continue
-            kind = match.group(1)
-            ids = {
-                part.strip()
-                for part in match.group(2).split(",")
-                if part.strip()
-            }
-            if kind == "disable-file":
-                self.file_suppressed |= ids
-            elif kind == "disable-next-line":
-                self.suppressed.setdefault(number + 1, set()).update(ids)
-            else:
-                self.suppressed.setdefault(number, set()).update(ids)
-
-    def _scan_module(self) -> None:
-        assert self.tree is not None
-        for node in ast.walk(self.tree):
+    def _scan_module(self, tree: ast.Module) -> None:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.asname:
-                        self.import_aliases[alias.asname] = alias.name
-                    else:
-                        root = alias.name.split(".")[0]
-                        self.import_aliases[root] = root
-            elif isinstance(node, ast.ImportFrom) and node.module:
+                    self.import_modules.add(alias.name)
+                    # ``import a.b`` binds ``a``; ``import a.b as c`` binds a.b
+                    local = alias.asname or alias.name.split(".")[0]
+                    self.imports[local] = alias.name if alias.asname else local
+                    self.module_aliases.add(local)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level:
+                    # relative import: resolve against our package
+                    base = self.module_name.split(".")
+                    prefix = ".".join(base[: len(base) - node.level])
+                    module = f"{prefix}.{module}" if module else prefix
+                if not module:
+                    continue
+                self.import_modules.add(module)
                 for alias in node.names:
-                    self.from_imports[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
+                    self.imports[alias.asname or alias.name] = (
+                        f"{module}.{alias.name}"
                     )
-            elif isinstance(node, ast.FunctionDef) or isinstance(
-                node, ast.AsyncFunctionDef
-            ):
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for inner in ast.walk(node):
-                    if inner is node:
-                        continue
-                    if isinstance(
+                    if inner is not node and isinstance(
                         inner, (ast.FunctionDef, ast.AsyncFunctionDef)
                     ):
                         self.nested_functions.add(inner.name)
-        for stmt in self.tree.body:
+        self.import_modules.discard(self.module_name)
+        for stmt in tree.body:
             if (
                 isinstance(stmt, ast.Assign)
                 and len(stmt.targets) == 1
@@ -136,7 +168,7 @@ class ModuleUnit:
                 if isinstance(stmt.value, ast.Constant) and isinstance(
                     stmt.value.value, str
                 ):
-                    self.str_constants[stmt.targets[0].id] = stmt.value.value
+                    self.constants[stmt.targets[0].id] = stmt.value.value
                 elif isinstance(stmt.value, ast.Lambda):
                     self.lambda_names.add(stmt.targets[0].id)
 
@@ -144,8 +176,8 @@ class ModuleUnit:
     def dotted_name(self, node: ast.AST) -> Optional[str]:
         """Resolve ``np.random.rand`` -> ``numpy.random.rand`` (or None).
 
-        Import aliases are expanded at the root; ``from x import y``
-        names resolve through :attr:`from_imports`.
+        The root name expands through :attr:`imports`; an unbound root
+        stays as written.
         """
         parts: List[str] = []
         while isinstance(node, ast.Attribute):
@@ -153,9 +185,7 @@ class ModuleUnit:
             node = node.value
         if not isinstance(node, ast.Name):
             return None
-        root = node.id
-        root = self.from_imports.get(root, self.import_aliases.get(root, root))
-        parts.append(root)
+        parts.append(self.imports.get(node.id, node.id))
         return ".".join(reversed(parts))
 
     def resolve_str_arg(self, node: ast.AST) -> Optional[str]:
@@ -163,7 +193,7 @@ class ModuleUnit:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             return node.value
         if isinstance(node, ast.Name):
-            return self.str_constants.get(node.id)
+            return self.constants.get(node.id)
         return None
 
     def line_text(self, line: int) -> str:
@@ -171,24 +201,30 @@ class ModuleUnit:
             return self.lines[line - 1]
         return ""
 
-    def is_suppressed(self, rule_id: str, line: int) -> bool:
-        if "all" in self.file_suppressed or rule_id in self.file_suppressed:
-            return True
-        ids = self.suppressed.get(line)
-        return bool(ids) and ("all" in ids or rule_id in ids)
-
 
 class Rule:
-    """Base class: subclasses set the metadata and implement :meth:`check`."""
+    """Base class of every rule: set the metadata, implement one check.
+
+    A module-local rule implements :meth:`check` over one
+    :class:`ModuleUnit`.  A whole-program rule sets ``program = True``
+    and implements :meth:`check_program` over the dataflow
+    :class:`~repro.lint.program.dataflow.Analysis`; the driver builds
+    that analysis only when a selected rule needs it.
+    """
 
     id: str = ""
     name: str = ""
     summary: str = ""
     #: longer rationale rendered by ``--explain`` and docs
     rationale: str = ""
+    #: True when the rule consumes the whole-program analysis
+    program: bool = False
 
     def check(self, unit: ModuleUnit, config: LintConfig) -> Iterator[Finding]:
-        raise NotImplementedError
+        return iter(())
+
+    def check_program(self, analysis: "Analysis") -> Iterator[Finding]:
+        return iter(())
 
     # ------------------------------------------------------------------
     def finding(
@@ -199,15 +235,32 @@ class Rule:
         extra: Optional[Dict[str, object]] = None,
     ) -> Finding:
         line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0) + 1
+        return self.finding_at(
+            unit.display_path,
+            line,
+            getattr(node, "col_offset", 0) + 1,
+            message,
+            unit.line_text(line),
+            extra,
+        )
+
+    def finding_at(
+        self,
+        path: str,
+        line: int,
+        col: int,
+        message: str,
+        line_text: str,
+        extra: Optional[Dict[str, object]] = None,
+    ) -> Finding:
         return Finding(
             rule_id=self.id,
             rule_name=self.name,
-            path=unit.display_path,
+            path=path,
             line=line,
             col=col,
             message=message,
-            line_text=unit.line_text(line).strip(),
+            line_text=line_text.strip(),
             extra=extra,
         )
 
@@ -227,22 +280,15 @@ def register(rule_cls: type) -> type:
 
 
 def all_rules() -> List[Rule]:
-    """Registered rules, ordered by id (imports the rule pack lazily)."""
+    """Registered rules, ordered by id (imports the rule packs lazily)."""
     from repro.lint import rules  # noqa: F401  (registration side effect)
+    from repro.lint.program import rules as program_rules  # noqa: F401
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
 
 
 def get_rule(rule_id: str) -> Optional[Rule]:
-    """Look up a rule in the per-file registry, then the program pack."""
-    from repro.lint import rules  # noqa: F401
-
-    rule = _REGISTRY.get(rule_id)
-    if rule is not None:
-        return rule
-    from repro.lint.program.rules import get_program_rule
-
-    return get_program_rule(rule_id)  # type: ignore[return-value]
+    return next((r for r in all_rules() if r.id == rule_id), None)
 
 
 def select_rules(
@@ -250,26 +296,16 @@ def select_rules(
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Rule]:
     chosen = all_rules()
-    # [] is a real selection (e.g. --select RPL104 picks only program
-    # rules, leaving zero per-file ones); only None means "everything"
+    known = {r.id for r in chosen}
+    unknown = (set(select or ()) | set(ignore or ())) - known
+    if unknown:
+        raise ValueError(f"unknown rule ids: {', '.join(sorted(unknown))}")
     if select is not None:
-        wanted = set(select)
-        unknown = wanted - {r.id for r in chosen}
-        if unknown:
-            raise ValueError(f"unknown rule ids: {', '.join(sorted(unknown))}")
-        chosen = [r for r in chosen if r.id in wanted]
+        chosen = [r for r in chosen if r.id in set(select)]
     if ignore:
-        dropped = set(ignore)
-        unknown = dropped - {r.id for r in all_rules()}
-        if unknown:
-            raise ValueError(f"unknown rule ids: {', '.join(sorted(unknown))}")
-        chosen = [r for r in chosen if r.id not in dropped]
+        chosen = [r for r in chosen if r.id not in set(ignore)]
     return chosen
 
-
-# ----------------------------------------------------------------------
-# Driver
-# ----------------------------------------------------------------------
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Tuple[Path, str]]:
     """Yield ``(path, display_path)`` for every .py file under *paths*."""
@@ -288,78 +324,28 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Tuple[Path, str]]:
 def check_unit(
     unit: ModuleUnit, rules: Sequence[Rule], config: LintConfig
 ) -> List[Finding]:
-    """Run *rules* over one parsed module, applying suppressions."""
-    findings: List[Finding] = []
+    """Run the module-local *rules* over one unit, applying suppressions."""
     if unit.parse_error is not None:
         exc = unit.parse_error
-        findings.append(
+        line = exc.lineno or 1
+        return [
             Finding(
                 rule_id=PARSE_ERROR_ID,
                 rule_name="parse-error",
                 path=unit.display_path,
-                line=exc.lineno or 1,
+                line=line,
                 col=(exc.offset or 0) + 1,
                 message=f"file does not parse: {exc.msg}",
-                line_text=unit.line_text(exc.lineno or 1).strip(),
+                line_text=unit.line_text(line).strip(),
             )
+        ]
+    findings = [
+        finding
+        for rule in rules
+        for finding in rule.check(unit, config)
+        if not is_suppressed(
+            unit.suppressed, unit.file_suppressed, finding.rule_id, finding.line
         )
-        return findings
-    for rule in rules:
-        for finding in rule.check(unit, config):
-            if unit.is_suppressed(finding.rule_id, finding.line):
-                continue
-            findings.append(finding)
+    ]
     findings.sort(key=lambda f: (f.line, f.col, f.rule_id))
     return findings
-
-
-def _lint_file_worker(
-    item: Tuple[str, str, Optional[Tuple[str, ...]], LintConfig]
-) -> List[Finding]:
-    """Process-pool worker: lint one file (module-level, so picklable)."""
-    path_str, display, rule_ids, config = item
-    path = Path(path_str)
-    unit = ModuleUnit(path, display, path.read_text())
-    if rule_ids is None:
-        chosen: Sequence[Rule] = all_rules()
-    else:
-        chosen = [r for r in all_rules() if r.id in rule_ids]
-    return check_unit(unit, chosen, config)
-
-
-def run_lint(
-    paths: Sequence[Path],
-    rules: Optional[Sequence[Rule]] = None,
-    config: Optional[LintConfig] = None,
-    jobs: Optional[int] = None,
-) -> List[Finding]:
-    """Lint every Python file under *paths*; returns ordered findings.
-
-    With ``jobs > 1`` the files are parsed and checked in a process
-    pool; results come back in file order, so output is identical to a
-    serial run.
-    """
-    config = config if config is not None else LintConfig()
-    chosen = list(rules) if rules is not None else all_rules()
-    files = [
-        (path, display)
-        for path, display in iter_python_files(paths)
-        if not any(match_path(display, pat) for pat in config.exclude)
-    ]
-    findings: List[Finding] = []
-    registered = {r.id for r in all_rules()}
-    if jobs and jobs > 1 and len(files) > 1 and all(
-        r.id in registered for r in chosen
-    ):
-        from concurrent.futures import ProcessPoolExecutor
-
-        ids = tuple(sorted(r.id for r in chosen))
-        items = [(str(path), display, ids, config) for path, display in files]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(_lint_file_worker, items, chunksize=4):
-                findings.extend(batch)
-    else:
-        for path, display in files:
-            unit = ModuleUnit(path, display, path.read_text())
-            findings.extend(check_unit(unit, chosen, config))
-    return number_occurrences(findings)

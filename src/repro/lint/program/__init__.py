@@ -1,22 +1,12 @@
-"""Whole-program analysis layer for :mod:`repro.lint`.
+"""The whole-program analysis substrate of :mod:`repro.lint`.
 
-The per-file rules (RPL001..RPL008) see one :class:`ModuleUnit` at a
-time; this package sees the project.  It builds a project-wide symbol
-table and import graph (:mod:`repro.lint.program.facts`,
-:mod:`repro.lint.program.graph`), a conservative call graph with
-annotation-driven method resolution, and a forward taint/dataflow
-engine with per-function summaries computed to a fixpoint
-(:mod:`repro.lint.program.dataflow`).  The RPL101..RPL106 rule pack
-(:mod:`repro.lint.program.rules`) runs on that substrate, and
-:mod:`repro.lint.program.driver` orchestrates extraction, caching and
-parallel parsing behind ``python -m repro lint --program``.
+Module-local rules see one parsed module at a time; the rules here see
+the project.  :mod:`repro.lint.program.facts` extracts a cacheable
+per-module IR from the same parse, :mod:`repro.lint.program.graph`
+builds the symbol table, import graph and a conservative call graph
+with annotation-driven method resolution, and
+:mod:`repro.lint.program.dataflow` runs a forward taint engine with
+per-function summaries to a fixpoint.  The RPL101..RPL106 rules
+(:mod:`repro.lint.program.rules`) register in the one rule registry of
+:mod:`repro.lint.engine`; :mod:`repro.lint.driver` runs them.
 """
-
-from repro.lint.program.driver import (  # noqa: F401
-    ProgramStats,
-    run_program_lint,
-)
-from repro.lint.program.rules import (  # noqa: F401
-    get_program_rule,
-    program_rules,
-)

@@ -34,12 +34,25 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.program.graph import Project, Resolution
-from repro.lint.rules.determinism import _GLOBAL_RNG, _WALLCLOCK
+from repro.lint.rules.determinism import _GLOBAL_RNG
 
 REAL_KINDS = frozenset({"wallclock", "rng", "iterorder", "artifactpath"})
 _NONDET = frozenset({"wallclock", "rng", "iterorder"})
 
-WALLCLOCK_SOURCES = frozenset(_WALLCLOCK)
+WALLCLOCK_SOURCES = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
 RNG_SOURCES = frozenset(_GLOBAL_RNG) | frozenset(
     {"os.urandom", "uuid.uuid4", "uuid.uuid1", "secrets.token_hex",
      "secrets.token_bytes"}
@@ -141,9 +154,6 @@ class Analysis:
         self.resolutions: Dict[Tuple[str, str], Dict[int, Resolution]] = {}
         #: (display, qual) -> inferred var types
         self.var_types: Dict[Tuple[str, str], Dict[str, Tuple[str, str]]] = {}
-
-    def summary(self, display: str, qual: str) -> Summary:
-        return self.summaries.get((display, qual), Summary())
 
 
 def _better_chain(

@@ -1,11 +1,14 @@
 """Per-module fact extraction: the cacheable IR of the program layer.
 
-One :class:`ModuleFacts` is extracted per source file and is the *only*
-thing the whole-program engine ever looks at — never the AST itself.
-Facts are plain JSON-serializable dicts and depend on nothing but the
-file's text (no config, no other modules), so they can be cached keyed
-on the content hash alone and shipped across process boundaries by the
-``--jobs`` parallel parser.
+One facts dict is extracted per source file, from the same parsed
+:class:`~repro.lint.engine.ModuleUnit` the module-local rules check, and
+it is the *only* thing the whole-program rules ever look at — never the
+AST itself.  Facts are plain JSON-serializable dicts and depend on
+nothing but the file's text (no config, no other modules), so they can
+be cached keyed on the content hash alone and shipped across process
+boundaries by the ``--jobs`` parallel parser.  Every call evaluated in
+a scope is recorded, wherever it sits (lambda bodies, class bodies,
+decorators, defaults), so a direct site is never invisible to a rule.
 
 The function IR is a coarse dataflow graph over named nodes:
 
@@ -32,22 +35,33 @@ from __future__ import annotations
 
 import ast
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+
+from repro.lint.engine import ModuleUnit
+from repro.lint.rules._helpers import EVENT_METHODS, METRIC_METHODS
 
 #: bump to invalidate every cached facts entry
-ANALYZER_VERSION = 1
+ANALYZER_VERSION = 2
 
 #: methods of repro.obs handles that take a metric/event name first
-#: (kept in sync with repro.lint.rules._helpers)
-_EMIT_METHODS = frozenset(
-    {"inc", "observe", "set_gauge", "emit", "debug", "info", "warning", "error"}
-)
+_EMIT_METHODS = METRIC_METHODS | EVENT_METHODS
+
+_Def = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
 
 #: names whose assignment in a ``*/lint/catalog.py`` module declares the
 #: registered-name catalog RPL106 checks liveness of
 _CATALOG_DECLS = ("METRIC_NAMES", "EVENT_NAMES")
 
 MODULE_BODY = "<module>"
+
+#: top-level keys of every facts dict (a cached entry missing one is a miss)
+FACT_KEYS = frozenset(
+    {
+        "version", "module", "display_path", "content_hash", "imports",
+        "import_modules", "functions", "classes", "constants", "catalog",
+        "suppressed", "file_suppressed", "parse_error",
+    }
+)
 
 
 def content_hash(data: bytes) -> str:
@@ -63,6 +77,37 @@ def _ann_str(node: Optional[ast.AST]) -> Optional[str]:
         return None
 
 
+def _scope_calls(body: Sequence[ast.stmt]) -> List[ast.Call]:
+    """Every call evaluated in the scope whose statements are *body*.
+
+    Nested function bodies are scopes of their own; their decorators and
+    defaults, lambda bodies and class-body statements run here.
+    """
+    calls: List[ast.Call] = []
+    stack: List[ast.AST] = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Call):
+            calls.append(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list)
+            stack.extend(node.args.defaults)
+            stack.extend(d for d in node.args.kw_defaults if d is not None)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    calls.sort(key=lambda c: (c.lineno, c.col_offset))
+    return calls
+
+
+def _scope_defs(nodes: Iterable[ast.AST]) -> Iterator[_Def]:
+    """Function and class definitions of a scope, conditional ones included."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        elif not isinstance(node, ast.expr):
+            yield from _scope_defs(ast.iter_child_nodes(node))
+
+
 def _is_dataclass_def(node: ast.ClassDef) -> bool:
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
@@ -76,78 +121,16 @@ def _is_dataclass_def(node: ast.ClassDef) -> bool:
     return False
 
 
-class _ModuleScan:
-    """Module-level tables shared by every function extraction."""
-
-    def __init__(self, tree: ast.Module, module_name: str):
-        self.module_name = module_name
-        #: local name -> dotted target (both import styles, merged)
-        self.imports: Dict[str, str] = {}
-        #: dotted modules this module imports (project-graph edges)
-        self.import_modules: Set[str] = set()
-        #: module-level NAME = "string" assignments
-        self.constants: Dict[str, str] = {}
-        self._scan(tree)
-
-    def _scan(self, tree: ast.Module) -> None:
-        package = self.module_name.rpartition(".")[0]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.import_modules.add(alias.name)
-                    if alias.asname:
-                        self.imports[alias.asname] = alias.name
-                    else:
-                        root = alias.name.split(".")[0]
-                        self.imports[root] = root
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if node.level:
-                    # relative import: resolve against our package
-                    base = self.module_name.split(".")
-                    base = base[: len(base) - (node.level - 1) - 1]
-                    prefix = ".".join(base)
-                    module = f"{prefix}.{module}" if module else prefix
-                if not module:
-                    continue
-                self.import_modules.add(module)
-                for alias in node.names:
-                    self.imports[alias.asname or alias.name] = (
-                        f"{module}.{alias.name}"
-                    )
-        for stmt in tree.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                self.constants[stmt.targets[0].id] = stmt.value.value
-        if package:
-            self.import_modules.discard(self.module_name)
-
-    def dotted(self, node: ast.AST) -> Optional[str]:
-        """``np.random.rand`` -> ``numpy.random.rand`` (or None)."""
-        parts: List[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.append(self.imports.get(node.id, node.id))
-        return ".".join(reversed(parts))
-
-
 class _FunctionScan:
     """Extract one function's dataflow IR."""
 
     def __init__(
         self,
-        scan: _ModuleScan,
+        scan: ModuleUnit,
         qualname: str,
         node: Optional[ast.AST],
         class_name: Optional[str],
+        body: Sequence[ast.stmt] = (),
     ):
         self.scan = scan
         self.qualname = qualname
@@ -164,11 +147,20 @@ class _FunctionScan:
         self.handlers: List[Dict[str, Any]] = []
         self.emit_names: List[str] = []
         self._displays = 0
+        #: id(ast.Call) -> call index, so no call is recorded twice
+        self._call_index: Dict[int, int] = {}
         self.line = getattr(node, "lineno", 1) if node is not None else 1
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self._scan_signature(node)
-            for stmt in node.body:
-                self._stmt(stmt)
+            body = node.body
+        for stmt in body:
+            self._stmt(stmt)
+        # calls the flow walk does not reach (lambda bodies, class-body
+        # statements, decorators, defaults, subscript keys) still run in
+        # this scope: record them so every call site has facts
+        for call in _scope_calls(body):
+            if id(call) not in self._call_index:
+                self._call(call)
 
     # -- signature ----------------------------------------------------
     def _scan_signature(self, node: ast.AST) -> None:
@@ -214,7 +206,8 @@ class _FunctionScan:
         if isinstance(expr, ast.Constant):
             return []
         if isinstance(expr, ast.Call):
-            return [self._call(expr)]
+            index = self._call_index.get(id(expr))
+            return [self._call(expr) if index is None else f"c:{index}"]
         if isinstance(expr, ast.Attribute):
             return self.deps(expr.value)
         if isinstance(expr, ast.Subscript):
@@ -302,7 +295,7 @@ class _FunctionScan:
                         "recv_name": None,
                     }
                 if root.id in self.scan.imports:
-                    dotted = self.scan.dotted(func)
+                    dotted = self.scan.dotted_name(func)
                     if dotted:
                         return {"kind": "dotted", "name": dotted}
             # a call through a local/param/global object: keep the
@@ -323,6 +316,7 @@ class _FunctionScan:
 
     def _call(self, call: ast.Call) -> str:
         index = len(self.calls)
+        self._call_index[id(call)] = index
         node = f"c:{index}"
         # reserve the slot first so nested calls get higher indices but
         # the outer call keeps evaluation order in the window ranges
@@ -358,7 +352,7 @@ class _FunctionScan:
     def _detect_raw_write(
         self, call: ast.Call, callee: Dict[str, Any]
     ) -> None:
-        """RPL005-shaped non-atomic write sites (scope applied rule-time)."""
+        """Non-atomic write sites (RPL102 applies the module scope)."""
         name = callee.get("name") or callee.get("attr") or ""
         leaf = name.rsplit(".", 1)[-1]
         if leaf in ("write_text", "write_bytes"):
@@ -406,7 +400,7 @@ class _FunctionScan:
                 # RPL106 rule to resolve against the defining module
                 name = "@" + self.scan.imports[arg.id]
         elif isinstance(arg, ast.Attribute):
-            dotted = self.scan.dotted(arg)
+            dotted = self.scan.dotted_name(arg)
             if dotted:
                 name = "@" + dotted
         if name:
@@ -547,7 +541,7 @@ class _FunctionScan:
             return True
         if isinstance(type_node, ast.Tuple):
             return any(self._is_broad(elt) for elt in type_node.elts)
-        dotted = self.scan.dotted(type_node)
+        dotted = self.scan.dotted_name(type_node)
         return dotted in ("Exception", "BaseException", "builtins.Exception")
 
     # -- output -------------------------------------------------------
@@ -570,43 +564,6 @@ class _FunctionScan:
         }
 
 
-def _scan_suppressions(
-    text: str,
-) -> Tuple[Dict[str, List[str]], List[str]]:
-    """Same comment-token scan the per-file engine does (JSON-keyed).
-
-    Program findings honor the exact same ``# reprolint: disable=...``
-    directives; keys are stringified line numbers so the tables survive
-    a JSON cache round-trip unchanged.
-    """
-    import io
-    import tokenize
-
-    from repro.lint.engine import _SUPPRESS
-
-    suppressed: Dict[str, List[str]] = {}
-    file_suppressed: Set[str] = set()
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        tokens = []
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT:
-            continue
-        match = _SUPPRESS.search(tok.string)
-        if not match:
-            continue
-        kind = match.group(1)
-        ids = {p.strip() for p in match.group(2).split(",") if p.strip()}
-        if kind == "disable-file":
-            file_suppressed |= ids
-        else:
-            line = tok.start[0] + (1 if kind == "disable-next-line" else 0)
-            bucket = suppressed.setdefault(str(line), [])
-            bucket.extend(sorted(ids - set(bucket)))
-    return suppressed, sorted(file_suppressed)
-
-
 def _catalog_decl(tree: ast.Module) -> Optional[Dict[str, Dict[str, int]]]:
     """Parse METRIC_NAMES/EVENT_NAMES frozenset declarations, if any."""
     decls: Dict[str, Dict[str, int]] = {}
@@ -627,47 +584,40 @@ def _catalog_decl(tree: ast.Module) -> Optional[Dict[str, Dict[str, int]]]:
     return decls or None
 
 
-def extract_module_facts(
-    text: str,
-    display_path: str,
-    module_name: str,
-) -> Dict[str, Any]:
-    """Extract one module's facts dict (see module docstring).
+def extract_module_facts(unit: ModuleUnit) -> Dict[str, Any]:
+    """Extract one parsed module's facts dict (see module docstring).
 
     On a syntax error the dict carries ``parse_error`` and empty tables
-    — the per-file layer owns reporting RPL000; the program layer just
-    skips the module.
+    — the module-local pass reports RPL000; the whole-program rules
+    just skip the module.
     """
-    digest = content_hash(text.encode())
-    suppressed, file_suppressed = _scan_suppressions(text)
     base: Dict[str, Any] = {
         "version": ANALYZER_VERSION,
-        "module": module_name,
-        "display_path": display_path,
-        "content_hash": digest,
+        "module": unit.module_name,
+        "display_path": unit.display_path,
+        "content_hash": content_hash(unit.text.encode()),
         "imports": {},
         "import_modules": [],
         "functions": {},
         "classes": {},
         "constants": {},
         "catalog": None,
-        "suppressed": suppressed,
-        "file_suppressed": file_suppressed,
+        "suppressed": unit.suppressed,
+        "file_suppressed": unit.file_suppressed,
         "parse_error": None,
     }
-    try:
-        tree = ast.parse(text)
-    except SyntaxError as exc:
+    tree = unit.tree
+    if tree is None:
+        exc = unit.parse_error
         base["parse_error"] = {
-            "line": exc.lineno or 1,
-            "col": (exc.offset or 0),
-            "msg": exc.msg or "syntax error",
+            "line": getattr(exc, "lineno", None) or 1,
+            "col": getattr(exc, "offset", None) or 0,
+            "msg": getattr(exc, "msg", None) or "syntax error",
         }
         return base
-    scan = _ModuleScan(tree, module_name)
-    base["imports"] = dict(scan.imports)
-    base["import_modules"] = sorted(scan.import_modules)
-    base["constants"] = dict(scan.constants)
+    base["imports"] = dict(unit.imports)
+    base["import_modules"] = sorted(unit.import_modules)
+    base["constants"] = dict(unit.constants)
     base["catalog"] = _catalog_decl(tree)
 
     functions: Dict[str, Dict[str, Any]] = {}
@@ -676,50 +626,46 @@ def extract_module_facts(
     def visit(
         body: Sequence[ast.stmt], prefix: str, class_name: Optional[str]
     ) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}{stmt.name}"
-                fn = _FunctionScan(scan, qual, stmt, class_name)
+        for stmt in _scope_defs(body):
+            qual = f"{prefix}{stmt.name}"
+            if not isinstance(stmt, ast.ClassDef):
+                fn = _FunctionScan(unit, qual, stmt, class_name)
                 functions[qual] = fn.to_dict()
                 visit(stmt.body, f"{qual}.", None)
-            elif isinstance(stmt, ast.ClassDef):
-                qual = f"{prefix}{stmt.name}"
-                fields: Dict[str, Any] = {}
-                methods: List[str] = []
-                for item in stmt.body:
-                    if isinstance(item, ast.AnnAssign) and isinstance(
-                        item.target, ast.Name
-                    ):
-                        ann = _ann_str(item.annotation)
-                        if ann:
-                            fields[item.target.id] = {
-                                "ann": ann,
-                                "line": item.lineno,
-                            }
-                    elif isinstance(
-                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        methods.append(f"{qual}.{item.name}")
-                classes[stmt.name if not prefix else qual] = {
-                    "qualname": qual,
-                    "line": stmt.lineno,
-                    "bases": [
-                        b for b in (scan.dotted(base_) for base_ in stmt.bases)
-                        if b
-                    ],
-                    "is_dataclass": _is_dataclass_def(stmt),
-                    "fields": fields,
-                    "methods": methods,
-                }
-                visit(stmt.body, f"{qual}.", stmt.name)
+                continue
+            fields: Dict[str, Any] = {}
+            methods: List[str] = []
+            for item in stmt.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(
+                    item.target, ast.Name
+                ):
+                    ann = _ann_str(item.annotation)
+                    if ann:
+                        fields[item.target.id] = {
+                            "ann": ann,
+                            "line": item.lineno,
+                            "col": item.col_offset,
+                        }
+                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    methods.append(f"{qual}.{item.name}")
+            classes[stmt.name if not prefix else qual] = {
+                "qualname": qual,
+                "line": stmt.lineno,
+                "bases": [
+                    b for b in (unit.dotted_name(base_) for base_ in stmt.bases)
+                    if b
+                ],
+                "is_dataclass": _is_dataclass_def(stmt),
+                "fields": fields,
+                "methods": methods,
+            }
+            visit(stmt.body, f"{qual}.", stmt.name)
 
     visit(tree.body, "", None)
 
     # module-level statements form a pseudo-function so module-scope
     # flows (common in scripts and fixtures) are analyzed too
-    module_fn = _FunctionScan(scan, MODULE_BODY, None, None)
-    for stmt in tree.body:
-        module_fn._stmt(stmt)
+    module_fn = _FunctionScan(unit, MODULE_BODY, None, None, tree.body)
     functions[MODULE_BODY] = module_fn.to_dict()
 
     base["functions"] = functions

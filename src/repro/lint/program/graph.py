@@ -122,9 +122,6 @@ class Project:
                 return display
         return None
 
-    def facts(self, display: str) -> Dict[str, Any]:
-        return self.by_path[display]
-
     def function(self, ref: FunctionRef) -> Optional[Dict[str, Any]]:
         facts = self.by_path.get(ref.module)
         if facts is None:

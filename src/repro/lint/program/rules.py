@@ -1,13 +1,14 @@
-"""The interprocedural rule pack: RPL101..RPL106.
+"""The whole-program rule pack: RPL101..RPL106.
 
 Each rule consumes the :class:`~repro.lint.program.dataflow.Analysis`
 fixpoint rather than ASTs, so every finding comes with a witness — the
 call chain the engine followed — embedded in the message and the
-``extra`` payload.  Where the per-file pack scoped risky calls with
-``path::qualname`` allowlists, these rules prove or refute the actual
-flow, so they need no site allowlists at all (suppression comments
-remain available for the rare deliberate violation, e.g. fault
-injectors).
+``extra`` payload.  A direct site is the zero-length chain: RPL101,
+RPL102 and RPL103 report it at the site itself, so each invariant has
+one rule whether the violation is local or several calls away.  The
+rules prove or refute the actual flow, so they need no site allowlists
+(suppression comments remain available for the rare deliberate
+violation, e.g. fault injectors).
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.config import LintConfig, match_path
+from repro.lint.config import match_path
+from repro.lint.engine import Rule, register
 from repro.lint.findings import Finding
-from repro.lint.program.dataflow import Analysis
+from repro.lint.program.dataflow import WALLCLOCK_SOURCES, Analysis
 from repro.lint.program.graph import Project
-from repro.lint.rules.mp import _HANDLE_MARKERS
 
 _KIND_LABELS = {
     "wallclock": "wall-clock",
@@ -43,94 +44,104 @@ _DISTINCTIVE_MUTATORS = frozenset(
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
-
-class ProgramRule:
-    """Base class for whole-program rules (duck-compatible with Rule)."""
-
-    id: str = ""
-    name: str = ""
-    summary: str = ""
-    rationale: str = ""
-
-    def check(self, analysis: Analysis) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def finding(
-        self,
-        project: Project,
-        display: str,
-        line: int,
-        col: int,
-        message: str,
-        extra: Optional[Dict[str, object]] = None,
-    ) -> Finding:
-        return Finding(
-            rule_id=self.id,
-            rule_name=self.name,
-            path=display,
-            line=line,
-            col=col,
-            message=message,
-            line_text=project.line_text(display, line).strip(),
-            extra=extra,
-        )
-
-
-_PROGRAM_REGISTRY: Dict[str, ProgramRule] = {}
-
-
-def register_program(rule_cls: type) -> type:
-    rule = rule_cls()
-    if not rule.id or not rule.name:
-        raise ValueError(f"rule {rule_cls.__name__} lacks an id/name")
-    if rule.id in _PROGRAM_REGISTRY:
-        raise ValueError(f"duplicate program rule id {rule.id}")
-    _PROGRAM_REGISTRY[rule.id] = rule
-    return rule_cls
-
-
-def program_rules() -> List[ProgramRule]:
-    return [_PROGRAM_REGISTRY[rule_id] for rule_id in sorted(_PROGRAM_REGISTRY)]
-
-
-def get_program_rule(rule_id: str) -> Optional[ProgramRule]:
-    return _PROGRAM_REGISTRY.get(rule_id)
+#: annotation substrings that mean "an open handle rode the payload"
+_HANDLE_MARKERS = (
+    "TextIO",
+    "BinaryIO",
+    "IO[",
+    "RawIOBase",
+    "BufferedReader",
+    "BufferedWriter",
+    "FileIO",
+    "socket",
+    "Connection",
+)
 
 
 def _chain_text(chain: Tuple[str, ...]) -> str:
     return " -> ".join(chain)
 
 
-@register_program
-class TaintIntoArtifactsRule(ProgramRule):
+def _finding(
+    rule: Rule,
+    project: Project,
+    display: str,
+    line: int,
+    col: int,
+    message: str,
+    extra: Optional[Dict[str, object]] = None,
+) -> Finding:
+    return rule.finding_at(
+        display, line, col, message, project.line_text(display, line), extra
+    )
+
+
+@register
+class TaintIntoArtifactsRule(Rule):
     """RPL101: nondeterminism must never reach artifact content."""
 
     id = "RPL101"
     name = "taint-into-artifacts"
-    summary = "wall-clock/RNG/iteration-order value reaches a content hash or canonical commit"
+    program = True
+    summary = (
+        "wall-clock read in an artifact module, or nondeterminism "
+        "reaching a content hash or canonical commit"
+    )
     rationale = (
-        "Canonical artifacts are compared, resumed and deduplicated "
-        "byte-for-byte, and content keys must be pure functions of cell "
-        "text and options.  This rule replaces the per-file wall-clock "
-        "site allowlists (RPL004's wallclock_allowed) with real "
-        "reachability: the taint engine follows wall-clock, module-"
-        "global-RNG and set-iteration-order values through assignments, "
-        "containers and any number of calls, and reports only flows "
-        "that actually arrive at a content-hash call "
-        "(config: taint_hash_sinks) or a canonical commit "
-        "(config: canonical_commit_sinks).  Sanitizers such as "
+        "Canonical artifacts (CA model JSON, experiment cache entries, "
+        "content-addressed commits) are compared, resumed and "
+        "deduplicated byte-for-byte: a killed-and-resumed run must "
+        "assemble a library byte-identical to an uninterrupted one, and "
+        "content keys must be pure functions of cell text and options.  "
+        "The zero-length chain: every wall-clock read (time.time(), "
+        "perf_counter(), datetime.now(), ...) inside a module that "
+        "builds canonical artifacts (config: wallclock_paths) is flagged "
+        "at the read; there is no site allowlist.  Longer chains: the "
+        "taint engine follows wall-clock, module-global-RNG and "
+        "set-iteration-order values through assignments, containers and "
+        "any number of calls, and reports the flows that arrive at a "
+        "content-hash call (config: taint_hash_sinks) or a canonical "
+        "commit (config: canonical_commit_sinks).  Sanitizers such as "
         "canonical_model_dict (config: taint_sanitizers), which zero "
-        "every nondeterministic field, clear the taint — which is "
-        "exactly how the engine proves sites like RunLedger.open's "
-        "`created` stamp safe: its value reaches ledger.json only, "
-        "never a hash or commit, so no allowlist entry is needed."
+        "every nondeterministic field, clear the taint.  That is how "
+        "reviewed timing sites stay legal without an allowlist: "
+        "RunLedger.open's `created` stamp lives outside wallclock_paths "
+        "and reaches ledger.json only, never a hash or commit.  "
+        "Replaces the retired RPL004."
     )
 
-    def check(self, analysis: Analysis) -> Iterator[Finding]:
-        for (display, qual), summ in sorted(
-            analysis.summaries.items()
-        ):
+    def check_program(self, analysis: Analysis) -> Iterator[Finding]:
+        project = analysis.project
+        for display, qual, fn in project.iter_functions():
+            if not any(
+                match_path(display, pat)
+                for pat in analysis.config.wallclock_paths
+            ):
+                continue
+            res_map = analysis.resolutions[(display, qual)]
+            for call in fn["calls"]:
+                res = res_map.get(call["index"])
+                if (
+                    res is None
+                    or res.kind != "external"
+                    or res.name not in WALLCLOCK_SOURCES
+                ):
+                    continue
+                yield _finding(
+                    self,
+                    project,
+                    display,
+                    call["line"],
+                    call["col"] + 1,
+                    f"wall-clock read {res.name}() in a canonical-artifact "
+                    "module; keep real timings in the ledger/obs layer "
+                    "and zero them in artifact bytes",
+                    extra={
+                        "kind": "wallclock",
+                        "chain": [f"{display}:{call['line']} {qual}"],
+                    },
+                )
+        for (display, qual), summ in sorted(analysis.summaries.items()):
             for kind, label, line, col, chain in sorted(summ.sink_hits):
                 if kind not in _KIND_LABELS:
                     continue
@@ -142,8 +153,9 @@ class TaintIntoArtifactsRule(ProgramRule):
                     if what == "hash"
                     else f"canonical artifact commit {sink}()"
                 )
-                yield self.finding(
-                    analysis.project,
+                yield _finding(
+                    self,
+                    project,
                     display,
                     line,
                     col,
@@ -154,27 +166,35 @@ class TaintIntoArtifactsRule(ProgramRule):
                 )
 
 
-@register_program
-class ReachableRawWriteRule(ProgramRule):
-    """RPL102: atomic-write discipline must survive helper extraction."""
+@register
+class ReachableRawWriteRule(Rule):
+    """RPL102: atomic-write discipline, at the write and through helpers."""
 
     id = "RPL102"
     name = "reachable-raw-write"
-    summary = "run-dir code path reaches a non-atomic write in an unscoped module"
+    program = True
+    summary = "non-atomic file write in, or reachable from, a run-dir/artifact module"
     rationale = (
-        "RPL005 bans raw writes inside the run-dir modules "
-        "(config: atomic_paths), but a helper one import away can undo "
-        "the guarantee: a scoped module calling into an unscoped module "
-        "that does open(..., 'w') tears files on kill just the same.  "
-        "This rule follows the call graph from every function in a "
-        "scoped module and flags calls whose callee (transitively) "
-        "performs a non-atomic write in an *unscoped* module — writes "
-        "inside scoped modules stay RPL005's jurisdiction, so the two "
-        "rules never double-report.  Fix by routing the write through "
-        "the sanctioned atomic writers or moving it behind os.replace."
+        "Crash recovery (RunLedger.recover, cache reload) trusts that "
+        "any file present on disk is complete: every state transition "
+        "and artifact write must go through the temp-file + os.replace "
+        "helper (repro.atomic.write_text_atomic) so a SIGKILL at any "
+        "instant leaves either the previous or the next consistent "
+        "state, never a torn file.  The zero-length chain: "
+        "open(path, 'w'/'a'/'x'/'+') and Path.write_text/write_bytes "
+        "inside a run-dir module (config: atomic_paths) are flagged at "
+        "the write.  Longer chains: a helper one import away tears "
+        "files on kill just the same, so the rule follows the call "
+        "graph from every function in a scoped module and flags, at the "
+        "call, each call whose callee (transitively) performs a "
+        "non-atomic write in an unscoped module.  A write inside a "
+        "scoped module is reported once, at the write, never again at "
+        "its callers.  The atomic helper itself writes through "
+        "os.fdopen on a temp descriptor, which is not a raw write.  "
+        "Replaces the retired RPL005."
     )
 
-    def check(self, analysis: Analysis) -> Iterator[Finding]:
+    def check_program(self, analysis: Analysis) -> Iterator[Finding]:
         config = analysis.config
         project = analysis.project
 
@@ -184,12 +204,22 @@ class ReachableRawWriteRule(ProgramRule):
             )
 
         seen: Set[Tuple[str, int, str]] = set()
-        for (display, qual), res_map in sorted(analysis.resolutions.items()):
+        for display, qual, fn in project.iter_functions():
             if not scoped(display):
                 continue
-            fn = project.by_path[display]["functions"].get(qual)
-            if fn is None:
-                continue
+            for line, col, desc in fn.get("raw_writes", ()):
+                site = f"{display}:{line} {desc}"
+                yield _finding(
+                    self,
+                    project,
+                    display,
+                    line,
+                    col + 1,
+                    f"non-atomic {desc} in a run-dir module; write through "
+                    "repro.atomic.write_text_atomic (temp file + os.replace)",
+                    extra={"site": site, "chain": [site]},
+                )
+            res_map = analysis.resolutions[(display, qual)]
             for call in fn.get("calls", ()):
                 res = res_map.get(call["index"])
                 if res is None or res.kind != "project" or res.ref is None:
@@ -207,7 +237,8 @@ class ReachableRawWriteRule(ProgramRule):
                     if key in seen:
                         continue
                     seen.add(key)
-                    yield self.finding(
+                    yield _finding(
+                        self,
                         project,
                         display,
                         call["line"],
@@ -220,26 +251,30 @@ class ReachableRawWriteRule(ProgramRule):
                     )
 
 
-@register_program
-class TransitivePicklabilityRule(ProgramRule):
+@register
+class TransitivePicklabilityRule(Rule):
     """RPL103: payloads must be picklable all the way down."""
 
     id = "RPL103"
     name = "transitive-picklability"
-    summary = "worker payload field reaches an open handle through nested types"
+    program = True
+    summary = "worker payload field holds an open handle, directly or through nested types"
     rationale = (
-        "RPL007 checks the annotation surface of *Payload / *WorkItem "
-        "dataclasses, but a handle nested one level down — a payload "
-        "holding a Config holding a TextIO — crosses the process "
-        "boundary just as unpicklably.  This rule resolves each payload "
-        "field's annotated type to its project class and walks the "
-        "nested field annotations (config: payload_suffixes names the "
-        "payload classes), flagging any open-handle annotation "
-        "reachable at depth >= 1; depth 0 stays RPL007's.  Ship paths "
-        "and plain data; reopen inside the worker."
+        "Worker payloads (dataclasses named *Payload / *WorkItem, "
+        "config: payload_suffixes) are pickled into the child process.  "
+        "An open file / socket / pipe field appears to work under fork "
+        "but references the wrong (or a closed) descriptor in the "
+        "child.  The zero-length chain is a field whose own annotation "
+        "holds a handle type (TextIO, sockets, connections).  Longer "
+        "chains resolve the field's annotated type to its project class "
+        "and walk the nested field annotations: a payload holding a "
+        "Config holding a TextIO crosses the process boundary just as "
+        "unpicklably.  Each field is reported once, at the field.  Ship "
+        "paths and plain data; reopen inside the worker.  Replaces the "
+        "retired RPL007."
     )
 
-    def check(self, analysis: Analysis) -> Iterator[Finding]:
+    def check_program(self, analysis: Analysis) -> Iterator[Finding]:
         config = analysis.config
         project = analysis.project
         for display, facts in sorted(project.by_path.items()):
@@ -251,22 +286,31 @@ class TransitivePicklabilityRule(ProgramRule):
                 ):
                     continue
                 for fname, finfo in sorted(info["fields"].items()):
-                    chain = self._handle_chain(
-                        project, display, finfo["ann"], set(), 0
-                    )
-                    if chain is None:
-                        continue
-                    yield self.finding(
+                    ann = finfo["ann"]
+                    if any(m in ann for m in _HANDLE_MARKERS):
+                        chain = [f"{cls_name}.{fname}: {ann}"]
+                        message = f"is annotated {ann!r}"
+                    else:
+                        nested = self._handle_chain(
+                            project, display, ann, set(), 0
+                        )
+                        if nested is None:
+                            continue
+                        chain = nested
+                        message = (
+                            "reaches an open handle through nested types "
+                            f"[{' -> '.join(chain)}]"
+                        )
+                    yield _finding(
+                        self,
                         project,
                         display,
                         finfo["line"],
-                        1,
-                        f"payload field {cls_name}.{fname} reaches an "
-                        "open handle through nested types "
-                        f"[{' -> '.join(chain)}]; handles cannot cross "
-                        "the process boundary — ship a path and reopen "
-                        "in the worker",
-                        extra={"chain": list(chain)},
+                        finfo["col"] + 1,
+                        f"payload field {cls_name}.{fname} {message}; "
+                        "handles cannot cross the process boundary — ship "
+                        "a path and reopen in the worker",
+                        extra={"chain": chain},
                     )
 
     def _handle_chain(
@@ -299,12 +343,13 @@ class TransitivePicklabilityRule(ProgramRule):
         return None
 
 
-@register_program
-class LeaseCommitDisciplineRule(ProgramRule):
+@register
+class LeaseCommitDisciplineRule(Rule):
     """RPL104: the service's exactly-once protocol, checked."""
 
     id = "RPL104"
     name = "lease-commit-discipline"
+    program = True
     summary = "service code mutates the ledger or writes artifacts outside the protocol"
     rationale = (
         "The characterization service's exactly-once guarantee rests on "
@@ -323,7 +368,7 @@ class LeaseCommitDisciplineRule(ProgramRule):
         "function-level approximation of claim dominance)."
     )
 
-    def check(self, analysis: Analysis) -> Iterator[Finding]:
+    def check_program(self, analysis: Analysis) -> Iterator[Finding]:
         config = analysis.config
         project = analysis.project
         ledger_types = set(config.ledger_types)
@@ -357,7 +402,8 @@ class LeaseCommitDisciplineRule(ProgramRule):
                         dotted_mutators,
                     )
                     if mutated:
-                        yield self.finding(
+                        yield _finding(
+                            self,
                             project,
                             display,
                             call["line"],
@@ -371,7 +417,8 @@ class LeaseCommitDisciplineRule(ProgramRule):
                     if analysis.roles.commit_sink(res.name or "") and not (
                         self._claim_evidence(fn)
                     ):
-                        yield self.finding(
+                        yield _finding(
+                            self,
                             project,
                             display,
                             call["line"],
@@ -390,7 +437,8 @@ class LeaseCommitDisciplineRule(ProgramRule):
                         "write:"
                     ):
                         continue
-                    yield self.finding(
+                    yield _finding(
+                        self,
                         project,
                         display,
                         line,
@@ -452,12 +500,13 @@ class LeaseCommitDisciplineRule(ProgramRule):
         return False
 
 
-@register_program
-class SwallowedTelemetryRule(ProgramRule):
+@register
+class SwallowedTelemetryRule(Rule):
     """RPL105: silent except around telemetry-shard writes."""
 
     id = "RPL105"
     name = "swallowed-telemetry"
+    program = True
     summary = "broad except silently swallows failures on a telemetry-write path"
     rationale = (
         "Telemetry shards are the only durable record of what a run "
@@ -471,7 +520,7 @@ class SwallowedTelemetryRule(ProgramRule):
         "ordinary defensive handlers stay unflagged."
     )
 
-    def check(self, analysis: Analysis) -> Iterator[Finding]:
+    def check_program(self, analysis: Analysis) -> Iterator[Finding]:
         project = analysis.project
         roles = analysis.roles
         for (display, qual), res_map in sorted(analysis.resolutions.items()):
@@ -505,7 +554,8 @@ class SwallowedTelemetryRule(ProgramRule):
                             break
                 if witness is None:
                     continue
-                yield self.finding(
+                yield _finding(
+                    self,
                     project,
                     display,
                     handler["line"],
@@ -518,12 +568,13 @@ class SwallowedTelemetryRule(ProgramRule):
                 )
 
 
-@register_program
-class CatalogLivenessRule(ProgramRule):
+@register
+class CatalogLivenessRule(Rule):
     """RPL106: every registered obs name must be emitted somewhere."""
 
     id = "RPL106"
     name = "catalog-liveness"
+    program = True
     summary = "metric/event name registered in the catalog but never emitted"
     rationale = (
         "RPL002 stops unregistered names at the call site; this is the "
@@ -539,7 +590,7 @@ class CatalogLivenessRule(ProgramRule):
         "false-positives."
     )
 
-    def check(self, analysis: Analysis) -> Iterator[Finding]:
+    def check_program(self, analysis: Analysis) -> Iterator[Finding]:
         project = analysis.project
         catalogs = [
             (display, facts["catalog"])
@@ -563,7 +614,8 @@ class CatalogLivenessRule(ProgramRule):
                 for name, line in sorted(names.items()):
                     if name in used:
                         continue
-                    yield self.finding(
+                    yield _finding(
+                        self,
                         project,
                         display,
                         line,

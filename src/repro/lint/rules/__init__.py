@@ -1,6 +1,7 @@
-"""The rule pack.  Importing this package registers every rule.
+"""The module-local rule pack.  Importing this package registers it.
 
-Rule id map (stable — ids are never reused):
+Rule id map (stable — ids are never reused; the whole-program rules
+RPL101..RPL106 live in :mod:`repro.lint.program.rules`):
 
 =======  ====================  ==========================================
 id       name                  family
@@ -9,16 +10,15 @@ RPL000   parse-error           (engine-internal: unparseable file)
 RPL001   no-print              obs discipline
 RPL002   obs-name-catalog      obs discipline
 RPL003   unseeded-random       determinism
-RPL004   wall-clock            determinism
-RPL005   atomic-write          atomic-write discipline
+RPL004   (retired)             merged into RPL101 taint-into-artifacts
+RPL005   (retired)             merged into RPL102 reachable-raw-write
 RPL006   pool-picklability     multiprocessing safety
-RPL007   payload-open-handles  multiprocessing safety
+RPL007   (retired)             merged into RPL103 transitive-picklability
 RPL008   exception-hygiene     exception hygiene
 =======  ====================  ==========================================
 """
 
 from repro.lint.rules import (  # noqa: F401  (registration side effects)
-    atomicio,
     determinism,
     exceptions,
     mp,

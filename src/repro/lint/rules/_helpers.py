@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.lint.engine import ModuleUnit
 
@@ -11,30 +11,6 @@ from repro.lint.engine import ModuleUnit
 METRIC_METHODS = frozenset({"inc", "observe", "set_gauge"})
 #: methods of repro.obs.EventLog that take an event name first
 EVENT_METHODS = frozenset({"emit", "debug", "info", "warning", "error"})
-
-
-def walk_with_qualname(
-    tree: ast.AST,
-) -> Iterator[Tuple[ast.AST, str]]:
-    """Yield every node with the dotted qualname of its enclosing scope.
-
-    The qualname is the chain of enclosing class / function names
-    (``RunLedger.open``); module level is the empty string.
-    """
-
-    def visit(node: ast.AST, stack: List[str]) -> Iterator[Tuple[ast.AST, str]]:
-        qualname = ".".join(stack)
-        for child in ast.iter_child_nodes(node):
-            yield child, qualname
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                yield from visit(child, stack + [child.name])
-            else:
-                yield from visit(child, stack)
-
-    yield tree, ""
-    yield from visit(tree, [])
 
 
 def obs_receiver_kind(recv: ast.AST, unit: ModuleUnit) -> Optional[str]:
@@ -90,20 +66,3 @@ def emitter_call(
     if not node.args:
         return None
     return kind, node.args[0]
-
-
-def call_mode_literal(call: ast.Call) -> Optional[str]:
-    """The ``mode`` argument of an ``open``-style call, if literal."""
-    if len(call.args) >= 2:
-        arg = call.args[1]
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return arg.value
-        return None
-    for kw in call.keywords:
-        if kw.arg == "mode":
-            if isinstance(kw.value, ast.Constant) and isinstance(
-                kw.value.value, str
-            ):
-                return kw.value.value
-            return None
-    return "r"

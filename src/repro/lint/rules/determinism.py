@@ -1,20 +1,19 @@
-"""Determinism rules: RPL003 unseeded-random, RPL004 wall-clock.
+"""Determinism rule RPL003 unseeded-random.
 
-Both protect the byte-identity guarantees of PR 3/4: batched results
-must equal scalar results, and a killed-and-resumed run must assemble a
-library byte-identical to an uninterrupted one.  Neither survives an
-unseeded RNG, and the second does not survive wall-clock values leaking
-into canonical artifacts.
+It protects the byte-identity guarantees: batched results must equal
+scalar results, and a killed-and-resumed run must assemble a library
+byte-identical to an uninterrupted one.  Neither survives an unseeded
+RNG.  Wall-clock values reaching canonical artifacts are the
+whole-program rule RPL101's (:mod:`repro.lint.program.rules`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.lint.config import LintConfig, match_path
+from repro.lint.config import LintConfig
 from repro.lint.engine import Finding, ModuleUnit, Rule, register
-from repro.lint.rules._helpers import walk_with_qualname
 
 #: module-global RNG entry points: banned outright (their state is
 #: process-wide and implicitly seeded from the OS)
@@ -52,21 +51,6 @@ _GENERATORS = frozenset(
         "random.Random",
         "numpy.random.default_rng",
         "numpy.random.RandomState",
-    }
-)
-
-_WALLCLOCK = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
     }
 )
 
@@ -134,58 +118,3 @@ class UnseededRandomRule(Rule):
                     f"{dotted}() without an explicit seed/random_state "
                     "draws OS entropy; pass the run's seed through",
                 )
-
-
-@register
-class WallClockRule(Rule):
-    """No wall-clock reads in canonical-artifact construction paths."""
-
-    id = "RPL004"
-    name = "wall-clock"
-    summary = "wall-clock read in a canonical-artifact module"
-    rationale = (
-        "Canonical artifacts (CA model JSON, experiment cache entries, "
-        "resumable run checkpoints) are compared and resumed byte-for-"
-        "byte: a killed-and-resumed run must assemble a library byte-"
-        "identical to an uninterrupted one, so wall-clock values must "
-        "never reach artifact bytes.  time.time()/perf_counter()/"
-        "datetime.now() are banned outright in the scoped modules "
-        "(config: wallclock_paths).  There is deliberately no site "
-        "allowlist: modules with *reviewed* timing reads (the run "
-        "ledger's `created` stamp) are out of scope here and covered by "
-        "the whole-program RPL101 instead, which tracks whether the "
-        "value actually reaches hashed or committed bytes."
-    )
-
-    def check(self, unit: ModuleUnit, config: LintConfig) -> Iterator[Finding]:
-        if not any(
-            match_path(unit.display_path, p) for p in config.wallclock_paths
-        ):
-            return
-        assert unit.tree is not None
-        for node, qualname in walk_with_qualname(unit.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = self._wallclock_name(node, unit)
-            if dotted is None:
-                continue
-            yield self.finding(
-                unit,
-                node,
-                f"wall-clock read {dotted}() in a canonical-artifact module; "
-                "keep real timings in the ledger/obs layer and zero them in "
-                "artifact bytes (RPL101 tracks reviewed sites by dataflow "
-                "instead of an allowlist)",
-            )
-
-    @staticmethod
-    def _wallclock_name(node: ast.Call, unit: ModuleUnit) -> Optional[str]:
-        dotted = unit.dotted_name(node.func)
-        if dotted is None:
-            return None
-        if dotted in _WALLCLOCK:
-            return dotted
-        # `from datetime import datetime; datetime.now()` resolves to
-        # datetime.datetime.now via from_imports; plain `datetime.now`
-        # with `import datetime` is already covered above.
-        return None

@@ -1,10 +1,10 @@
-"""Multiprocessing-safety rules: RPL006 pool-picklability, RPL007
-payload-open-handles.
+"""Multiprocessing-safety rule RPL006 pool-picklability.
 
-Pool entry points and worker payloads cross a process boundary by
-pickling.  Lambdas, nested functions and bound methods fail at runtime
-(or, worse, only under the spawn start method CI does not exercise);
-open handles pickle on Linux fork but point at the wrong fd afterwards.
+Pool entry points cross a process boundary by pickling.  Lambdas,
+nested functions and bound methods fail at runtime (or, worse, only
+under the spawn start method CI does not exercise).  Open handles on
+worker payloads are the whole-program rule RPL103's
+(:mod:`repro.lint.program.rules`).
 """
 
 from __future__ import annotations
@@ -28,19 +28,6 @@ _SUBMIT_METHODS = frozenset(
         "apply",
         "apply_async",
     }
-)
-
-#: annotation substrings that mean "an open handle rode the payload"
-_HANDLE_MARKERS = (
-    "TextIO",
-    "BinaryIO",
-    "IO[",
-    "RawIOBase",
-    "BufferedReader",
-    "BufferedWriter",
-    "FileIO",
-    "socket",
-    "Connection",
 )
 
 
@@ -116,8 +103,7 @@ class PoolPicklabilityRule(Rule):
             while isinstance(root, ast.Attribute):
                 root = root.value
             if isinstance(root, ast.Name):
-                resolved = unit.import_aliases.get(root.id)
-                if resolved is not None:
+                if root.id in unit.module_aliases:
                     return None  # module.function: picklable
                 if root.id == "self":
                     return (
@@ -132,62 +118,3 @@ class PoolPicklabilityRule(Rule):
                 "function"
             )
         return None
-
-
-@register
-class PayloadOpenHandlesRule(Rule):
-    """Worker payload dataclasses must not carry open handles."""
-
-    id = "RPL007"
-    name = "payload-open-handles"
-    summary = "worker payload dataclass field holds an open handle"
-    rationale = (
-        "Worker payloads (dataclasses named *Payload / *WorkItem, "
-        "config: payload_suffixes) are pickled into the child process. "
-        "An open file / socket / pipe field appears to work under fork "
-        "but references the wrong (or a closed) descriptor in the "
-        "child; ship paths and plain data, reopen inside the worker."
-    )
-
-    def check(self, unit: ModuleUnit, config: LintConfig) -> Iterator[Finding]:
-        assert unit.tree is not None
-        for node in ast.walk(unit.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not any(
-                node.name.endswith(suffix) for suffix in config.payload_suffixes
-            ):
-                continue
-            if not self._is_dataclass(node):
-                continue
-            for stmt in node.body:
-                if not isinstance(stmt, ast.AnnAssign):
-                    continue
-                annotation = ast.unparse(stmt.annotation)
-                if any(marker in annotation for marker in _HANDLE_MARKERS):
-                    field = (
-                        stmt.target.id
-                        if isinstance(stmt.target, ast.Name)
-                        else ast.unparse(stmt.target)
-                    )
-                    yield self.finding(
-                        unit,
-                        stmt,
-                        f"payload field {field!r} is annotated "
-                        f"{annotation!r}: open handles must not cross the "
-                        "process boundary — ship a path and reopen in the "
-                        "worker",
-                    )
-
-    @staticmethod
-    def _is_dataclass(node: ast.ClassDef) -> bool:
-        for deco in node.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            name = (
-                target.attr
-                if isinstance(target, ast.Attribute)
-                else getattr(target, "id", "")
-            )
-            if name == "dataclass":
-                return True
-        return False

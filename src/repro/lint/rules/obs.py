@@ -24,8 +24,8 @@ class NoPrintRule(Rule):
         "spans) so output is structured, level-filtered, and capturable. "
         "Only the sanctioned console sinks may print: the CLI's own "
         "stdout output and the experiment runner's artifact printing "
-        "(config: print_allowed).  Subsumes ruff T201 and the retired "
-        "ad-hoc walker tests/test_no_print.py."
+        "(config: print_allowed).  Mirrors ruff T201 (same sinks in "
+        ".ruff.toml); the pytest gate is test_src_tree_is_lint_clean."
     )
 
     def check(self, unit: ModuleUnit, config: LintConfig) -> Iterator[Finding]:

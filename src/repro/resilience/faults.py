@@ -138,7 +138,7 @@ class FaultPlan:
         path = Path(path)
         # A fault plan is chaos-test *input* the user writes and hands to
         # --faults, not a run-dir artifact crash recovery must trust.
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")  # reprolint: disable=RPL005
+        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")  # reprolint: disable=RPL102
         return path
 
     @classmethod
@@ -222,12 +222,12 @@ def enact_artifact_fault(
       coordinator must see a crash and no artifact.
     """
     if rule.mode == "corrupt-artifact":
-        artifact.write_text('{"format": 1, "cell": "' + cell)  # reprolint: disable=RPL005
+        artifact.write_text('{"format": 1, "cell": "' + cell)  # reprolint: disable=RPL102
         os._exit(0)
     if rule.mode == "midwrite-kill":
         stray = artifact.parent / f".{artifact.name}.partial.tmp"
         # Deliberately torn temp file (simulated mid-write SIGKILL).
-        stray.write_text(json.dumps(data)[: max(1, len(cell))])  # reprolint: disable=RPL005
+        stray.write_text(json.dumps(data)[: max(1, len(cell))])  # reprolint: disable=RPL102
         os._exit(MIDWRITE_EXIT)
 
 

@@ -1,9 +1,9 @@
-"""RPL004 fixture: wall-clock reads in a canonical-artifact module.
+"""RPL101 fixture (zero-length chain): a wall-clock read in an artifact module.
 
 The file name mirrors ``camodel/model.py`` so the default
-``wallclock_paths`` scope applies.  There is no site allowlist any
-more: every read in a scoped module is flagged (reviewed timing sites
-live outside the scope and are policed by the whole-program RPL101).
+``wallclock_paths`` scope applies.  There is no site allowlist: every
+read in a scoped module is flagged at the read, sink or no sink
+(reviewed timing sites live outside the scope, policed by dataflow).
 """
 
 import time

@@ -1,4 +1,4 @@
-"""RPL005 fixture: direct writes under a run-dir/artifact path."""
+"""RPL102 fixture (zero-length chains): direct writes under a run-dir path."""
 
 import json
 

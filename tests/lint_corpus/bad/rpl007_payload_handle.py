@@ -1,4 +1,4 @@
-"""RPL007 fixture: an open handle riding a worker payload."""
+"""RPL103 fixture (zero-length chain): an open handle on a worker payload."""
 
 from dataclasses import dataclass
 from typing import TextIO

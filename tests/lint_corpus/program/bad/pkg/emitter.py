@@ -3,7 +3,7 @@
 ``svc.used`` / ``svc.event`` are referenced here, keeping them alive in
 ``pkg.lint.catalog``; ``svc.dead`` has no emitter anywhere and must be
 flagged.  (The ``svc.`` namespace is unregistered on purpose — the
-per-file RPL002 findings below pin the merged two-layer report.)
+module-local RPL002 findings pin the one combined report.)
 """
 
 M_USED = "svc.used"

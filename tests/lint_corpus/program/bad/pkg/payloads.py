@@ -1,9 +1,9 @@
 """RPL103 fixtures: worker payloads must be picklable all the way down.
 
-``CellPayload.config`` (bad) reaches a ``TextIO`` two annotation hops
-deep — invisible to per-file RPL007, which only checks the payload's
-own annotation surface.  ``CleanPayload`` (good twin) nests a
-handle-free dataclass and must stay clean.
+``CellPayload.config`` (bad) reaches a ``TextIO`` through a nested
+dataclass; ``ShardWorkItem`` (bad) holds one directly next to a nested
+one, and both fields are flagged.  ``CleanWorkItem`` (good twin) nests
+a handle-free dataclass and must stay clean.
 """
 
 from dataclasses import dataclass
@@ -31,3 +31,9 @@ class CellPayload:
 class CleanWorkItem:
     name: str
     config: CleanConfig
+
+
+@dataclass
+class ShardWorkItem:
+    log: TextIO
+    config: InnerConfig

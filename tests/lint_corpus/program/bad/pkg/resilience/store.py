@@ -1,9 +1,9 @@
-"""RPL102 fixture: a scoped module reaching an unscoped raw write.
+"""RPL102 fixtures: raw writes in, and reachable from, a scoped module.
 
-``checkpoint`` (bad) funnels run-dir data into ``pkg.writer.spill``,
-which writes without the temp-file + os.replace discipline.
-``summarize`` (good twin) calls into the same unscoped module but the
-callee never writes, so it must stay clean.
+``checkpoint`` (bad) funnels run-dir data into ``pkg.writer.spill``, a
+raw write; ``flush`` (bad) writes directly *and* through it, and each
+site is reported once.  ``summarize`` (good twin) calls into the same
+unscoped module but the callee never writes, so it must stay clean.
 """
 
 from pkg.writer import spill, tidy
@@ -15,3 +15,8 @@ def checkpoint(path, data):
 
 def summarize(path, data):
     return tidy(path, data)
+
+
+def flush(path, data):
+    path.write_text(data)
+    spill(path, data)

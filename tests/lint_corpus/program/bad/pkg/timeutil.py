@@ -1,6 +1,6 @@
 """RPL101 source: a wall-clock read laundered through a helper.
 
-Per-file RPL004 never sees this module (it is not in wallclock_paths);
+RPL101 never flags this read itself (it is not in wallclock_paths);
 only reachability analysis can connect ``indirect()`` to the hash sink
 in ``pkg.hasher``.
 """

@@ -1,7 +1,7 @@
 """RPL102 terminal site: a raw (non-atomic) write helper.
 
-This module is *outside* every atomic_paths scope, so per-file RPL005
-never flags it.  The violation is the call edge from the scoped
+This module is *outside* every atomic_paths scope, so RPL102 never
+flags the write itself.  The violation is the call edge from the scoped
 ``pkg.resilience.store`` into ``spill`` — only visible to the
 whole-program pack.
 """

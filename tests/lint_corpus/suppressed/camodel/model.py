@@ -4,5 +4,5 @@ import time
 
 
 def stamp_artifact(record):
-    record["written_at"] = time.time()  # reprolint: disable=RPL004
+    record["written_at"] = time.time()  # reprolint: disable=RPL101
     return record

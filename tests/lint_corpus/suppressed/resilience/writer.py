@@ -1,6 +1,6 @@
-"""RPL005 suppression fixture: file-level disable."""
+"""RPL102 suppression fixture: file-level disable."""
 
-# reprolint: disable-file=RPL005
+# reprolint: disable-file=RPL102
 
 import json
 

@@ -1,4 +1,4 @@
-"""RPL007 suppression fixture."""
+"""RPL103 suppression fixture (a depth-0 handle field)."""
 
 from dataclasses import dataclass
 from typing import TextIO
@@ -7,4 +7,4 @@ from typing import TextIO
 @dataclass
 class CellWorkPayload:
     name: str
-    log_handle: TextIO  # reprolint: disable=RPL007
+    log_handle: TextIO  # reprolint: disable=RPL103

@@ -15,6 +15,7 @@ from repro.learning import (
     confusion_matrix,
     precision_recall_f1,
 )
+from repro.learning.forest import predict_proba_per_tree
 
 
 def _separable(n=600, seed=0):
@@ -164,15 +165,8 @@ class TestRandomForest:
         forest = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)
         assert np.array_equal(
             forest.predict_proba(X[:100]),
-            forest.predict_proba(X[:100], packed=False),
+            predict_proba_per_tree(forest, X[:100]),
         )
-
-    def test_engine_knob_forwarded_to_trees(self):
-        X, y = _separable(200)
-        forest = RandomForestClassifier(
-            n_estimators=2, random_state=0, engine="recursive"
-        ).fit(X, y)
-        assert all(t.engine == "recursive" for t in forest.estimators_)
 
     def test_dispersion_shape(self):
         X, y = _separable(200)

@@ -2,19 +2,21 @@
 
 Five contracts, each against its scalar oracle:
 
-* ``engine="frontier"`` trees are **node-for-node identical** to the
-  recursive reference — same features, thresholds, child links, class
-  counts and DFS-preorder numbering — on synthetic corpora, real
-  CA-matrix data, and Hypothesis-generated random integer datasets.
+* Frontier-grown trees are **node-for-node identical** to the
+  depth-first oracle ``fit_depth_first`` — same features, thresholds,
+  child links, class counts and DFS-preorder numbering — on synthetic
+  corpora, real CA-matrix data, and Hypothesis-generated random integer
+  datasets.
 * A fused forest fit (every tree in one frontier, bootstrap rows as
-  multiplicity weights) serializes exactly like per-tree recursive fits
-  on bootstrap copies, across every forest option.
+  multiplicity weights) serializes exactly like the per-tree oracle
+  ``fit_per_tree`` (depth-first fits on bootstrap copies), across every
+  forest option.
 * The batched candidate draw equals ``candidate_features`` (a per-node
   ``default_rng((seed, key)).choice``) row for row, fallback lanes
   included — a NumPy release that changes ``choice`` fails here instead
   of silently growing different forests.
-* ``PackedForest`` inference is bit-for-bit equal to the per-tree loop
-  path (``predict_proba(packed=False)``).
+* ``PackedForest`` inference is bit-for-bit equal to the per-tree vote
+  loop oracle ``predict_proba_per_tree``.
 * Parallel fits are byte-identical to serial fits (same serialized
   forest), and parallel grid search ranks candidates identically.
 * Corrupt forest payloads fail at load with a ``ValueError`` naming the
@@ -39,6 +41,7 @@ from repro.learning.engine import (
     candidate_features,
     grow_forest,
 )
+from repro.learning.forest import fit_per_tree, predict_proba_per_tree
 from repro.learning.persistence import (
     forest_from_dict,
     forest_to_dict,
@@ -51,7 +54,7 @@ from repro.learning.persistence import (
     tree_from_dict,
     tree_to_dict,
 )
-from repro.learning.tree import DecisionTreeClassifier
+from repro.learning.tree import DecisionTreeClassifier, fit_depth_first
 from repro.library import SOI28, build_cell
 
 
@@ -67,8 +70,8 @@ def _assert_trees_identical(a, b):
 
 
 def _fit_both(X, y, **params):
-    a = DecisionTreeClassifier(engine="recursive", **params).fit(X, y)
-    b = DecisionTreeClassifier(engine="frontier", **params).fit(X, y)
+    a = fit_depth_first(DecisionTreeClassifier(**params), X, y)
+    b = DecisionTreeClassifier(**params).fit(X, y)
     return a, b
 
 
@@ -161,23 +164,10 @@ class TestFrontierEqualsRecursive:
 
     def test_forest_engines_identical(self):
         X, y = _random_dataset(13)
-        a = RandomForestClassifier(
-            n_estimators=5, max_features=0.5, random_state=2,
-            engine="recursive",
-        ).fit(X, y)
-        b = RandomForestClassifier(
-            n_estimators=5, max_features=0.5, random_state=2,
-            engine="frontier",
-        ).fit(X, y)
+        params = dict(n_estimators=5, max_features=0.5, random_state=2)
+        a = fit_per_tree(RandomForestClassifier(**params), X, y)
+        b = RandomForestClassifier(**params).fit(X, y)
         assert forest_to_dict(a) == forest_to_dict(b)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier(engine="magic")
-        with pytest.raises(ValueError):
-            RandomForestClassifier(engine="magic").fit(
-                np.zeros((4, 2)), np.zeros(4)
-            )
 
     def test_min_samples_leaf_validated(self):
         with pytest.raises(ValueError):
@@ -322,7 +312,7 @@ class TestBatchedDraw:
 
 def _fused_equals_recursive(X, y, **params):
     fused = RandomForestClassifier(**params).fit(X, y)
-    recursive = RandomForestClassifier(engine="recursive", **params).fit(X, y)
+    recursive = fit_per_tree(RandomForestClassifier(**params), X, y)
     assert forest_to_dict(fused) == forest_to_dict(recursive)
     return fused
 
@@ -469,8 +459,8 @@ class TestPackedForest:
 
     def test_packed_equals_loop_bitwise(self):
         forest, X = self._forest()
-        loop = forest.predict_proba(X, packed=False)
-        fused = forest.predict_proba(X, packed=True)
+        loop = predict_proba_per_tree(forest, X)
+        fused = forest.predict_proba(X)
         assert np.array_equal(loop, fused)
 
     def test_packed_predict_equals_loop_predict(self):
@@ -478,7 +468,7 @@ class TestPackedForest:
         assert (
             forest.predict(X)
             == forest.classes_[
-                np.argmax(forest.predict_proba(X, packed=False), axis=1)
+                np.argmax(predict_proba_per_tree(forest, X), axis=1)
             ]
         ).all()
 
@@ -492,8 +482,8 @@ class TestPackedForest:
             n_estimators=12, random_state=0, max_samples=0.2
         ).fit(X, y)
         assert np.array_equal(
-            forest.predict_proba(X, packed=False),
-            forest.predict_proba(X, packed=True),
+            predict_proba_per_tree(forest, X),
+            forest.predict_proba(X),
         )
 
     def test_dispersion_bounds_and_unanimity(self):
@@ -645,7 +635,7 @@ class TestCorruptPayloads:
         return next(i for i, n in enumerate(nodes) if n["left"] >= 0 and i > 0)
 
     def test_child_pointing_back_at_root(self):
-        # Used to load silently: predict_proba(packed=False) looped
+        # Used to load silently: the per-tree vote loop looped
         # forever and the packed path returned different probabilities.
         forest, _ = self._forest()
         payload = tree_to_dict(forest.estimators_[0])

@@ -1,20 +1,25 @@
 """Unit tests for the repro.lint framework (engine, rules, reporters).
 
 The fixture-corpus integration tests live in tests/test_lint_corpus.py;
-these tests exercise the framework mechanics on inline snippets.
+these tests exercise the framework mechanics on inline snippets, each
+linted through the one driver (:func:`repro.lint.run_lint`) with the
+cache off.
 """
 
+import ast
 import json
+import tempfile
+import tokenize
 from pathlib import Path
 
 import pytest
 
+import repro.lint.driver as lint_driver
 from repro.lint import (
     Finding,
     LintConfig,
     all_rules,
     apply_baseline,
-    check_unit,
     get_rule,
     load_baseline,
     render_json,
@@ -23,13 +28,19 @@ from repro.lint import (
     select_rules,
     write_baseline,
 )
-from repro.lint.engine import ModuleUnit
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def lint_snippet(source, rule_ids=None, path="pkg/mod.py", config=None):
-    unit = ModuleUnit(Path(path), path, source)
-    rules = select_rules(rule_ids) if rule_ids else all_rules()
-    return check_unit(unit, rules, config or LintConfig())
+    """Lint *source* saved as *path* (a relative path under a temp dir)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+        rules = select_rules(rule_ids) if rule_ids else None
+        findings, _ = run_lint([target], rules, config)
+    return findings
 
 
 # ----------------------------------------------------------------------
@@ -39,13 +50,18 @@ def lint_snippet(source, rule_ids=None, path="pkg/mod.py", config=None):
 def test_registry_has_all_rule_families():
     ids = [rule.id for rule in all_rules()]
     assert ids == sorted(ids), "rules must come back ordered by id"
-    for expected in (
-        "RPL001", "RPL002", "RPL003", "RPL004",
-        "RPL005", "RPL006", "RPL007", "RPL008",
-    ):
-        assert expected in ids
+    assert ids == [
+        "RPL001", "RPL002", "RPL003", "RPL006", "RPL008",
+        "RPL101", "RPL102", "RPL103", "RPL104", "RPL105", "RPL106",
+    ]
+    # merged into RPL101/RPL102/RPL103; retired ids are never reused
+    for retired in ("RPL004", "RPL005", "RPL007"):
+        assert get_rule(retired) is None
     for rule in all_rules():
         assert rule.summary and rule.rationale, rule.id
+    assert {r.id for r in all_rules() if r.program} == {
+        "RPL101", "RPL102", "RPL103", "RPL104", "RPL105", "RPL106",
+    }
 
 
 def test_select_and_ignore():
@@ -63,7 +79,7 @@ def test_get_rule_and_parse_error(tmp_path):
     assert get_rule("RPL999") is None
     bad = tmp_path / "broken.py"
     bad.write_text("def f(:\n")
-    findings = run_lint([bad])
+    findings, _ = run_lint([bad])
     assert [f.rule_id for f in findings] == ["RPL000"]
     assert "does not parse" in findings[0].message
 
@@ -95,7 +111,7 @@ def test_file_level_suppression_and_all():
 
 
 def test_suppression_of_other_rule_does_not_mask():
-    src = "print('x')  # reprolint: disable=RPL005\n"
+    src = "print('x')  # reprolint: disable=RPL102\n"
     findings = lint_snippet(src, ["RPL001"])
     assert [f.rule_id for f in findings] == ["RPL001"]
 
@@ -164,9 +180,12 @@ def test_rpl003_explicit_none_seed_still_flagged():
 
 
 def test_rpl004_only_in_scoped_paths():
+    """Retired RPL004's direct wall-clock reads are RPL101 findings now."""
     src = "import time\ndef f():\n    return time.time()\n"
-    assert lint_snippet(src, ["RPL004"], path="x/utils.py") == []
-    assert lint_snippet(src, ["RPL004"], path="x/camodel/io.py")
+    assert lint_snippet(src, ["RPL101"], path="x/utils.py") == []
+    (finding,) = lint_snippet(src, ["RPL101"], path="x/camodel/io.py")
+    assert (finding.line, finding.col) == (3, 12)
+    assert "wall-clock read time.time()" in finding.message
 
 
 def test_rpl004_from_import_datetime():
@@ -174,7 +193,20 @@ def test_rpl004_from_import_datetime():
         "from datetime import datetime\n"
         "def f():\n    return datetime.now()\n"
     )
-    assert lint_snippet(src, ["RPL004"], path="x/camodel/io.py")
+    assert lint_snippet(src, ["RPL101"], path="x/camodel/io.py")
+
+
+def test_rpl101_direct_read_and_sink_each_reported_once():
+    # a read in a scoped module that also reaches a hash: one finding at
+    # the read (zero-length chain), one at the sink (the flow)
+    src = (
+        "import hashlib\nimport time\n"
+        "def key(text):\n"
+        "    stamp = time.time()\n"
+        "    return hashlib.sha256(f'{text}{stamp}'.encode()).hexdigest()\n"
+    )
+    findings = lint_snippet(src, ["RPL101"], path="x/camodel/io.py")
+    assert [(f.line, f.col) for f in findings] == [(4, 13), (5, 12)]
 
 
 def test_rpl005_reads_and_fdopen_pass():
@@ -187,20 +219,38 @@ def test_rpl005_reads_and_fdopen_pass():
         "    with os.fdopen(fd, 'w') as handle:\n"
         "        json.dump(payload, handle)\n"
     )
-    assert lint_snippet(src, ["RPL005"], path="x/resilience/mod.py") == []
+    assert lint_snippet(src, ["RPL102"], path="x/resilience/mod.py") == []
 
 
 def test_rpl005_allowlisted_writer_qualname():
+    """The sanctioned writer needs no allowlist: it is outside the scope.
+
+    Retired RPL005 exempted ``repro/atomic.py::write_text_atomic`` by a
+    site allowlist; RPL102 scopes modules (atomic_paths) and the
+    writer's module is not one of them.
+    """
     src = (
         "def _write_json_atomic(path, payload):\n"
         "    with open(path, 'w') as handle:\n"
         "        handle.write(payload)\n"
     )
-    cfg = LintConfig(
-        atomic_paths=("*/pkg/*",),
-        atomic_writers=("*/pkg/mod.py::_write_json_atomic",),
+    assert lint_snippet(src, ["RPL102"], path="src/repro/atomic.py") == []
+    assert lint_snippet(src, ["RPL102"], path="src/repro/resilience/mod.py")
+
+
+def test_rpl102_direct_writes_found_in_every_scope_position():
+    # lambda bodies, class bodies and default arguments run in their
+    # enclosing scope; the direct sites there are reported like any other
+    src = (
+        "import json\n"
+        "save = lambda p, d: p.write_text(d)\n"
+        "class Checkpoint:\n"
+        "    handle = open('ckpt.json', 'a')\n"
+        "    def dump(self, path, log=open('log.txt', 'w')):\n"
+        "        json.dump({}, log)\n"
     )
-    assert lint_snippet(src, ["RPL005"], config=cfg) == []
+    findings = lint_snippet(src, ["RPL102"], path="x/resilience/mod.py")
+    assert [(f.line, f.col) for f in findings] == [(2, 21), (4, 14), (5, 30)]
 
 
 def test_rpl006_module_level_functions_pass():
@@ -225,7 +275,28 @@ def test_rpl007_plain_payloads_pass():
         "    name: str\n"
         "    options: dict\n"
     )
-    assert lint_snippet(src, ["RPL007"]) == []
+    assert lint_snippet(src, ["RPL103"]) == []
+
+
+def test_rpl103_one_finding_per_field():
+    # a field holding a handle directly *and* through a nested type is
+    # reported once, as the zero-length chain
+    src = (
+        "from dataclasses import dataclass\n"
+        "from typing import Optional, TextIO\n"
+        "@dataclass\n"
+        "class Sink:\n"
+        "    out: TextIO\n"
+        "@dataclass\n"
+        "class CellWorkItem:\n"
+        "    log: TextIO\n"
+        "    both: 'Optional[TextIO] | Sink'\n"
+        "    nested: Sink\n"
+    )
+    findings = lint_snippet(src, ["RPL103"])
+    assert [f.line for f in findings] == [8, 9, 10]
+    assert "is annotated" in findings[1].message
+    assert "nested types" in findings[2].message
 
 
 def test_rpl008_specific_exceptions_out_of_scope():
@@ -311,9 +382,9 @@ def test_baseline_round_trip(tmp_path):
 def test_fingerprint_survives_line_shift(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("print('x')\n")
-    (before,) = run_lint([mod], select_rules(["RPL001"]))
+    (before,), _ = run_lint([mod], select_rules(["RPL001"]))
     mod.write_text("import sys\n\n\nprint('x')\n")
-    (after,) = run_lint([mod], select_rules(["RPL001"]))
+    (after,), _ = run_lint([mod], select_rules(["RPL001"]))
     assert before.line != after.line
     assert before.fingerprint == after.fingerprint
 
@@ -321,7 +392,7 @@ def test_fingerprint_survives_line_shift(tmp_path):
 def test_fingerprint_distinguishes_identical_lines(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("print('x')\nprint('x')\n")
-    findings = run_lint([mod], select_rules(["RPL001"]))
+    findings, _ = run_lint([mod], select_rules(["RPL001"]))
     assert len(findings) == 2
     assert findings[0].fingerprint != findings[1].fingerprint
 
@@ -331,12 +402,12 @@ def test_fingerprint_survives_file_move(tmp_path):
     before_dir = tmp_path / "before"
     before_dir.mkdir()
     (before_dir / "mod.py").write_text("print('x')\nprint('x')\n")
-    before = run_lint([before_dir], select_rules(["RPL001"]))
+    before, _ = run_lint([before_dir], select_rules(["RPL001"]))
 
     after_dir = tmp_path / "after" / "deep" / "nested"
     after_dir.mkdir(parents=True)
     (after_dir / "renamed.py").write_text("print('x')\nprint('x')\n")
-    after = run_lint([after_dir], select_rules(["RPL001"]))
+    after, _ = run_lint([after_dir], select_rules(["RPL001"]))
 
     assert {f.fingerprint for f in before} == {f.fingerprint for f in after}
 
@@ -347,7 +418,7 @@ def test_suppression_directive_inside_string_does_not_suppress(tmp_path):
         'print("use \'# reprolint: disable=RPL001\' to silence")\n'
         "print('y')  # reprolint: disable=RPL001\n"
     )
-    findings = run_lint([mod], select_rules(["RPL001"]))
+    findings, _ = run_lint([mod], select_rules(["RPL001"]))
     # line 1's directive lives inside a string literal: still flagged;
     # line 2's is a real comment: suppressed
     assert [f.line for f in findings] == [1]
@@ -362,7 +433,6 @@ def test_catalog_matches_defining_modules():
     import repro.camodel.stats as stats
     import repro.camodel.throughput as throughput
     import repro.learning.engine as learning_engine
-    import repro.lint.program.driver as lint_program_driver
     import repro.obs.inspect as obs_inspect
     import repro.obs.store as obs_store
     import repro.obs.trace as obs_trace
@@ -380,7 +450,7 @@ def test_catalog_matches_defining_modules():
         stats, runner, engine, phasecache, planstore, throughput,
         packed, obs_store, obs_inspect, obs_trace, learning_engine,
         service_api, service_coordinator, service_lease, service_worker,
-        lint_program_driver,
+        lint_driver,
     )
     for module in modules:
         for attr in dir(module):
@@ -404,3 +474,57 @@ def test_catalog_names_live_in_registered_namespaces():
     for name in REGISTERED_NAMES:
         assert "." in name, name
         assert name.split(".", 1)[0] in NAMESPACES, name
+
+
+def test_allowed_sinks_exist():
+    # guard against the print allowlist silently rotting after a refactor
+    for pattern in LintConfig().print_allowed:
+        relative = pattern.lstrip("*/")
+        assert (REPO_ROOT / "src" / relative).exists(), pattern
+
+
+# ----------------------------------------------------------------------
+# One engine: one parse, one tokenizer pass, fixpoint only when needed
+# ----------------------------------------------------------------------
+
+def _small_package(root):
+    pkg = root / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text("import time\n\ndef now():\n    return time.time()\n")
+    (pkg / "b.py").write_text("from pkg.a import now\n\nprint(now())\n")
+    return pkg
+
+
+def test_each_module_parsed_and_tokenized_once(tmp_path, monkeypatch):
+    pkg = _small_package(tmp_path)
+    counts = {"parse": 0, "tokenize": 0}
+    real_parse, real_tokens = ast.parse, tokenize.generate_tokens
+
+    def counting_parse(*args, **kwargs):
+        counts["parse"] += 1
+        return real_parse(*args, **kwargs)
+
+    def counting_tokens(*args, **kwargs):
+        counts["tokenize"] += 1
+        return real_tokens(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(tokenize, "generate_tokens", counting_tokens)
+    findings, stats = run_lint([pkg])
+    assert stats.parsed == 3
+    assert counts == {"parse": 3, "tokenize": 3}
+    assert {f.rule_id for f in findings} == {"RPL001"}
+
+
+def test_fixpoint_runs_only_for_program_rules(tmp_path, monkeypatch):
+    pkg = _small_package(tmp_path)
+
+    def no_fixpoint(*args, **kwargs):
+        raise AssertionError("module-local selection ran the fixpoint")
+
+    monkeypatch.setattr(lint_driver, "analyze_project", no_fixpoint)
+    findings, _ = run_lint([pkg], select_rules(["RPL001", "RPL003"]))
+    assert [f.rule_id for f in findings] == ["RPL001"]
+    with pytest.raises(AssertionError, match="ran the fixpoint"):
+        run_lint([pkg], select_rules(["RPL101"]))

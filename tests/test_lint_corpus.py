@@ -2,12 +2,16 @@
 
 The corpus layout is documented in tests/lint_corpus/README.md:
 
-- bad/        one fixture per rule family; golden.json pins the findings
-- suppressed/ the same violations, silenced via every suppression form
-- baseline/   a known-debt file, adopted through --write-baseline
+- bad/         one fixture per rule family; golden.json pins the findings
+- suppressed/  the same violations, silenced via every suppression form
+- baseline/    a known-debt file, adopted through --write-baseline
+- program/bad/ a miniature project for the chains the whole-program
+               rules follow; program/golden.json pins the findings
 
 These tests run the real CLI as a subprocess so exit codes, argument
-parsing, and reporter plumbing are all exercised end to end.
+parsing, and reporter plumbing are all exercised end to end.  Every run
+passes --no-cache or a temporary --cache-dir, so none writes into the
+repository.
 """
 
 import json
@@ -16,6 +20,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path("tests") / "lint_corpus"
 
@@ -23,6 +29,8 @@ CORPUS = Path("tests") / "lint_corpus"
 def run_cli(*argv, cwd=REPO_ROOT):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    if "--cache-dir" not in argv:
+        argv += ("--no-cache",)
     return subprocess.run(
         [sys.executable, "-m", "repro", "lint", *argv],
         cwd=cwd,
@@ -47,10 +55,15 @@ def test_bad_corpus_covers_every_rule_family():
     golden = json.loads((REPO_ROOT / CORPUS / "golden.json").read_text())
     fired = {f["rule"] for f in golden["findings"]}
     for rule_id in (
-        "RPL001", "RPL002", "RPL003", "RPL004",
-        "RPL005", "RPL006", "RPL007", "RPL008",
+        "RPL001", "RPL002", "RPL003", "RPL006", "RPL008",
+        "RPL101", "RPL102", "RPL103",
     ):
         assert rule_id in fired, f"no bad-corpus fixture triggers {rule_id}"
+    # the corpus holds no chains: every whole-program finding over it is
+    # a zero-length one (a direct site), as the retired RPL004/005/007 saw
+    for finding in golden["findings"]:
+        if finding["rule"] in ("RPL101", "RPL102", "RPL103"):
+            assert len(finding["extra"]["chain"]) == 1, finding
 
 
 def test_suppressed_corpus_is_clean():
@@ -94,34 +107,45 @@ def test_select_and_ignore_cli():
 def test_list_rules_and_explain():
     proc = run_cli("--list-rules")
     assert proc.returncode == 0
-    for rule_id in ("RPL001", "RPL008"):
-        assert rule_id in proc.stdout
+    listed = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert listed == sorted(listed) and "RPL001" in listed
+    assert "RPL101" in listed and "RPL008" in listed
+    for retired in ("RPL004", "RPL005", "RPL007"):
+        assert retired not in listed
+        proc = run_cli("--explain", retired)
+        assert proc.returncode == 2, retired
 
-    proc = run_cli("--explain", "RPL004")
+    proc = run_cli("--explain", "RPL101")
     assert proc.returncode == 0
     assert "wall-clock" in proc.stdout.lower()
+    assert "RPL004" in proc.stdout  # the rationale names the retired id
 
 
-def test_src_tree_is_lint_clean():
+@pytest.fixture(scope="module")
+def src_cache(tmp_path_factory):
+    """A cold `lint src` run and the cache directory it filled."""
+    cache = tmp_path_factory.mktemp("reprolint-src")
+    proc = run_cli("src", "--cache-dir", str(cache), "--timings")
+    return proc, cache
+
+
+def test_src_tree_is_lint_clean(src_cache):
     """The acceptance gate: the shipped source tree has zero findings."""
-    proc = run_cli("src")
+    proc, _ = src_cache
     assert proc.returncode == 0, (
         "`python -m repro lint src` must stay clean:\n" + proc.stdout + proc.stderr
     )
 
 
 # ----------------------------------------------------------------------
-# Whole-program pack (--program, RPL101..RPL106)
+# Whole-program chains (RPL101..RPL106)
 # ----------------------------------------------------------------------
 
 PROGRAM_CORPUS = CORPUS / "program"
 
 
 def test_program_corpus_matches_golden():
-    proc = run_cli(
-        str(PROGRAM_CORPUS / "bad"), "--program", "--no-cache",
-        "--format", "json",
-    )
+    proc = run_cli(str(PROGRAM_CORPUS / "bad"), "--format", "json")
     assert proc.returncode == 1, proc.stderr
     got = json.loads(proc.stdout)
     golden = json.loads(
@@ -142,8 +166,20 @@ def test_program_corpus_covers_every_program_rule():
         "RPL101", "RPL102", "RPL103", "RPL104", "RPL105", "RPL106",
     ):
         assert rule_id in fired, f"no program fixture triggers {rule_id}"
-    # the merged report carries per-file findings from the same run
-    assert {"RPL002", "RPL005", "RPL008"} <= fired
+    # one report carries the module-local findings of the same run
+    assert {"RPL002", "RPL008"} <= fired
+    # merged rules: a direct site and a chain in one module are each
+    # reported once, and a depth-0 handle field sits next to a nested one
+    sites = {
+        (f["rule"], f["path"].rsplit("/", 1)[-1], f["line"])
+        for f in golden["findings"]
+    }
+    assert {("RPL102", "store.py", 21), ("RPL102", "store.py", 22)} <= sites
+    assert {("RPL103", "payloads.py", 38), ("RPL103", "payloads.py", 39)} <= sites
+    assert ("RPL101", "model.py", 12) in sites
+    assert len(golden["findings"]) == len(
+        {(f["rule"], f["path"], f["line"], f["col"]) for f in golden["findings"]}
+    ), "a site was reported twice under one rule"
 
 
 def test_program_good_twins_stay_clean():
@@ -173,19 +209,29 @@ def test_program_good_twins_stay_clean():
             )
 
 
-def test_program_src_tree_is_clean():
-    """Acceptance gate: `lint --program src` exits 0."""
-    proc = run_cli("src", "--program", "--no-cache")
-    assert proc.returncode == 0, (
-        "`python -m repro lint src --program` must stay clean:\n"
-        + proc.stdout + proc.stderr
+def test_program_src_tree_is_clean(src_cache):
+    """A warm rerun over src stays clean and parses nothing.
+
+    This is what the CI warm-run gate relies on: every facts and
+    closure entry the cold run wrote is a hit, so the fixpoint is
+    skipped.
+    """
+    cold, cache = src_cache
+    warm = run_cli("src", "--cache-dir", str(cache), "--timings")
+    assert warm.returncode == 0, warm.stdout + warm.stderr
+    assert warm.stdout == cold.stdout
+    stats = dict(
+        part.split("=") for part in warm.stderr.split() if "=" in part
     )
+    modules = stats["modules"]
+    assert stats["parsed"] == "0"
+    assert stats["facts_cache"] == stats["program_cache"] == f"{modules}/{modules}"
 
 
 def test_program_cache_round_trip_and_corruption(tmp_path):
     cache = tmp_path / "cache"
     args = (
-        str(PROGRAM_CORPUS / "bad"), "--program",
+        str(PROGRAM_CORPUS / "bad"),
         "--cache-dir", str(cache), "--format", "json",
     )
     cold = run_cli(*args)
@@ -203,6 +249,18 @@ def test_program_cache_round_trip_and_corruption(tmp_path):
     assert rebuilt.returncode == 1, rebuilt.stderr
     assert json.loads(rebuilt.stdout) == json.loads(cold.stdout)
 
+    # valid JSON of the wrong shape is a miss too: it is rewritten, and
+    # the run neither crashes nor reports differently
+    for entry in cache.iterdir():
+        data = json.loads(entry.read_text())
+        data["findings"] = [{"x": 1}]
+        entry.write_text(json.dumps(data))
+    reshaped = run_cli(*args)
+    assert reshaped.returncode == 1, reshaped.stderr
+    assert json.loads(reshaped.stdout) == json.loads(cold.stdout)
+    for entry in cache.iterdir():
+        assert json.loads(entry.read_text())["findings"] != [{"x": 1}], entry
+
 
 def test_program_syntax_error_module_degrades_gracefully(tmp_path):
     """One unparsable module: RPL000 for it, full analysis of the rest."""
@@ -218,10 +276,7 @@ def test_program_syntax_error_module_degrades_gracefully(tmp_path):
         "def key(text):\n"
         "    return hashlib.sha256(f'{text}{stamp()}'.encode()).hexdigest()\n"
     )
-    proc = run_cli(
-        str(tmp_path), "--program", "--no-cache", "--format", "json",
-        cwd=REPO_ROOT,
-    )
+    proc = run_cli(str(tmp_path), "--format", "json", cwd=REPO_ROOT)
     assert proc.returncode == 1, proc.stderr
     rules = {f["rule"] for f in json.loads(proc.stdout)["findings"]}
     assert "RPL000" in rules, "syntax error must surface as RPL000"
@@ -229,13 +284,9 @@ def test_program_syntax_error_module_degrades_gracefully(tmp_path):
 
 
 def test_program_jobs_matches_serial():
-    serial = run_cli(
-        str(PROGRAM_CORPUS / "bad"), "--program", "--no-cache",
-        "--format", "json",
-    )
+    serial = run_cli(str(PROGRAM_CORPUS / "bad"), "--format", "json")
     parallel = run_cli(
-        str(PROGRAM_CORPUS / "bad"), "--program", "--no-cache",
-        "--jobs", "2", "--format", "json",
+        str(PROGRAM_CORPUS / "bad"), "--jobs", "2", "--format", "json"
     )
     assert parallel.returncode == serial.returncode == 1
     assert json.loads(parallel.stdout) == json.loads(serial.stdout)
@@ -250,15 +301,21 @@ def test_jobs_perfile_matches_serial():
 
 def test_program_rule_selection_and_explain():
     proc = run_cli(
-        str(PROGRAM_CORPUS / "bad"), "--program", "--no-cache",
-        "--select", "RPL104", "--format", "json",
+        str(PROGRAM_CORPUS / "bad"), "--select", "RPL104", "--format", "json"
     )
     assert proc.returncode == 1
     rules = {f["rule"] for f in json.loads(proc.stdout)["findings"]}
     assert rules == {"RPL104"}
 
-    # a program rule id without --program is a usage error
-    proc = run_cli(str(PROGRAM_CORPUS / "bad"), "--select", "RPL104")
+    proc = run_cli(
+        str(PROGRAM_CORPUS / "bad"), "--ignore", "RPL101,RPL102,RPL104",
+        "--format", "json",
+    )
+    rules = {f["rule"] for f in json.loads(proc.stdout)["findings"]}
+    assert rules == {"RPL002", "RPL008", "RPL103", "RPL105", "RPL106"}
+
+    # every run is whole-program: the old opt-in flag is gone
+    proc = run_cli(str(PROGRAM_CORPUS / "bad"), "--program")
     assert proc.returncode == 2
     assert "--program" in proc.stderr
 
