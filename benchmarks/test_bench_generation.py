@@ -97,3 +97,119 @@ def test_golden_simulation_throughput(benchmark):
 
     responses = benchmark(run)
     assert len(responses) == 256
+
+
+def test_resistive_batched_vs_scalar(bench_record, monkeypatch):
+    """The batched resistive kernel against one-at-a-time scalar solves.
+
+    Collects every contended component and every batched drive-resistance
+    query of one cell's generation (golden pass and defect sweep), then
+    solves the same systems twice: through the kernel (every contention
+    call batched, the drive requests in one call each) and one system at
+    a time through the scalar references
+    (``StaticSolver._solve_contention`` per component,
+    ``CellSimulator._effective_resistance`` per query).  Codes and
+    resistances must be bitwise equal; the floor is 2x.
+    """
+    import time
+
+    import numpy as np
+
+    from repro.simulation import CellSimulator, engine, packed
+
+    cell = build_cell(SOI28, "AOI22", 1)
+    contention_calls = []
+    drive_calls = []
+    solve_contended = packed._solve_contended
+    drive_resistances = engine.drive_resistances
+
+    def capture_contention(*args):
+        *inputs, result = args
+        contention_calls.append((*inputs, result.copy()))
+        solve_contended(*args)
+
+    def capture_drive(requests):
+        drive_calls.append(list(requests))
+        return drive_resistances(requests)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(packed, "_solve_contended", capture_contention)
+        patch.setattr(engine, "drive_resistances", capture_drive)
+        generate_ca_model(cell, params=SOI28.electrical)
+
+    def scalar_drive(solver, out, rail, codes1, codes2):
+        sim = CellSimulator.__new__(CellSimulator)
+        sim.graph = solver.graph
+        return sim._effective_resistance(out, rail, codes1, codes2)
+
+    def scalar_contended(
+        pk, keys, labels, edge_active, fnodes, fixed_vals, topo_idx, result
+    ):
+        rows, roots = np.divmod(keys, pk.N)
+        for b, root in zip(rows.tolist(), roots.tolist()):
+            solver = pk.solvers[int(topo_idx[b])]
+            graph = solver.graph
+            # Padded fixed columns repeat the ground rail's 0.
+            fixed = dict(zip(fnodes[b].tolist(), fixed_vals[b].tolist()))
+            conducting = [
+                graph.devices[k]
+                for k in np.flatnonzero(edge_active[b, : len(graph.devices)])
+            ]
+            nodes = np.flatnonzero(labels[b] == root).tolist()
+            solver._solve_contention(nodes, conducting, fixed, result[b])
+
+    def run(batched):
+        # Every call through the kernel, or every system through the
+        # scalar method.
+        contend = solve_contended if batched else scalar_contended
+        codes = []
+        for *args, result in contention_calls:
+            out = result.copy()
+            contend(*args, out)
+            codes.append(out)
+        if batched:
+            resistances = [drive_resistances(reqs) for reqs in drive_calls]
+        else:
+            resistances = [
+                [scalar_drive(*request) for request in reqs]
+                for reqs in drive_calls
+            ]
+        return codes, resistances
+
+    def best_of(batched, rounds=5):
+        best, outcome = float("inf"), None
+        for _ in range(rounds):
+            start = time.perf_counter()
+            outcome = run(batched)
+            best = min(best, time.perf_counter() - start)
+        return best, outcome
+
+    scalar_seconds, (scalar_codes, scalar_drive_r) = best_of(batched=False)
+    batched_seconds, (batched_codes, batched_drive_r) = best_of(batched=True)
+
+    for a, b in zip(scalar_codes, batched_codes):
+        assert np.array_equal(a, b)
+    assert [np.asarray(r).tobytes() for r in scalar_drive_r] == [
+        np.asarray(r).tobytes() for r in batched_drive_r
+    ]
+
+    contention_systems = sum(call[1].size for call in contention_calls)
+    drive_systems = sum(len(reqs) for reqs in drive_calls)
+    assert contention_systems and drive_systems
+    speedup = scalar_seconds / batched_seconds
+    bench_record.add(
+        "generation",
+        benchmark="resistive_batched_vs_scalar",
+        cell=cell.name,
+        contention_systems=contention_systems,
+        drive_systems=drive_systems,
+        scalar_seconds=round(scalar_seconds, 4),
+        batched_seconds=round(batched_seconds, 4),
+        speedup=round(speedup, 2),
+    )
+    print(
+        f"\n{contention_systems} contention + {drive_systems} drive systems: "
+        f"scalar {scalar_seconds:.4f}s vs batched {batched_seconds:.4f}s "
+        f"-> {speedup:.2f}x"
+    )
+    assert speedup >= 2.0

@@ -21,6 +21,11 @@ cost the paper attacks); three levers keep it fast (see
   sets of every defect and runs them through the vectorized NumPy kernel
   (:func:`~repro.simulation.packed.solve_packed`), which is byte-identical
   to the scalar path (``packed=False`` forces the scalar reference).
+  Delay detection's drive-resistance queries are planned the same way:
+  the golden pass and the defect sweep assemble every word first, then
+  :func:`~repro.simulation.engine.prefetch_drive` solves the queries'
+  misses in one batched resistive solve before the unchanged per-query
+  calls run in their original order.
 * **Defect-level parallelism** — ``parallelism=N`` splits the defect
   universe into contiguous chunks characterized on a process pool and
   merges the per-chunk detection blocks; the result is byte-identical to
@@ -72,6 +77,7 @@ from repro.logic.fourval import V4
 from repro.simulation.engine import (
     CellSimulator,
     WordPlan,
+    prefetch_drive,
     solve_words_across,
     split_word,
 )
@@ -122,7 +128,9 @@ class _GoldenRun:
 
     Solves the stimulus set once and reads every requested output port
     out of the solved phases (each phase carries the codes of all nets),
-    so multi-output cells pay a single pass.
+    so multi-output cells pay a single pass.  The reference resistances
+    of every port's transitions are prefetched in one batch before the
+    per-port drive calls (see :func:`_simulate_defect_rows`).
     """
 
     def __init__(
@@ -156,15 +164,24 @@ class _GoldenRun:
         for port in ports:
             responses = _port_responses(solved, sim.graph.net_index[port])
             self.golden[port] = responses
-            cols = [
+            self.transition_cols[port] = [
                 col for col, response in enumerate(responses)
                 if response.is_dynamic
             ]
-            self.transition_cols[port] = cols
-            if delay_detection:
+        if delay_detection:
+            prefetch_drive(
+                [
+                    (sim, self.plans[col], sim.graph.net_index[port], *solved[col])
+                    for port in ports
+                    for col in self.transition_cols[port]
+                ]
+            )
+            for port in ports:
                 self.resistance[port] = {
-                    col: sim.output_drive_resistance(words[col], output=port)
-                    for col in cols
+                    col: sim.output_drive_resistance(
+                        words[col], output=port, plan=self.plans[col]
+                    )
+                    for col in self.transition_cols[port]
                 }
         self.solve_count = sim.solve_count
         self.cache_hit_count = sim.cache_hit_count
@@ -237,10 +254,15 @@ def _simulate_defect_rows(
     packed kernel (:func:`~repro.simulation.engine.solve_words_across`
     with ``assemble=False``); the per-defect loop below then only
     assembles from the staged results, with unchanged order and cost
-    accounting.  ``packed=False`` skips the prepass, so every phase is
-    solved by the scalar oracle during assembly.  *prepared_rows* lets a
-    caller that already packed a larger scope (the cross-cell library
-    engine) hand in the materialized rows.
+    accounting.  Delay detection follows in three steps: assembly lists
+    every drive-resistance call in the per-defect order, one
+    :func:`~repro.simulation.engine.prefetch_drive` batch solves their
+    misses, and the calls then run in that order; each simulator's
+    counters are read after them.  ``packed=False`` skips both
+    prepasses, so every phase and every drive resistance is solved by
+    the scalar oracle.  *prepared_rows* lets a caller that already
+    packed a larger scope (the cross-cell library engine) hand in the
+    materialized rows.
     """
     total = progress_total if progress_total is not None else len(defects)
     plans = golden_run.plans
@@ -271,35 +293,53 @@ def _simulate_defect_rows(
         "batched": 0,
     }
 
+    # Assembly: packed phases are staged, a scalar simulator solves.  It
+    # also lists the drive-resistance calls in the per-defect order, with
+    # the (initial, final) codes of each call's word.
+    drive_calls: List[
+        Tuple[int, str, int, CellSimulator, Tuple[List[int], List[int]]]
+    ] = []
     for row, (_effect, sim) in enumerate(prepared_rows):
         if sim is None:
-            counters["skipped"] += 1
             if responses is not None:
                 for port in ports:
                     responses[port].append(list(golden_run.golden[port]))
+            continue
+        solved = [sim.solve_word(word, plan) for word, plan in zip(words, plans)]
+        for port in ports:
+            golden = golden_run.golden[port]
+            node = sim.graph.net_index[port]
+            row_responses = _port_responses(solved, node)
+            block = detection[port]
+            for col, response in enumerate(row_responses):
+                block[row, col] = detect(golden[col], response)
+            if delay_detection:
+                for col in golden_run.transition_cols[port]:
+                    if block[row, col] or row_responses[col] is not golden[col]:
+                        continue
+                    drive_calls.append((row, port, col, sim, solved[col]))
+            if responses is not None:
+                responses[port].append(row_responses)
+
+    # Delay detection: the calls run in their per-defect order after one
+    # batched solve of their misses.  A call only reads phases assembly
+    # already settled, so moving it after later rows' assembly changes
+    # no counter.
+    prefetch_drive(
+        (sim, plans[col], sim.graph.net_index[port], *codes)
+        for _row, port, col, sim, codes in drive_calls
+    )
+    for row, port, col, sim, _codes in drive_calls:
+        measured = sim.output_drive_resistance(
+            words[col], output=port, plan=plans[col]
+        )
+        if measured > slow_factor * golden_run.resistance[port][col]:
+            detection[port][row, col] = 1
+
+    for row, (_effect, sim) in enumerate(prepared_rows):
+        if sim is None:
+            counters["skipped"] += 1
         else:
-            # Assembly: packed phases are staged, a scalar simulator solves.
-            solved = [sim.solve_word(word, plan) for word, plan in zip(words, plans)]
-            for port in ports:
-                golden = golden_run.golden[port]
-                row_responses = _port_responses(
-                    solved, sim.graph.net_index[port]
-                )
-                block = detection[port]
-                for col, response in enumerate(row_responses):
-                    block[row, col] = detect(golden[col], response)
-                if delay_detection:
-                    for col in golden_run.transition_cols[port]:
-                        if block[row, col] or row_responses[col] is not golden[col]:
-                            continue
-                        reference = golden_run.resistance[port][col]
-                        measured = sim.output_drive_resistance(
-                            words[col], output=port
-                        )
-                        if measured > slow_factor * reference:
-                            block[row, col] = 1
-                if responses is not None:
-                    responses[port].append(row_responses)
             counters["simulated"] += 1
             sim_counters = sim.counters()
             counters["solves"] += sim_counters["solves"]

@@ -112,7 +112,6 @@ class LintConfig:
         "mark_running",
         "mark_done",
         "record_failure",
-        "mark_quarantined",
         "recover",
         "requeue_quarantined",
         "write_failure_report",

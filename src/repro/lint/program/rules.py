@@ -35,7 +35,6 @@ _DISTINCTIVE_MUTATORS = frozenset(
         "mark_running",
         "mark_done",
         "record_failure",
-        "mark_quarantined",
         "recover",
         "requeue_quarantined",
         "write_failure_report",

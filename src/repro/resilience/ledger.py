@@ -210,15 +210,17 @@ class RunLedger:
         coordinator that polls a lease twice never inflates the count.
         """
         record = self.cells[name]
-        if attempt is None:
-            attempt = int(record["attempts"])
-            record["attempts"] = attempt + 1
-        else:
-            attempt = int(attempt)
-            record["attempts"] = max(int(record["attempts"]), attempt + 1)
+        attempt = int(record["attempts"] if attempt is None else attempt)
+        self._count_attempt(name, attempt)
         record["state"] = RUNNING
         self.save()
         return attempt
+
+    def _count_attempt(self, name: str, attempt: int) -> None:
+        """Floor the attempt count to ``attempt + 1``: an attempt seen
+        twice is counted once."""
+        record = self.cells[name]
+        record["attempts"] = max(int(record["attempts"]), int(attempt) + 1)
 
     def mark_done(
         self,
@@ -233,14 +235,26 @@ class RunLedger:
             record["metrics"] = {k: float(v) for k, v in metrics.items()}
         self.save()
 
-    def record_failure(self, name: str, error: Mapping[str, object]) -> None:
-        record = self.cells[name]
-        record["state"] = FAILED
-        record["errors"] = list(record.get("errors", [])) + [dict(error)]
-        self.save()
+    def record_failure(
+        self,
+        name: str,
+        error: Mapping[str, object],
+        attempt: int,
+        quarantine: bool = False,
+    ) -> None:
+        """Record failed attempt *attempt* and the cell's final state in
+        one save.
 
-    def mark_quarantined(self, name: str) -> None:
-        self.cells[name]["state"] = QUARANTINED
+        The attempt count is floored as in :meth:`mark_running`;
+        *quarantine* ends the cell ``quarantined`` instead of ``failed``.
+        A single save matters to concurrent readers: a worker's claim
+        scan treats a ``failed`` cell as claimable, so a cell that has
+        exhausted its retries must never be saved ``failed`` first.
+        """
+        self._count_attempt(name, attempt)
+        record = self.cells[name]
+        record["state"] = QUARANTINED if quarantine else FAILED
+        record["errors"] = list(record.get("errors", [])) + [dict(error)]
         self.save()
 
     # ------------------------------------------------------------------

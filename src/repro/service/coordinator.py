@@ -235,10 +235,13 @@ def serve(
         artifact = ledger.artifact_path(name)
         if artifact.exists() and not ledger.validate_artifact(name):
             artifact.unlink()
-        ledger.mark_running(name, attempt=attempt)  # floor the count
-        ledger.record_failure(name, record)
         failures = session_failures.get(name, 0) + 1
         session_failures[name] = failures
+        # One save floors the count and persists the final state: a
+        # worker must never see an exhausted cell as failed (claimable).
+        ledger.record_failure(
+            name, record, attempt=attempt, quarantine=failures > retries
+        )
         if failures <= retries:
             registry.inc(M_RETRIES)
             events.warning(
@@ -254,7 +257,6 @@ def serve(
             )
         else:
             registry.inc(M_QUARANTINED)
-            ledger.mark_quarantined(name)
             events.error(
                 "resilience.quarantine",
                 cell=name,
@@ -313,7 +315,11 @@ def serve(
         handle_failure(name, attempt, {"kind": kind, "error": error}, elapsed)
 
     def consume_error(name: str) -> None:
-        """Charge a failure a worker recorded cleanly (lease now vacant)."""
+        """Charge a failure a worker recorded cleanly (lease now vacant).
+
+        The error record keeps workers off the cell until the ledger
+        holds its final state, so it is unlinked only after that save.
+        """
         error_path = ledger.error_path(name)
         try:
             record = json.loads(error_path.read_text())
@@ -324,7 +330,6 @@ def serve(
             }
         except (FileNotFoundError, OSError):
             return
-        error_path.unlink()
         attempt = last_attempt(name)
         key = str(ledger.cells[name]["key"])
         seconds = 0.0
@@ -342,6 +347,7 @@ def serve(
             str(record.get("error", "")), started, seconds,
         )
         handle_failure(name, attempt, record, seconds)
+        error_path.unlink(missing_ok=True)
 
     def collect_done(name: str) -> None:
         """Exactly-once done transition with the worker's counters."""

@@ -305,6 +305,23 @@ def run_attempt(
         faults.deactivate()
 
 
+def _settled(run_dir: Path, name: str) -> bool:
+    """Whether *name* needs no new attempt, judged afresh under its lease.
+
+    A claim scan works from a ledger snapshot, and the coordinator may
+    settle the cell between that load and the claim.  Once the lease is
+    held, the disk is current: the coordinator saves a cell's final
+    state before it unlinks the error record, and an attempt leaves its
+    artifact or error record before it releases the lease.
+    """
+    ledger = RunLedger.load(run_dir)
+    return (
+        ledger.state(name) in (DONE, QUARANTINED)
+        or ledger.artifact_path(name).exists()
+        or ledger.error_path(name).exists()
+    )
+
+
 def worker_loop(
     run_dir: Union[str, Path],
     owner: Optional[str] = None,
@@ -382,6 +399,9 @@ def worker_loop(
                 )
                 lease = leases.claim(name, owner, attempt)
                 if lease is None:
+                    continue
+                if _settled(run_dir, name):
+                    leases.release(lease)  # the snapshot was stale
                     continue
                 claimed = True
                 if run_attempt(

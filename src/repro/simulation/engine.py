@@ -25,19 +25,27 @@ the history-dependent survivors, and the per-word assembly then runs
 entirely against warm caches.  When the simulator shares a
 :class:`~repro.simulation.switchgraph.CellTopology`, the caches themselves
 are shared across defects with signature-equal effects.
+:func:`prefetch_drive` plans a sweep's drive-resistance queries the same
+way: their misses are solved in one batched resistive solve and popped
+by the ordinary :meth:`CellSimulator.output_drive_resistance` calls.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.library.technology import ElectricalParams
 from repro.logic.fourval import V4, final_phase, initial_phase, word_from_phases
-from repro.simulation.packed import PackedRequest, solve_packed
+from repro.simulation.packed import (
+    DriveRequest,
+    PackedRequest,
+    drive_resistances,
+    solve_packed,
+)
 from repro.simulation.solver import SolveResult, StaticSolver
 from repro.simulation.switchgraph import (
     CellTopology,
@@ -438,7 +446,10 @@ class CellSimulator:
     # Drive-strength measurement (delay-defect proxy)
     # ------------------------------------------------------------------
     def output_drive_resistance(
-        self, word: Sequence[V4], output: Optional[str] = None
+        self,
+        word: Sequence[V4],
+        output: Optional[str] = None,
+        plan: Optional[WordPlan] = None,
     ) -> float:
         """Effective resistance from an output to the rail it settled at.
 
@@ -446,25 +457,38 @@ class CellSimulator:
         removes one finger of a parallel stack leaves the logic value
         intact but raises this resistance, which a transient (SPICE)
         simulation would report as a slow, delay-detected defect.  Returns
-        ``inf`` when the output is floating or unknown.
+        ``inf`` when the output is floating or unknown.  *plan* is the
+        precomputed :func:`split_word` of *word*, as for
+        :meth:`solve_word`.
         """
-        first, second, _dynamic = self._split_word(word)
-        codes1, codes2 = self.solve_word(word)
+        if plan is None:
+            plan = self._split_word(word)
+        codes1, codes2 = self.solve_word(word, plan)
         out = self.graph.output if output is None else self.graph.net_index[output]
-        level = codes2[out]
-        if level not in (0, 1):
+        target = self._drive_target(plan, out, codes2)
+        if target is None:
             return float("inf")
-        cache_key = (first, second, out)
+        cache_key, rail = target
         cached = self._drive_cache.get(cache_key)
         if cached is not None:
             self.cache_hit_count += 1
             return cached
         resistance = self._prefetch_drive.pop(cache_key, None)
         if resistance is None:
-            rail = self.graph.power if level == 1 else self.graph.ground
             resistance = self._effective_resistance(out, rail, codes1, codes2)
         self._drive_cache[cache_key] = resistance
         return resistance
+
+    def _drive_target(
+        self, plan: WordPlan, out: int, codes2: Sequence[int]
+    ) -> Optional[Tuple[Tuple, int]]:
+        """The drive-cache key and rail of a query, or None when the
+        output settled at neither 0 nor 1 (no drive to measure)."""
+        level = codes2[out]
+        if level not in (0, 1):
+            return None
+        rail = self.graph.power if level == 1 else self.graph.ground
+        return (plan[0], plan[1], out), rail
 
     def _conducting_edges(
         self, codes1: Sequence[int], codes2: Sequence[int]
@@ -677,6 +701,44 @@ def solve_words_across(
         [sim.solve_word(word, plan) for word, plan in zip(words, plans)]
         for sim, words, plans in normalized
     ]
+
+
+#: one drive-resistance query of a sweep: (simulator, word plan, output
+#: node, the word's solved (initial, final) codes)
+DriveQuery = Tuple[
+    "CellSimulator", WordPlan, int, Sequence[int], Sequence[int]
+]
+
+
+def prefetch_drive(queries: Iterable[DriveQuery]) -> None:
+    """Batch-solve the drive resistances a run of queries will miss.
+
+    *queries* yields, in call order, the
+    :meth:`CellSimulator.output_drive_resistance` calls a sweep is about
+    to make, with the codes its assembly already solved.  The first miss
+    of each key of a shared drive cache — a packed simulator's output
+    settled at 0 or 1, the key neither cached, nor prefetched from an
+    on-disk store, nor claimed by an earlier query of the same signature
+    group — is solved in one :func:`~repro.simulation.packed.drive_resistances`
+    batch into ``PhaseState.prefetch_drive``.  The calls then pop it
+    exactly where they would have solved, which moves no counter, so
+    results and cost accounting equal the unplanned calls.
+    """
+    misses: List[Tuple[CellSimulator, Tuple, DriveRequest]] = []
+    claimed: Dict[int, set] = {}
+    for sim, plan, out, codes1, codes2 in queries:
+        target = sim._drive_target(plan, out, codes2) if sim.packed else None
+        if target is None:
+            continue
+        key, rail = target
+        group = claimed.setdefault(id(sim._drive_cache), set())
+        if key in group or key in sim._drive_cache or key in sim._prefetch_drive:
+            continue
+        group.add(key)
+        misses.append((sim, key, (sim.solver, out, rail, codes1, codes2)))
+    solved = drive_resistances([request for _sim, _key, request in misses])
+    for (sim, key, _request), resistance in zip(misses, solved):
+        sim._prefetch_drive[key] = resistance
 
 
 def golden_simulator(

@@ -18,8 +18,11 @@ leading slot axis.  Every requested phase becomes one *row* carrying the
 slot index of its topology; per-step gathers (``stacked[topo_idx]``)
 give each row its own graph.  Rows iterate together with per-row
 convergence dropout, Bryant off/on envelopes as two sub-resolves,
-min-label propagation for connected components, and a scalar
-exact-Laplacian fallback for the rare contended components.
+min-label propagation for connected components, and one batched exact
+Laplacian solve (:func:`~repro.simulation.resistive.solve_resistive`)
+for the contended components of each resolve.  The same label
+propagation and kernel answer batches of drive-resistance queries
+(:func:`drive_resistances`).
 
 Padding is inert by construction:
 
@@ -38,8 +41,11 @@ Identity guarantee
 ``requests[i].solver.solve(requests[i].vectors[j], ...)`` exactly —
 codes and retention flag: all logic-level work is integer, per-row
 iteration counts match the scalar path, and contention (the only float
-arithmetic) is delegated to the same scalar
-:meth:`~repro.simulation.solver.StaticSolver._solve_contention`.
+arithmetic) is solved bitwise equal to the scalar
+:meth:`~repro.simulation.solver.StaticSolver._solve_contention`: the
+kernel builds each component's system in that method's edge order
+(device columns, then static edges) and thresholds it with its own
+topology's ``vil``/``vih``.
 The per-solver resolve-row memo (``_resolve_cache``) is keyed on the
 *trimmed* (conduction mask, source values) pair, so a solver's entries
 do not depend on which other topologies shared the call: a one-topology
@@ -53,6 +59,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
+from repro.simulation.resistive import solve_resistive
 from repro.simulation.solver import (
     CONTENDED,
     FLOAT,
@@ -87,6 +94,8 @@ class _PackedTopo:
     Shapes: ``S`` solvers, ``N`` node columns (max nodes + 1 scrap),
     ``D`` device columns, ``E = D + max_static + 1`` edge slots (device
     channels, then static edges, then one never-active padding edge).
+    ``edge_a``/``edge_b``/``edge_g`` hold each edge slot's endpoints and
+    conductance for the resistive kernel.
     """
 
     def __init__(self, solvers: Sequence[StaticSolver]):
@@ -128,6 +137,13 @@ class _PackedTopo:
         self.slot_node = np.empty((S, N, max_deg), dtype=np.intp)
         self.slot_edge = np.full((S, N, max_deg), self.E - 1, dtype=np.intp)
         self.any_open = np.zeros(S, dtype=bool)
+        # Edge endpoints and conductances in the packed edge space; padded
+        # slots are scrap self-edges, which never conduct.
+        self.edge_a = np.full((S, self.E), self.scrap, dtype=np.intp)
+        self.edge_b = np.full((S, self.E), self.scrap, dtype=np.intp)
+        self.edge_g = np.zeros((S, self.E))
+        self.vil = np.array([s.vil for s in solvers], dtype=np.float64)
+        self.vih = np.array([s.vih for s in solvers], dtype=np.float64)
 
         for s, (ba, graph) in enumerate(zip(bas, graphs)):
             d = ba.n_devices
@@ -144,6 +160,13 @@ class _PackedTopo:
             self.seed_pins[s, : ba.seed_pins.size] = ba.seed_pins
             self.seed_srcs[s, : ba.seed_srcs.size] = ba.seed_srcs
             self.static_active[s, : ba.n_static] = True
+            for packed_tab, own in (
+                (self.edge_a, ba.edge_a),
+                (self.edge_b, ba.edge_b),
+                (self.edge_g, ba.edge_g),
+            ):
+                packed_tab[s, :d] = own[:d]
+                packed_tab[s, D : D + ba.n_static] = own[d:]
             # Remap this solver's edge indices into the packed edge space:
             # devices keep their column, static edge j -> D + j, and the
             # solver's own padding edge (index d + n_static) -> E - 1.
@@ -171,34 +194,38 @@ class _PackedTopo:
             self.slot_edge[s] = edge_tab
 
 
-def _resolve_packed_rows(
-    pk: _PackedTopo,
-    conducting: np.ndarray,
-    src_vals: np.ndarray,
-    topo_idx: np.ndarray,
+def _edge_active(
+    pk: _PackedTopo, conducting: np.ndarray, topo_idx: np.ndarray
 ) -> np.ndarray:
-    """Vectorized resolve of one unknown-extreme across topologies.
+    """(batch, E) activity over the packed edge space: the conducting
+    device columns, every static edge, never the padding edge."""
+    return np.concatenate(
+        [
+            conducting,
+            pk.static_active[topo_idx],
+            np.zeros((conducting.shape[0], 1), dtype=bool),
+        ],
+        axis=1,
+    )
 
-    *conducting* is a (batch, D) bool mask of channels treated as ON.
-    Connected components are found with min-label propagation over the
-    padded per-node neighbour tables (gathers only — no scatter), with
+
+def _component_labels(
+    pk: _PackedTopo, edge_active: np.ndarray, topo_idx: np.ndarray
+) -> np.ndarray:
+    """Connected-component labels of every row's active edges.
+
+    *edge_active* is a (batch, E) mask over the packed edge space.
+    Components are found with min-label propagation over the padded
+    per-node neighbour tables (gathers only — no scatter), with
     pointer-jumping compression; stability implies every active edge
     joins equal labels, i.e. labels are constant per component.  Every
     gather is a flat ``np.take`` into the raveled (batch, N) arrays, so
     row ``b``'s node ``i`` lives at ``b * N + i``.
     """
-    batch = conducting.shape[0]
+    batch = edge_active.shape[0]
     N = pk.N
     rows = np.arange(batch)
     offsets = (rows * N)[:, None]
-    edge_active = np.concatenate(
-        [
-            conducting,
-            pk.static_active[topo_idx],
-            np.zeros((batch, 1), dtype=bool),
-        ],
-        axis=1,
-    )
     slots = pk.slot_edge[topo_idx]  # batch x N x deg
     slots += (rows * pk.E)[:, None, None]
     act_slots = np.take(edge_active, slots)
@@ -213,8 +240,28 @@ def _resolve_packed_rows(
         new = np.minimum(labels, np.take(labels, neighbour).min(axis=2))
         new = np.take(new, new + offsets)  # pointer jumping
         if np.array_equal(new, labels):
-            break
+            return labels
         labels = new
+
+
+def _resolve_packed_rows(
+    pk: _PackedTopo,
+    conducting: np.ndarray,
+    src_vals: np.ndarray,
+    topo_idx: np.ndarray,
+) -> np.ndarray:
+    """Vectorized resolve of one unknown-extreme across topologies.
+
+    *conducting* is a (batch, D) bool mask of channels treated as ON;
+    static edges always conduct.  Components come from
+    :func:`_component_labels`; a component reaching both a 1 and a 0
+    boundary is contended and solved by :func:`_solve_contended`.
+    """
+    batch = conducting.shape[0]
+    N = pk.N
+    offsets = (np.arange(batch) * N)[:, None]
+    edge_active = _edge_active(pk, conducting, topo_idx)
+    labels = _component_labels(pk, edge_active, topo_idx)
 
     # Boundary facts per component root: padded fixed columns alias the
     # ground rail with value 0; padded sources carry 0 as well.
@@ -236,22 +283,168 @@ def _resolve_packed_rows(
         np.where(root1, 1, np.where(root0, 0, FLOAT)),
     ).astype(np.int16)
 
-    contended_rows = np.where((result == CONTENDED).any(axis=1))[0]
-    for b in contended_rows:
-        solver = pk.solvers[int(topo_idx[b])]
-        graph = solver.graph
-        fixed = {graph.power: 1, graph.ground: 0}
-        for i, node in enumerate(graph.source_nodes):
-            fixed[node] = int(src_vals[b, i])
-        d = len(graph.devices)
-        conducting_devs = [
-            graph.devices[k] for k in np.where(conducting[b, :d])[0]
-        ]
-        row = result[b]
-        for root in np.unique(labels[b][row == CONTENDED]):
-            nodes = np.where(labels[b] == root)[0].tolist()
-            solver._solve_contention(nodes, conducting_devs, fixed, row)
+    contended = np.unique(flat_labels[result == CONTENDED])
+    if contended.size:
+        _solve_contended(
+            pk, contended, labels, edge_active, fnodes, fixed_vals, topo_idx,
+            result,
+        )
     return result
+
+
+def _solve_contended(
+    pk: _PackedTopo,
+    keys: np.ndarray,
+    labels: np.ndarray,
+    edge_active: np.ndarray,
+    fnodes: np.ndarray,
+    fixed_vals: np.ndarray,
+    topo_idx: np.ndarray,
+    result: np.ndarray,
+) -> None:
+    """Exact resistive solve of every contended component, in place.
+
+    *keys* are the contended ``row * N + root`` pairs; each is one
+    system of :func:`~repro.simulation.resistive.solve_resistive`: the
+    row's device columns then static edges (the order of
+    :meth:`StaticSolver._solve_contention`), held at the row's fixed
+    nodes *fnodes* with values *fixed_vals*, thresholded with that
+    topology's own ``vil``/``vih``.
+    """
+    rows, roots = np.divmod(keys, pk.N)
+    systems = np.arange(keys.size)[:, None]
+    topo = topo_idx[rows]
+    member = labels[rows] == roots[:, None]
+    held = np.zeros(member.shape, dtype=bool)
+    held_val = np.zeros(member.shape, dtype=np.int16)
+    held[systems, fnodes[rows]] = True
+    held_val[systems, fnodes[rows]] = fixed_vals[rows]
+    volts, _solved = solve_resistive(
+        pk.edge_a, pk.edge_b, pk.edge_g, topo, edge_active[rows], member,
+        held, held_val,
+    )
+    # A singular system's NaN voltages compare false both ways: X.
+    codes = np.where(
+        volts >= pk.vih[topo][:, None],
+        1,
+        np.where(volts <= pk.vil[topo][:, None], 0, X),
+    )
+    sys_f, node_f = np.nonzero(member & ~held)
+    result[rows[sys_f], node_f] = codes[sys_f, node_f]
+    sys_h, node_h = np.nonzero(member & held)
+    result[rows[sys_h], node_h] = held_val[sys_h, node_h]
+
+
+#: one drive-resistance system: the solver, the output node, the rail it
+#: settled at, and the word's (initial, final) solved codes
+DriveRequest = Tuple[StaticSolver, int, int, Sequence[int], Sequence[int]]
+
+#: drive queries per chunk: bounds the per-query gathers and the
+#: (queries x nodes x degree) neighbour tables of label propagation, so a
+#: large cell's drive batch stays below a resolve call's footprint
+_DRIVE_CHUNK = 512
+
+
+def drive_resistances(requests: Sequence[DriveRequest]) -> List[float]:
+    """Effective output-to-rail resistance of many queries at once.
+
+    Element ``i`` equals ``CellSimulator._effective_resistance(output,
+    rail, codes1, codes2)`` of ``requests[i]`` bitwise: the final
+    phase's conducting edges (a gate-open device reads the initial
+    phase) are labelled into components like a resolve, every query
+    whose rail shares the output's component becomes one system of
+    :func:`~repro.simulation.resistive.solve_resistive` — static edges
+    first, then devices, as ``_conducting_edges`` orders them, the rail
+    held at 0 and a unit current into the output — and the output's
+    voltage is the resistance.  Unreachable and singular queries read
+    ``inf``.
+    """
+    if not requests:
+        return []
+    solvers: List[StaticSolver] = []
+    slot_of = {}
+    for solver, *_rest in requests:
+        if id(solver) not in slot_of:
+            slot_of[id(solver)] = len(solvers)
+            solvers.append(solver)
+    pk = _PackedTopo(solvers)
+    # A query is a function of (topology, output, rail, conduction), and
+    # the words sharing a final vector share it: solve each one once.
+    key = np.empty((len(requests), 3 + pk.D), dtype=np.int32)
+    key[:, 0] = [slot_of[id(r[0])] for r in requests]
+    key[:, 1] = [r[1] for r in requests]
+    key[:, 2] = [r[2] for r in requests]
+    for lo in range(0, len(requests), _DRIVE_CHUNK):
+        chunk = key[lo : lo + _DRIVE_CHUNK]
+        chunk[:, 3:] = _drive_conduction(
+            pk, requests[lo : lo + _DRIVE_CHUNK], chunk[:, 0]
+        )
+    # Rows compared as raw bytes: far cheaper than unique(axis=0).
+    width = key.shape[1]
+    distinct, inverse = np.unique(
+        key.view(np.dtype((np.void, key.itemsize * width))).ravel(),
+        return_inverse=True,
+    )
+    del key
+    distinct = distinct.view(np.int32).reshape(-1, width)
+    resistance = np.empty(distinct.shape[0])
+    for lo in range(0, distinct.shape[0], _DRIVE_CHUNK):
+        resistance[lo : lo + _DRIVE_CHUNK] = _drive_systems(
+            pk, distinct[lo : lo + _DRIVE_CHUNK]
+        )
+    return resistance[inverse].tolist()
+
+
+def _drive_conduction(
+    pk: _PackedTopo, requests: Sequence[DriveRequest], topo_idx: np.ndarray
+) -> np.ndarray:
+    """(queries, D) device conduction in each query's final phase."""
+    rows = np.arange(len(requests))
+    codes1 = np.full((rows.size, pk.N), X, dtype=np.int16)
+    codes2 = np.full((rows.size, pk.N), X, dtype=np.int16)
+    widths = pk.n_nodes[topo_idx]
+    for width in set(widths.tolist()):  # one per cell of the batch
+        at = np.flatnonzero(widths == width).tolist()
+        codes1[at, :width] = [requests[q][3] for q in at]
+        codes2[at, :width] = [requests[q][4] for q in at]
+    dev_gate = pk.dev_gate[topo_idx]
+    gate_vals = np.where(
+        pk.is_open[topo_idx],
+        codes1[rows[:, None], dev_gate],
+        codes2[rows[:, None], dev_gate],
+    )
+    return ((gate_vals == 1) & (pk.on_if_1[topo_idx] == ON)) | (
+        (gate_vals == 0) & (pk.on_if_0[topo_idx] == ON)
+    )
+
+
+def _drive_systems(pk: _PackedTopo, key: np.ndarray) -> np.ndarray:
+    """Resistances of distinct queries, one key row each: (topology,
+    output, rail, device conduction...)."""
+    topo_idx = key[:, 0].astype(np.intp)
+    output = key[:, 1].astype(np.intp)
+    rail = key[:, 2].astype(np.intp)
+    rows = np.arange(key.shape[0])
+    edge_active = _edge_active(pk, key[:, 3:].astype(bool), topo_idx)
+    labels = _component_labels(pk, edge_active, topo_idx)
+    out_label = labels[rows, output]
+    systems = np.flatnonzero(labels[rows, rail] == out_label)
+    resistance = np.full(rows.size, np.inf)
+    if systems.size:
+        member = labels[systems] == out_label[systems, None]
+        held = np.zeros(member.shape, dtype=bool)
+        held[np.arange(systems.size), rail[systems]] = True
+        order = np.concatenate(
+            [np.arange(pk.D, pk.E - 1), np.arange(pk.D)]
+        )  # static edges, then devices
+        volts, solved = solve_resistive(
+            pk.edge_a, pk.edge_b, pk.edge_g, topo_idx[systems],
+            edge_active[systems], member, held,
+            source=output[systems], order=order,
+        )
+        at_output = volts[np.arange(systems.size), output[systems]]
+        resistance[systems] = np.where(solved, at_output, np.inf)
+    return resistance
 
 
 def _resolve_packed(

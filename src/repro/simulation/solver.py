@@ -19,7 +19,9 @@ nets where the two extremes agree take that value, others become X.
 
 Contended components (paths to both rails, e.g. through an injected short)
 are solved exactly as a linear resistive network (Laplacian solve) and
-thresholded with the technology's ``vil``/``vih``.
+thresholded with the technology's ``vil``/``vih``;
+:meth:`StaticSolver._solve_contention` is the scalar reference of that
+solve.
 
 Two execution paths produce byte-identical results:
 
@@ -31,10 +33,13 @@ Two execution paths produce byte-identical results:
   conduction is a batched gate lookup, the per-phase union-find is
   replaced by a gather-based connected-components label propagation over
   the stacked conduction masks (the Bryant off/on envelopes become two
-  batched resolves), and only the rare contended components drop to the
-  exact scalar Laplacian path (:meth:`StaticSolver._solve_contention`).
+  batched resolves), and the contended components of a resolve are
+  solved together by the batched resistive kernel
+  (:func:`repro.simulation.resistive.solve_resistive`), bitwise equal
+  to :meth:`StaticSolver._solve_contention`.
   This module keeps the per-solver index arrays it builds on
-  (:class:`_BatchArrays`) and its resolve-row memo.
+  (:class:`_BatchArrays`, including the edge endpoints and conductances
+  the resistive kernel reads) and its resolve-row memo.
 """
 
 from __future__ import annotations
@@ -374,6 +379,14 @@ class _BatchArrays:
         self.n_static = len(graph.static_edges)
         endpoints = [(d.drain, d.source) for d in devices]
         endpoints += [(a, b) for a, b, _g in graph.static_edges]
+        # Edge endpoints and conductances, in edge order, for the batched
+        # resistive kernel (contention and drive-resistance solves).
+        self.edge_a = np.array([a for a, _b in endpoints], dtype=np.intp)
+        self.edge_b = np.array([b for _a, b in endpoints], dtype=np.intp)
+        self.edge_g = np.array(
+            [d.g_on for d in devices] + [g for _a, _b, g in graph.static_edges],
+            dtype=np.float64,
+        )
         n = graph.n_nodes
         incident: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         for edge, (a, b) in enumerate(endpoints):

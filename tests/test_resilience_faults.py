@@ -25,11 +25,14 @@ from repro.library import SOI28, build_cell
 from repro.resilience import FaultPlan, FaultRule, InjectedFault, faults
 from repro.resilience.ledger import (
     DONE,
+    FAILED,
+    PENDING,
     QUARANTINED,
     RunLedger,
     quarantined_cells,
 )
 from repro.service import serve, submit_library
+from repro.service import worker as worker_module
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -273,6 +276,89 @@ class TestRaiseInSolver:
         assert error["kind"] == "exception"
         assert "InjectedFault" in error["error"]
         assert "generate_ca_model" in error["traceback"]
+
+    def test_exhausted_cell_is_never_saved_claimable(
+        self, tmp_path, library_cells, monkeypatch
+    ):
+        """Once the failure that exhausts the retry budget is recorded, no
+        ledger save may show the cell claimable: pending or failed with
+        no error record and no lease, which a worker's claim scan would
+        take for an attempt the budget does not allow.  Every save of the
+        coordinator is recorded; the error record and the lease are read
+        just before the write, while the disk still holds the previous
+        state and no worker can claim in between."""
+        run_dir = tmp_path / "run"
+        lease_path = run_dir / "leases" / f"{VICTIM}.json"
+        saves = []
+        original_save = RunLedger.save
+
+        def recording_save(ledger):
+            record = ledger.cells.get(VICTIM)
+            if record is not None:
+                blocked = (
+                    ledger.error_path(VICTIM).exists() or lease_path.exists()
+                )
+                saves.append(
+                    (record["state"], len(record.get("errors", [])), blocked)
+                )
+            original_save(ledger)
+
+        monkeypatch.setattr(RunLedger, "save", recording_save)
+        retries = 1
+        plan = FaultPlan([FaultRule(cell=VICTIM, mode="raise")])
+        result = _run(run_dir, cells=library_cells, retries=retries, fault_plan=plan)
+        assert VICTIM in result.quarantined
+        exhausted = [s for s in saves if s[1] > retries]
+        assert exhausted, "the quarantining failure was never saved"
+        claimable = [
+            s for s in exhausted
+            if s[0] in (PENDING, FAILED) and not s[2]
+        ]
+        assert claimable == []
+        assert exhausted[0][0] == QUARANTINED
+        record = RunLedger.load(run_dir).cells[VICTIM]
+        assert record["state"] == QUARANTINED
+        assert record["attempts"] == retries + 1
+
+    def test_worker_gives_back_a_cell_settled_mid_scan(
+        self, tmp_path, library_cells, monkeypatch
+    ):
+        """The coordinator consumes the failure that exhausts the budget
+        between a worker's ledger load and its error-record check.  The
+        scan's snapshot still shows the cell pending, the error record is
+        gone and no lease is held, so the worker claims it; under the
+        lease it re-reads the ledger, finds the cell quarantined and
+        gives the lease back without running an attempt."""
+        run_dir = tmp_path / "run"
+        victim = [cell for cell in library_cells if cell.name == VICTIM]
+        submit_library(victim, run_dir=run_dir, retries=0)
+        ledger = RunLedger.load(run_dir)
+        # Attempt 0 failed cleanly; its error record awaits the coordinator.
+        ledger.error_path(VICTIM).write_text(
+            json.dumps({"kind": "exception", "error": "InjectedFault: raise"})
+        )
+        load = RunLedger.load
+        consumed = []
+
+        def load_then_consume(cls, path):
+            snapshot = load(path)
+            if not consumed:  # the worker's first scan
+                consumed.append(True)
+                serve(run_dir, workers=0)  # consumes, then returns
+            return snapshot
+
+        ran = []
+        monkeypatch.setattr(RunLedger, "load", classmethod(load_then_consume))
+        monkeypatch.setattr(
+            worker_module, "run_attempt",
+            lambda *args: ran.append(args[4].attempt) or True,
+        )
+        assert worker_module.worker_loop(run_dir, owner="w-test", poll=0.01) == 0
+        assert consumed and ran == []
+        record = load(run_dir).cells[VICTIM]
+        assert record["state"] == QUARANTINED
+        assert record["attempts"] == 1
+        assert not (run_dir / "leases" / f"{VICTIM}.json").exists()
 
 
 class TestOptionsSafety:

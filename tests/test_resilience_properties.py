@@ -87,22 +87,22 @@ def _simulate_session(run_dir, cells, scripts, cursor, model_dict, resume):
     try:
         for name, _ in cells:
             while ledger.state(name) in (PENDING, FAILED):
-                if session_attempts[name] >= SESSION_ATTEMPTS:
-                    ledger.mark_quarantined(name)
-                    break
                 attempt = ledger.mark_running(name)
                 session_attempts[name] += 1
+                exhausted = session_attempts[name] >= SESSION_ATTEMPTS
                 script = scripts.get(name, [])
                 step = cursor.get(name, 0)
                 action = script[step] if step < len(script) else "ok"
                 cursor[name] = step + 1
                 if action == FAIL:
                     ledger.record_failure(
-                        name, {"kind": "exception", "attempt": attempt}
+                        name, {"kind": "exception", "attempt": attempt},
+                        attempt, quarantine=exhausted,
                     )
                 elif action == TIMEOUT:
                     ledger.record_failure(
-                        name, {"kind": "timeout", "attempt": attempt}
+                        name, {"kind": "timeout", "attempt": attempt},
+                        attempt, quarantine=exhausted,
                     )
                 elif action == KILLED_AFTER_ARTIFACT:
                     # Worker finished and checkpointed; the parent died

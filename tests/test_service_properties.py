@@ -318,9 +318,11 @@ def test_service_resume_never_double_counts_counters(scripts, model_dict):
                             else "ok"
                         )
                         cursor[name] += 1
-                        ledger.mark_running(name)
+                        attempt = ledger.mark_running(name)
                         if action == CRASH:
-                            ledger.record_failure(name, {"kind": "crash"})
+                            ledger.record_failure(
+                                name, {"kind": "crash"}, attempt
+                            )
                         elif action == DIE_AFTER_COMMIT:
                             _commit(run_dir, ledger, name, model_dict)
                             raise _CoordinatorKilled(name)
