@@ -6,19 +6,25 @@ dozens to hundreds of Random Forests per run.  This module grows and
 evaluates every tree of a forest together:
 
 * :func:`grow_forest` grows all ``n_estimators`` trees of a forest as
-  one level-synchronous frontier.  A row of the frontier is a ``(tree,
-  distinct bootstrap row)`` pair weighted by its bootstrap multiplicity,
-  so no bootstrap copy of ``X`` is made and a duplicated row is
-  histogrammed once.  Each level evaluates best-split histograms for
-  the open nodes of *every* tree in one pass: ``(node, candidate slot,
-  class, feature value)`` is encoded into one flat index, every per-node
-  per-feature class histogram falls out of one weighted ``np.bincount``
-  plus a segmented cumulative sum (the LightGBM histogram trick, exact
-  here because CA-matrix features are small integer codes), and a level
-  is chunked so ``rows x candidate slots`` stays near one tree's root
-  level.  Child ids, heap keys and the DFS-preorder renumbering come
-  from per-level arrays (subtree sizes bottom-up, preorder offsets
-  top-down), never from a per-node Python loop.
+  one level-synchronous frontier.  A row of the frontier (a *lane*) is
+  a ``(tree, distinct bootstrap row)`` pair weighted by its bootstrap
+  multiplicity, so no bootstrap copy of ``X`` is made and a duplicated
+  row is histogrammed once.  Every open node carries one integer
+  histogram over ``(feature, class, value)`` for *every* feature (the
+  LightGBM histogram trick, exact here because CA-matrix features are
+  small integer codes and weights are integer multiplicities).  A root's
+  histogram is built from its lanes; of each split, only the child with
+  fewer lanes is built, with one weighted ``np.bincount`` over a flat
+  ``(node, feature, class, value)`` index, and its sibling's histogram
+  is the parent's minus it (sibling subtraction, Ke et al., NeurIPS
+  2017).  Building is chunked by lanes so one chunk's ``lanes x
+  features`` index stays near one tree's root level; a node whose lanes
+  span chunks adds its partial histograms.  Each open node then gathers
+  its drawn candidate features from its histogram and computes Gini only
+  at valid positions (both sides hold ``min_samples_leaf``); every other
+  position scores ``inf``.  Child ids, heap keys and the DFS-preorder
+  renumbering come from per-level arrays (subtree sizes bottom-up,
+  preorder offsets top-down), never from a per-node Python loop.
   ``DecisionTreeClassifier.fit`` is a one-tree call with unit weights.
 
 * :class:`PackedForest` packs every estimator's flattened node arrays
@@ -33,7 +39,7 @@ Grown forests are **byte-identical** to the depth-first reference
 (``repro.learning.tree.fit_depth_first`` on each bootstrap copy):
 same features, thresholds, counts and DFS-preorder node numbering
 (``tests/test_learning_engine.py`` enforces it differentially).  That
-rests on four facts:
+rests on five facts:
 
 * the candidate-feature subset of a node is drawn from a *per-node*
   generator seeded by ``(tree seed, heap path key)``
@@ -47,8 +53,13 @@ rests on four facts:
   cannot reproduce — a heap key of 2**64 or more, whose entropy
   overflows the 4-word pool, and a Lemire rejection — are drawn by
   :func:`candidate_features` itself;
-* weighted ``bincount`` counts are integer-valued float64, the same
-  values the reference's integer counts convert to;
+* histogram counts are integers (weighted ``bincount`` sums of integer
+  multiplicities are exact), so a histogram derived by subtraction
+  equals the one built from the sibling's lanes, and every Gini operand
+  converts to the same float64 the reference's integer counts do;
+* Gini runs the reference's arithmetic operation for operation at every
+  valid position; invalid positions score ``inf`` in both, so the first
+  minimum over (candidate slot, position) and its ties are unchanged;
 * one forest-wide column shift replaces the reference's per-bootstrap
   (per-node) minimum: positions below a tree's own minimum or above its
   maximum leave one side empty and are invalid, so the first minimum,
@@ -78,14 +89,15 @@ M_FIT_SECONDS = "learning.fit.seconds"
 M_FRONTIER_NODES = "learning.frontier_nodes"
 #: counter — (sample, tree) lanes descended by the packed forest
 M_PACKED_LANES = "learning.packed_lanes"
+#: counter — frontier lanes histogrammed directly: the open roots' lanes
+#: plus the smaller child's lanes of every split with an open child
+M_HISTOGRAM_LANES = "learning.histogram_lanes"
 
-#: cap on one chunk's histogram tensor (elements): open nodes are
-#: chunked so ``nodes * slots * classes * values`` stays below this
-_HISTOGRAM_BUDGET = 1 << 22
-#: cap on one chunk's ``(row, candidate slot)`` gather (elements), about
-#: one tree's root level on the hybrid flow's largest groups; it bounds
-#: the level's temporaries, so fusing trees does not raise peak memory.
-#: Chunking is invisible to the result (nodes are independent).
+#: cap on one chunk's ``(lane, feature)`` histogram index (elements),
+#: about one tree's root level on the hybrid flow's largest groups; it
+#: bounds the build's temporaries, so fusing trees does not raise peak
+#: memory.  Chunking is invisible to the result (the partial histograms
+#: of one node add exactly).
 _CHUNK_ELEMENTS = 1 << 17
 #: open nodes below which a level draws candidate subsets node by node:
 #: measured crossover of the batched draw's fixed cost (~0.3-0.6 ms)
@@ -402,107 +414,176 @@ def sum_over_classes(terms: np.ndarray, axis: int) -> np.ndarray:
     return total
 
 
-def _chunk_bounds(
-    lanes_per_node: np.ndarray, max_lanes: int, max_nodes: int
-) -> List[int]:
-    """Open-node boundaries of a level's chunks (each non-empty)."""
-    n_open = len(lanes_per_node)
-    cum = np.concatenate(([0], np.cumsum(lanes_per_node)))
-    bounds = [0]
-    while bounds[-1] < n_open:
-        lo = bounds[-1]
-        fits = int(np.searchsorted(cum, cum[lo] + max_lanes, side="right")) - 1
-        bounds.append(min(max(fits, lo + 1), lo + max_nodes, n_open))
-    return bounds
+def _build_histograms(
+    codes: np.ndarray,
+    n_values: int,
+    n_classes: int,
+    lanes: np.ndarray,
+    lane_row: np.ndarray,
+    lane_w: np.ndarray,
+    lane_y: np.ndarray,
+    lane_slot: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Add the integer ``(feature, class, value)`` histograms of *lanes* to *out*.
+
+    *lanes* index the ``lane_*`` arrays; lane ``l`` counts into row
+    ``lane_slot[l]`` of *out*, one row per node, flat over every feature
+    (*codes* as in :func:`grow_forest`).  Lanes are chunked so one
+    chunk's ``(lane, feature)`` index stays within ``_CHUNK_ELEMENTS``; a
+    node whose lanes span chunks adds its partial histograms, exactly.
+    """
+    n_features = codes.shape[1]
+    per_node = out.shape[1]
+    max_lanes = max(1, _CHUNK_ELEMENTS // n_features)
+    if len(lanes) > max_lanes:
+        # group lanes by node, so a chunk's histogram spans only its
+        # own run of nodes (16-bit keys take numpy's radix sort)
+        key = lane_slot.take(lanes)
+        if len(out) <= 1 << 16:
+            key = key.astype(np.uint16)
+        lanes = lanes.take(np.argsort(key, kind="stable"))
+    for lo in range(0, len(lanes), max_lanes):
+        part = lanes[lo : lo + max_lanes]
+        local = lane_slot.take(part)
+        first = int(local.min())
+        n_part = int(local.max()) + 1 - first
+        # one flat (node, feature, class, value) index per (lane, feature)
+        flat = np.add(
+            codes.take(lane_row.take(part), axis=0),
+            ((local - first) * per_node + lane_y.take(part) * n_values)[:, None],
+        )
+        counts = np.bincount(
+            flat.reshape(-1),
+            weights=np.repeat(lane_w.take(part), n_features),
+            minlength=n_part * per_node,
+        )
+        # weighted counts of integer multiplicities: exact integers
+        chunk = out[first : first + n_part]
+        np.add(chunk, counts.reshape(n_part, per_node), out=chunk, casting="unsafe")
+
+
+def _open_histograms(
+    codes: np.ndarray,
+    n_values: int,
+    n_classes: int,
+    dtype: type,
+    parents: Optional[Tuple[np.ndarray, np.ndarray]],
+    open_ranks: np.ndarray,
+    n_frontier: int,
+    lane_node: np.ndarray,
+    lane_row: np.ndarray,
+    lane_w: np.ndarray,
+    lane_y: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Histograms of a level's open nodes: ``(pool, row per open node)``.
+
+    At the roots (*parents* None) every open node is built from its
+    lanes.  Below, frontier nodes ``2s`` and ``2s + 1`` are the children
+    of split ``s``, and *parents* is the previous level's pool with the
+    row of each split: of each split with an open child, only the child
+    with fewer lanes (the left one on a tie) is built from its lanes,
+    and its sibling, when open, is the parent's histogram minus it.
+    Built rows come first in the pool, derived ones after them.
+    """
+    if parents is None:
+        built, derived = open_ranks, open_ranks[:0]
+    else:
+        lanes = np.bincount(lane_node, minlength=n_frontier).reshape(-1, 2)
+        smaller = 2 * np.arange(len(lanes)) + (lanes[:, 1] < lanes[:, 0])
+        is_open = np.zeros(n_frontier, dtype=bool)
+        is_open[open_ranks] = True
+        built = smaller[is_open.reshape(-1, 2).any(axis=1)]
+        derived = (smaller ^ 1)[is_open[smaller ^ 1]]
+    n_built = len(built)
+    pool_row = np.full(n_frontier, -1, dtype=np.int64)
+    pool_row[built] = np.arange(n_built)
+    lane_slot = pool_row[lane_node]
+    lanes = np.flatnonzero(lane_slot >= 0)
+    obs.metrics().inc(M_HISTOGRAM_LANES, len(lanes))
+    pool = np.zeros(
+        (n_built + len(derived), codes.shape[1] * n_classes * n_values), dtype=dtype
+    )
+    _build_histograms(
+        codes,
+        n_values,
+        n_classes,
+        lanes,
+        lane_row,
+        lane_w,
+        lane_y,
+        lane_slot,
+        pool[:n_built],
+    )
+    if len(derived):
+        parent_pool, parent_row = parents
+        larger = pool[n_built:]
+        larger[...] = parent_pool.take(parent_row[derived // 2], axis=0)
+        larger -= pool.take(pool_row[derived ^ 1], axis=0)
+        pool_row[derived] = n_built + np.arange(len(derived))
+    return pool, pool_row[open_ranks]
 
 
 def _best_splits(
-    Xs: np.ndarray,
+    pool: np.ndarray,
+    rows: np.ndarray,
     n_values: int,
     n_classes: int,
     cand: np.ndarray,
     totals: np.ndarray,
     sizes: np.ndarray,
-    row: np.ndarray,
-    weight: np.ndarray,
-    label: np.ndarray,
-    node: np.ndarray,
     min_samples_leaf: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best (score, candidate slot, value position) of every open node.
 
-    *row/weight/label/node* describe the rows of the open nodes (``node``
-    is the open-node index); *totals* and *sizes* are each open node's
-    weighted class counts and weight.  A score of ``inf`` means no
-    valid split.
+    Row ``rows[i]`` of *pool* is open node ``i``'s histogram
+    (:func:`_open_histograms`); *totals* and *sizes* are the open nodes'
+    weighted class counts and weight.  Gini is computed only at valid
+    positions (both sides hold at least ``min_samples_leaf``); every
+    other position scores ``inf``, so a score of ``inf`` means no valid
+    split.
     """
     n_open, n_slots = cand.shape
-    n_features = Xs.shape[1]
-    per_node = n_slots * n_classes * n_values
-    lanes_per_node = np.bincount(node, minlength=n_open)
-    bounds = _chunk_bounds(
-        lanes_per_node,
-        max(1, _CHUNK_ELEMENTS // n_slots),
-        max(1, _HISTOGRAM_BUDGET // per_node),
+    n_features = pool.shape[1] // (n_classes * n_values)
+    n_pos = n_values - 1
+    # Each candidate slot's (class, value) histogram, class- and
+    # value-major so every step below runs over contiguous slot rows.
+    # A position's left side is the prefix sum over values up to it.
+    slot_rows = (cand + (rows * n_features)[:, None]).reshape(-1)
+    by_value = (
+        pool.reshape(-1, n_classes * n_values)
+        .take(slot_rows, axis=0)
+        .T.reshape(n_classes, n_values, -1)
     )
-    if len(bounds) > 2:
-        # group rows by node so every chunk is one contiguous slice
-        order = np.argsort(node, kind="stable")
-        row, weight, label, node = (
-            a.take(order) for a in (row, weight, label, node)
-        )
-    lane_bounds = np.concatenate(([0], np.cumsum(lanes_per_node)))[bounds]
-    Xs_flat = Xs.reshape(-1)
-    slot_base = np.arange(n_slots) * (n_classes * n_values)
-
-    best_score = np.empty(n_open)
-    best_slot = np.empty(n_open, dtype=np.int64)
-    best_pos = np.empty(n_open, dtype=np.int64)
-    for lo, hi, a, b in zip(bounds[:-1], bounds[1:], lane_bounds[:-1], lane_bounds[1:]):
-        local = node[a:b] - lo
-        n_chunk = hi - lo
-        # One flat (node, slot, class, value) histogram for the chunk;
-        # values on the LAST axis so the prefix cumsum runs over
-        # contiguous memory.  ``flat`` first indexes X, then the
-        # histogram (in place: it is the level's largest temporary).
-        flat = cand[lo:hi].take(local, axis=0)
-        flat += (row[a:b] * n_features)[:, None]
-        values = Xs_flat.take(flat)
-        np.add((local * per_node + label[a:b] * n_values)[:, None], slot_base, out=flat)
-        flat += values
-        histogram = np.bincount(
-            flat.reshape(-1),
-            weights=np.repeat(weight[a:b], n_slots),
-            minlength=n_chunk * per_node,
-        ).reshape(n_chunk, n_slots, n_classes, n_values)
-        prefix = histogram[:, :, :, :-1].cumsum(axis=3)
-        left_totals = prefix.sum(axis=2)
-        node_sizes = sizes[lo:hi, None, None]
-        right_totals = node_sizes - left_totals
-        valid = (left_totals >= min_samples_leaf) & (
-            right_totals >= min_samples_leaf
-        )
-        # the reference's Gini arithmetic, operation for operation
-        with np.errstate(divide="ignore", invalid="ignore"):
-            share = prefix / left_totals[:, :, None, :]
-            gini_left = 1.0 - sum_over_classes(np.square(share, out=share), axis=2)
-            share = totals[lo:hi, None, :, None] - prefix
-            share /= right_totals[:, :, None, :]
-            gini_right = 1.0 - sum_over_classes(np.square(share, out=share), axis=2)
-        weighted = gini_left
-        weighted *= left_totals
-        gini_right *= right_totals
-        weighted += gini_right
-        weighted /= node_sizes
-        weighted[~valid] = np.inf
-        pos = np.argmin(weighted, axis=2)
-        score = np.take_along_axis(weighted, pos[:, :, None], axis=2)[:, :, 0]
-        slot = np.argmin(score, axis=1)
-        chunk_index = np.arange(n_chunk)
-        best_score[lo:hi] = score[chunk_index, slot]
-        best_slot[lo:hi] = slot
-        best_pos[lo:hi] = pos[chunk_index, slot]
-    return best_score, best_slot, best_pos
+    prefix = np.empty((n_classes, n_pos, len(slot_rows)), dtype=pool.dtype)
+    prefix[:, 0] = by_value[:, 0]
+    for pos in range(1, n_pos):
+        np.add(prefix[:, pos - 1], by_value[:, pos], out=prefix[:, pos])
+    left_totals = sum_over_classes(prefix, axis=0)
+    # both sides hold min_samples_leaf (sizes are exact integers)
+    valid = (left_totals >= min_samples_leaf) & (
+        left_totals <= np.repeat(sizes - min_samples_leaf, n_slots)
+    )
+    at_pos, at_row = np.nonzero(valid)
+    node = at_row // n_slots
+    left = left_totals[at_pos, at_row]
+    size = sizes.take(node)
+    right = size - left
+    left_counts = prefix[:, at_pos, at_row]
+    # the reference's Gini arithmetic, operation for operation
+    share = left_counts / left
+    gini_left = 1.0 - sum_over_classes(np.square(share, out=share), axis=0)
+    share = totals.take(node, axis=0).T - left_counts
+    share /= right
+    gini_right = 1.0 - sum_over_classes(np.square(share, out=share), axis=0)
+    weighted = np.full((len(slot_rows), n_pos), np.inf)
+    weighted[at_row, at_pos] = (left * gini_left + right * gini_right) / size
+    # the first minimum over (slot, position), as the reference's
+    # in-order scans pick it
+    weighted = weighted.reshape(n_open, n_slots * n_pos)
+    best = np.argmin(weighted, axis=1)
+    score = weighted[np.arange(n_open), best]
+    return score, best // n_pos, best % n_pos
 
 
 def grow_forest(
@@ -543,27 +624,34 @@ def grow_forest(
     # The reference truncates each column with ``astype(np.int64)`` for
     # histogramming but routes samples on the *original* values; do the
     # same, with one forest-wide shift instead of per-node offsets.
+    Xs = X.astype(np.int64)
     if n_features and n_rows:
-        Xi = X.astype(np.int64)
-        shift = Xi.min(axis=0)
-        Xs = Xi - shift
+        shift = Xs.min(axis=0)
+        Xs -= shift
         n_values = int(Xs.max()) + 1
-        for narrow in (np.int8, np.int16):
-            if n_values <= np.iinfo(narrow).max:
-                # values only feed the flat histogram index; a narrow
-                # dtype cuts the gather traffic without changing a count
-                Xs = Xs.astype(narrow)
-                break
     else:
         shift = np.zeros(n_features, dtype=np.int64)
-        Xs = X.astype(np.int64)
         n_values = 1
     can_split = n_candidates > 0 and n_features > 0 and n_values > 1
+    # A (lane, feature) pair's histogram index is its node and class
+    # base plus ``codes[row, feature]``: the feature's offset plus the
+    # shifted value, folded in once per fit, in the narrowest dtype that
+    # holds it (codes only feed the flat index; a narrow dtype cuts the
+    # gather traffic without changing a count).
+    per_feature = n_classes * n_values
+    Xs += np.arange(n_features) * per_feature
+    codes = Xs.astype(np.min_scalar_type(n_features * per_feature))
+    del Xs
+    # histogram counts never exceed the total weight
+    count_dtype = np.int32 if lane_w.sum() < 2**31 else np.int64
     X_flat = X.reshape(-1)
 
     # Frontier: one entry per node of the current level, tree-major.
     node_tree = np.arange(n_trees)
     node_key = np.ones(n_trees, dtype=np.uint64)
+    # the previous level's histogram pool and the rows of its splits,
+    # whose children make the current level (None: roots)
+    parents: Optional[Tuple[np.ndarray, np.ndarray]] = None
     levels: List[Tuple[np.ndarray, ...]] = []
     level_base = 0
     depth = 0
@@ -592,6 +680,20 @@ def grow_forest(
         n_open = len(open_ranks)
         if n_open == 0:
             break
+        pool, open_row = _open_histograms(
+            codes,
+            n_values,
+            n_classes,
+            count_dtype,
+            parents,
+            open_ranks,
+            n_frontier,
+            lane_node,
+            lane_row,
+            lane_w,
+            lane_y,
+        )
+        parents = None  # spent: free them before the level's other work
         rank_to_open = np.full(n_frontier, -1, dtype=np.int64)
         rank_to_open[open_ranks] = np.arange(n_open)
         lane_open = rank_to_open[lane_node]
@@ -607,16 +709,13 @@ def grow_forest(
             n_candidates,
         )
         best_score, best_slot, best_pos = _best_splits(
-            Xs,
+            pool,
+            open_row,
             n_values,
             n_classes,
             cand,
             counts[open_ranks],
             sizes[open_ranks],
-            lane_row,
-            lane_w,
-            lane_y,
-            lane_open,
             min_samples_leaf,
         )
         split_feature = cand[np.arange(n_open), best_slot]
@@ -638,12 +737,14 @@ def grow_forest(
         if n_split == 0:
             break
 
-        parents = open_ranks[splitting]
-        feature[parents] = split_feature[splitting]
-        threshold[parents] = split_threshold[splitting]
+        split_ranks = open_ranks[splitting]
+        feature[split_ranks] = split_feature[splitting]
+        threshold[split_ranks] = split_threshold[splitting]
         children = level_base + n_frontier + 2 * np.arange(n_split)
-        left[parents] = children
-        right[parents] = children + 1
+        left[split_ranks] = children
+        right[split_ranks] = children + 1
+        # the next level derives its larger children from these
+        parents = (pool, open_row[splitting])
 
         child_of = np.full(n_open, -1, dtype=np.int64)
         child_of[splitting] = np.arange(n_split)
@@ -652,13 +753,13 @@ def grow_forest(
         lane_node = 2 * lane_child[keep] + go_right[keep]
         lane_row, lane_w, lane_y = (a[keep] for a in (lane_row, lane_w, lane_y))
 
-        keys = node_key[parents]
+        keys = node_key[split_ranks]
         if depth >= 63 and keys.dtype != object:
             keys = keys.astype(object)  # children's keys pass 2**64
         node_key = np.empty(2 * n_split, dtype=keys.dtype)
         node_key[0::2] = 2 * keys
         node_key[1::2] = 2 * keys + 1
-        node_tree = np.repeat(node_tree[parents], 2)
+        node_tree = np.repeat(node_tree[split_ranks], 2)
         level_base += n_frontier
         depth += 1
     return _assemble(levels, n_trees)

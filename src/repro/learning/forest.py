@@ -34,7 +34,11 @@ import numpy as np
 
 from repro import obs
 from repro.learning.engine import M_FIT_SECONDS, GrownTree, PackedForest, grow_forest
-from repro.learning.tree import DecisionTreeClassifier, fit_depth_first
+from repro.learning.tree import (
+    DecisionTreeClassifier,
+    check_split_params,
+    fit_depth_first,
+)
 
 #: per-worker growth context installed by the pool initializer, so group
 #: payloads stay small (seeds + bootstrap weights, not the matrix)
@@ -74,6 +78,10 @@ class RandomForestClassifier:
         random_state: Optional[int] = None,
         parallelism: Optional[int] = None,
     ) -> None:
+        # a forest without trees would "fit" and then fail to predict
+        if n_estimators < 1:
+            raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
+        check_split_params(min_samples_leaf, max_features)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -96,8 +104,7 @@ class RandomForestClassifier:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         started = time.perf_counter()
         X, labels, trees, samples = self._draw(X, y)
-        if trees:
-            self._grow(trees, samples, X, labels)
+        self._grow(trees, samples, X, labels)
         self.estimators_ = trees
         obs.metrics().observe(M_FIT_SECONDS, time.perf_counter() - started)
         return self

@@ -7,9 +7,9 @@ search per feature is a bincount away and splits are exact.
 
 :meth:`DecisionTreeClassifier.fit` is a one-tree, unit-weight call of
 the fused level-synchronous grower
-:func:`repro.learning.engine.grow_forest`: one flat histogram pass per
-level over the whole frontier of open nodes, no recursion (deep
-chain-shaped trees cannot hit the recursion limit).
+:func:`repro.learning.engine.grow_forest`: one histogram pass per level
+(the smaller child of each split; its sibling by subtraction), no
+recursion (deep chain-shaped trees cannot hit the recursion limit).
 :func:`fit_depth_first` is the original depth-first grower, kept only
 as the oracle the frontier must equal **node for node** (the
 differential suite in ``tests/test_learning_engine.py`` and the fit
@@ -28,6 +28,7 @@ The API follows the scikit-learn conventions the paper's flow relies on:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -39,6 +40,18 @@ from repro.learning.engine import (
     grow_forest,
     sum_over_classes,
 )
+
+
+def check_split_params(min_samples_leaf: int, max_features: Optional[object]) -> None:
+    """Reject split parameters that cannot grow a tree (a ``ValueError``).
+
+    An integer ``max_features`` below 1 would draw no candidate feature
+    and silently grow one-leaf trees.
+    """
+    if min_samples_leaf < 1:
+        raise ValueError("min_samples_leaf must be >= 1")
+    if isinstance(max_features, numbers.Integral) and max_features < 1:
+        raise ValueError(f"an integer max_features must be >= 1, got {max_features}")
 
 
 @dataclass
@@ -66,8 +79,7 @@ class DecisionTreeClassifier:
         max_features: Optional[object] = None,
         random_state: Optional[int] = None,
     ) -> None:
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        check_split_params(min_samples_leaf, max_features)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf

@@ -102,6 +102,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         # frontier-batched forest engine (repro.learning.engine)
         "learning.fit.seconds",
         "learning.frontier_nodes",
+        "learning.histogram_lanes",
         "learning.packed_lanes",
         # per-cell lease files of the worker service (repro.service.lease)
         "lease.claims",

@@ -174,6 +174,32 @@ class TestRandomForest:
         labels, dispersion = forest.predict_with_dispersion(X[:17])
         assert labels.shape == dispersion.shape == (17,)
 
+    @pytest.mark.parametrize("n_estimators", [0, -3])
+    def test_no_trees_rejected(self, n_estimators):
+        # used to "fit" and then fail in predict with "not fitted"
+        with pytest.raises(ValueError, match="n_estimators"):
+            RandomForestClassifier(n_estimators=n_estimators)
+
+    @pytest.mark.parametrize("max_features", [0, -1, np.int64(0)], ids=repr)
+    def test_nonpositive_integer_max_features_rejected(self, max_features):
+        # used to grow one-leaf trees without a word
+        with pytest.raises(ValueError, match="max_features"):
+            RandomForestClassifier(max_features=max_features)
+        with pytest.raises(ValueError, match="max_features"):
+            DecisionTreeClassifier(max_features=max_features)
+
+    def test_min_samples_leaf_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="min_samples_leaf"):
+            RandomForestClassifier(min_samples_leaf=0)
+
+    @pytest.mark.parametrize("max_features", [1, 0.01, "sqrt", None], ids=repr)
+    def test_smallest_valid_max_features_still_split(self, max_features):
+        X, y = _separable(200)
+        forest = RandomForestClassifier(
+            n_estimators=2, max_features=max_features, random_state=0
+        ).fit(X, y)
+        assert all(tree.node_count > 1 for tree in forest.estimators_)
+
 
 class TestKindRowMask:
     def _matrix(self, seed=0, n_defects=9):

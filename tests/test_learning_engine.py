@@ -10,7 +10,9 @@ Five contracts, each against its scalar oracle:
 * A fused forest fit (every tree in one frontier, bootstrap rows as
   multiplicity weights) serializes exactly like the per-tree oracle
   ``fit_per_tree`` (depth-first fits on bootstrap copies), across every
-  forest option.
+  forest option and every case histogram subtraction must get right:
+  fractional features, one or both siblings open, equal siblings, and
+  nodes whose lanes span several histogram chunks.
 * The batched candidate draw equals ``candidate_features`` (a per-node
   ``default_rng((seed, key)).choice``) row for row, fallback lanes
   included — a NumPy release that changes ``choice`` fails here instead
@@ -27,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.camodel import generate_ca_model
 from repro.learning import (
     PackedForest,
@@ -394,8 +397,8 @@ class TestFusedForestEqualsRecursive:
         )
 
     def test_multi_chunk_levels(self, draw_path, monkeypatch):
+        # 8 lanes per histogram chunk: most nodes span several chunks
         monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 64)
-        monkeypatch.setattr(engine, "_HISTOGRAM_BUDGET", 512)
         X, y = _random_dataset(34, n=300)
         _fused_equals_recursive(
             X, y, n_estimators=6, max_features=0.5, random_state=6
@@ -432,6 +435,191 @@ class TestFusedForestEqualsRecursive:
         _fused_equals_recursive(
             X, y, n_estimators=8, max_features=0.5, random_state=0
         )
+
+
+@pytest.fixture
+def sibling_levels(monkeypatch):
+    """Record every level below the roots that derives histograms.
+
+    Each entry is ``(lanes, open)``: per split of the previous level,
+    the lane counts and open flags of its two children (left, right).
+    """
+    levels = []
+    real = engine._open_histograms
+
+    def spy(codes, n_values, n_classes, dtype, parents, open_ranks,
+            n_frontier, lane_node, *lanes):
+        if parents is not None:
+            is_open = np.zeros(n_frontier, dtype=bool)
+            is_open[open_ranks] = True
+            counts = np.bincount(lane_node, minlength=n_frontier)
+            levels.append((counts.reshape(-1, 2), is_open.reshape(-1, 2)))
+        return real(codes, n_values, n_classes, dtype, parents, open_ranks,
+                    n_frontier, lane_node, *lanes)
+
+    monkeypatch.setattr(engine, "_open_histograms", spy)
+    return levels
+
+
+def _pairs(levels):
+    lanes = np.concatenate([level[0] for level in levels])
+    is_open = np.concatenate([level[1] for level in levels])
+    return lanes, is_open
+
+
+class TestHistogramSubtraction:
+    """The cases sibling subtraction must get right, fused == per-tree."""
+
+    def test_fractional_features(self):
+        # Histogram positions truncate values (0.25 and 0.75 share one)
+        # while samples route on the values themselves, so a split's
+        # routed children differ from its histogram sides.
+        rng = np.random.default_rng(50)
+        X = rng.integers(-8, 9, size=(240, 6)) / 4.0
+        y = rng.integers(0, 3, size=240)
+        forest = _fused_equals_recursive(
+            X, y, n_estimators=6, max_features=0.5, random_state=7
+        )
+        thresholds = np.concatenate(
+            [tree._threshold[tree._left >= 0] for tree in forest.estimators_]
+        )
+        assert (np.abs(thresholds) < 1).any()  # a split inside merged values
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 90),
+        n_features=st.integers(1, 8),
+        n_classes=st.integers(1, 6),
+        scale=st.sampled_from([1.0, 0.5, 0.3]),
+        offset=st.integers(-5, 5),
+        max_features=st.sampled_from([None, "sqrt", 0.5, 1]),
+        min_samples_leaf=st.integers(1, 4),
+        max_samples=st.sampled_from([None, 0.5, 1.5]),
+    )
+    def test_property_fractional_shifted_weighted(
+        self, seed, n, n_features, n_classes, scale, offset, max_features,
+        min_samples_leaf, max_samples,
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 7, size=(n, n_features)) * scale + offset
+        y = rng.integers(0, n_classes, size=n)
+        _fused_equals_recursive(
+            X, y, n_estimators=3, max_features=max_features,
+            min_samples_leaf=min_samples_leaf, max_samples=max_samples,
+            random_state=seed,
+        )
+
+    def test_only_one_sibling_open(self, sibling_levels):
+        X, y = _random_dataset(51, n=200, n_classes=2)
+        _fused_equals_recursive(
+            X, y, n_estimators=6, max_features=0.5, random_state=8
+        )
+        lanes, is_open = _pairs(sibling_levels)
+        # the child built from its lanes: the one with fewer (left on a tie)
+        right_built = lanes[:, 1] < lanes[:, 0]
+        built_open = np.where(right_built, is_open[:, 1], is_open[:, 0])
+        other_open = np.where(right_built, is_open[:, 0], is_open[:, 1])
+        assert (built_open & ~other_open).any()  # only the smaller is open
+        assert (~built_open & other_open).any()  # only the larger is open
+        assert (built_open & other_open).any()
+
+    def test_equal_sibling_lanes(self, sibling_levels):
+        # x0 halves every node of the first levels into equal siblings
+        X = np.stack(
+            [np.arange(64) // 32, np.arange(64) // 16 % 2, np.arange(64) % 5],
+            axis=1,
+        ).astype(np.int8)
+        y = (X[:, 0] ^ X[:, 1] ^ (X[:, 2] > 2)).astype(int)
+        y[::7] = 2
+        _fused_equals_recursive(
+            X, y, n_estimators=3, bootstrap=False, random_state=9
+        )
+        lanes, is_open = _pairs(sibling_levels)
+        tie = lanes[:, 0] == lanes[:, 1]
+        assert (tie & is_open.all(axis=1)).any()
+        assert (tie & (is_open[:, 0] != is_open[:, 1])).any()
+
+    def test_node_spans_histogram_chunks(self, monkeypatch):
+        # 40 lanes per chunk; the roots hold ~126 distinct lanes each
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 40 * 8)
+        spans = []
+        real = engine._build_histograms
+
+        def spy(codes, n_values, n_classes, lanes, row, weight, label, slot,
+                out):
+            per_chunk = engine._CHUNK_ELEMENTS // codes.shape[1]
+            spans.append(np.bincount(slot[lanes]).max() > per_chunk)
+            real(codes, n_values, n_classes, lanes, row, weight, label, slot, out)
+
+        monkeypatch.setattr(engine, "_build_histograms", spy)
+        X, y = _random_dataset(52, n=200)
+        _fused_equals_recursive(
+            X, y, n_estimators=5, max_features=0.5, random_state=10
+        )
+        assert sum(spans) >= 2  # the roots' level and at least one below
+
+    def test_chunked_build_adds_exactly(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        n_rows, n_features, n_classes, n_values = 50, 7, 3, 4
+        values = rng.integers(0, n_values, size=(n_rows, n_features))
+        codes = values + np.arange(n_features) * (n_classes * n_values)
+        row = rng.integers(0, n_rows, size=300)
+        weight = rng.integers(1, 5, size=300).astype(float)
+        label = rng.integers(0, n_classes, size=300)
+        slot = rng.integers(-1, 9, size=300)  # -1: a lane of no built node
+        lanes = np.flatnonzero(slot >= 0)
+        expected = np.zeros((9, n_features, n_classes, n_values), dtype=np.int64)
+        for lane in lanes:
+            features = np.arange(n_features)
+            expected[slot[lane], features, label[lane], values[row[lane]]] += int(
+                weight[lane]
+            )
+        for chunk in (1 << 17, 7 * 13, 7):
+            monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", chunk)
+            for dtype in (np.int32, np.int64):
+                hist = np.zeros((9, expected[0].size), dtype=dtype)
+                engine._build_histograms(
+                    codes, n_values, n_classes, lanes, row, weight, label, slot,
+                    hist,
+                )
+                assert np.array_equal(hist.reshape(expected.shape), expected)
+
+    def test_histogram_lanes_counter_hand_checked(self):
+        # Root: 6 lanes.  It splits at 2.5 into {0, 1, 2} (pure, closed)
+        # and {3, 4, 5} (open): equal lane counts, so the left child's 3
+        # lanes are built and the right one is derived.  That node
+        # splits at 4.5 into two pure children, which build nothing.
+        X = np.arange(6).reshape(-1, 1)
+        y = np.array([0, 0, 0, 1, 1, 0])
+        metrics = obs.metrics()
+        before = metrics.get(engine.M_HISTOGRAM_LANES)
+        tree = DecisionTreeClassifier(random_state=0).fit(X, y)
+        assert tree._threshold[0] == 2.5
+        assert metrics.get(engine.M_HISTOGRAM_LANES) - before == 6 + 3
+
+    def test_histogram_lanes_counter_counts_built_children(self):
+        # Without bootstrap a node's lanes are its rows (its weight), so
+        # the count follows from the grown trees: every open root, plus
+        # the smaller child of each split with an open (impure) child.
+        X, y = _random_dataset(54, n=150)
+        metrics = obs.metrics()
+        before = metrics.get(engine.M_HISTOGRAM_LANES)
+        forest = RandomForestClassifier(
+            n_estimators=4, max_features=0.5, bootstrap=False, random_state=3
+        ).fit(X, y)
+        counted = metrics.get(engine.M_HISTOGRAM_LANES) - before
+        expected = every_open_node = 0
+        for tree in forest.estimators_:
+            size = tree._counts.sum(axis=1)
+            is_open = tree._counts.max(axis=1) < size
+            expected += size[0] * is_open[0]
+            every_open_node += size[is_open].sum()
+            for left, right in zip(tree._left, tree._right):
+                if left >= 0 and (is_open[left] or is_open[right]):
+                    expected += min(size[left], size[right])
+        assert counted == expected
+        assert counted < every_open_node  # what building every node costs
 
 
 @pytest.fixture(scope="module")
