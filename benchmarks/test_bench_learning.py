@@ -118,6 +118,12 @@ def _pre_pr_predict_proba(forest, X):
     return accumulated / len(forest.estimators_)
 
 
+#: rounds of one recursive fit (seconds) followed by FRONTIER_PER_ROUND
+#: frontier fits (tens of milliseconds); each side keeps its best time
+ROUNDS = 3
+FRONTIER_PER_ROUND = 10
+
+
 def test_frontier_fit_speedup(bench_record, group_data):
     """Level-synchronous growth against the recursive reference.
 
@@ -125,24 +131,35 @@ def test_frontier_fit_speedup(bench_record, group_data):
     and batching differ; the acceptance bar is 3x on the real
     NAND2/NOR2 training group.
     """
+    import gc
     import time
 
     X, y, _, _ = group_data
 
-    def best_of(fit, rounds=3):
-        best = float("inf")
-        clf = None
-        for _ in range(rounds):
-            clf = RandomForestClassifier(
-                n_estimators=20, max_features=0.5, random_state=0
-            )
+    def timed(fit):
+        clf = RandomForestClassifier(
+            n_estimators=20, max_features=0.5, random_state=0
+        )
+        # As timeit does: a collection inside the window costs in
+        # proportion to every object the test process holds.
+        gc.collect()
+        gc.disable()
+        try:
             start = time.perf_counter()
             fit(clf)
-            best = min(best, time.perf_counter() - start)
-        return best, clf
+            return time.perf_counter() - start, clf
+        finally:
+            gc.enable()
 
-    recursive_seconds, recursive = best_of(lambda clf: fit_per_tree(clf, X, y))
-    frontier_seconds, frontier = best_of(lambda clf: clf.fit(X, y))
+    # Interleaved, so host drift between the two sides cannot move the
+    # ratio.
+    recursive_seconds = frontier_seconds = float("inf")
+    for _ in range(ROUNDS):
+        seconds, recursive = timed(lambda clf: fit_per_tree(clf, X, y))
+        recursive_seconds = min(recursive_seconds, seconds)
+        for _ in range(FRONTIER_PER_ROUND):
+            seconds, frontier = timed(lambda clf: clf.fit(X, y))
+            frontier_seconds = min(frontier_seconds, seconds)
 
     for a, b in zip(recursive.estimators_, frontier.estimators_):
         assert np.array_equal(a._feature, b._feature)

@@ -1,9 +1,9 @@
 """Instrumentation overhead bench for the repro.obs subsystem.
 
 Tracing off is the default and must cost nothing measurable; tracing on
-buffers a handful of spans per cell plus per-chunk counter merges, so the
-acceptance bar is <5% slowdown on the parallel-generation bench.  Both
-numbers land in the benchmark JSON via ``extra_info``.
+buffers a handful of spans per cell plus per-cell counter updates, so
+the acceptance bar is <5% slowdown on one generation of a 6-input cell.
+Both numbers land in the benchmark JSON via ``extra_info``.
 """
 
 import time
@@ -12,10 +12,11 @@ from repro import obs
 from repro.camodel import generate_ca_model
 from repro.library import SOI28, build_cell
 
-#: same cell as test_bench_parallel: the largest of the bench suite
-LARGEST = ("AOI22", 1)
+#: 6 inputs, 1.4-3 s per generation: long enough that host noise stays
+#: inside the 5% bar (the best of 5 runs of the ~0.6 s AOI222 crossed
+#: it in 1 of 5 benches)
+CELL = ("MUX4", 1)
 
-WORKERS = 4
 ROUNDS = 3
 
 
@@ -28,24 +29,29 @@ def _best_seconds(run, rounds=ROUNDS):
     return best
 
 
-def test_tracing_overhead_parallel(benchmark):
-    """Parallel generation with spans + metrics on vs. off: <5% overhead."""
-    cell = build_cell(SOI28, *LARGEST)
+def test_tracing_overhead(benchmark):
+    """One generation with spans + metrics on vs. off: <5% overhead."""
+    cell = build_cell(SOI28, *CELL)
 
     def plain():
-        return generate_ca_model(
-            cell, params=SOI28.electrical, parallelism=WORKERS
-        )
+        return generate_ca_model(cell, params=SOI28.electrical)
 
     def traced():
         with obs.scoped(tracer=obs.Tracer(enabled=True), metrics=obs.Metrics()):
-            return generate_ca_model(
-                cell, params=SOI28.electrical, parallelism=WORKERS
-            )
+            return generate_ca_model(cell, params=SOI28.electrical)
 
-    plain()  # warm caches (fork, imports) outside the measured window
-    base_seconds = _best_seconds(plain)
-    traced_seconds = _best_seconds(traced)
+    plain()  # warm caches (imports, plans) outside the measured window
+    # Alternate the two so drift on a shared host hits both alike.
+    base_seconds = traced_seconds = float("inf")
+    for _ in range(ROUNDS):
+        for run, is_traced in ((plain, False), (traced, True)):
+            started = time.perf_counter()
+            run()
+            seconds = time.perf_counter() - started
+            if is_traced:
+                traced_seconds = min(traced_seconds, seconds)
+            else:
+                base_seconds = min(base_seconds, seconds)
     overhead = traced_seconds / base_seconds - 1.0
 
     benchmark.extra_info["base_seconds"] = round(base_seconds, 3)
@@ -60,11 +66,13 @@ def test_tracing_overhead_parallel(benchmark):
     benchmark.pedantic(traced, rounds=1, iterations=1)
     assert overhead < 0.05
 
-    # and the traced run actually produced the merged span tree
+    # and the traced run actually produced the span tree
     with obs.scoped(tracer=obs.Tracer(enabled=True)) as state:
-        generate_ca_model(cell, params=SOI28.electrical, parallelism=WORKERS)
+        plain()
         spans = state.tracer.export()
-    assert sum(1 for s in spans if s["name"] == "generate.chunk") == WORKERS
+    names = [s["name"] for s in spans]
+    assert names.count("camodel.generate") == 1
+    assert "generate.golden" in names and "generate.defects" in names
     assert obs.orphan_parents(spans) == []
 
 

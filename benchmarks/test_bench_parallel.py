@@ -1,19 +1,10 @@
-"""Defect-level parallel generation bench.
+"""Generation cost-accounting bench on the largest cell of the bench suite.
 
 The conventional flow's hot loop — one simulator per defect — is the cost
-the paper attacks.  This bench tracks the two levers added for it: the
-shared per-cell :class:`~repro.simulation.switchgraph.CellTopology` and
-the ``parallelism`` process fan-out of
-:func:`~repro.camodel.generate.generate_ca_model`, on the largest cell of
-the bench suite (the case cell-level fan-out cannot help).
-
-``speedup_x4`` lands in the benchmark JSON via ``extra_info`` so the
-BENCH_*.json history tracks the win; the >=2x assertion only applies on
-machines with enough physical cores to deliver it.
+the paper attacks.  This bench tracks the solves and cache efficiency of
+that loop on the shared per-cell
+:class:`~repro.simulation.switchgraph.CellTopology`.
 """
-
-import os
-import time
 
 from repro.camodel import generate_ca_model
 from repro.library import SOI28, build_cell
@@ -21,43 +12,9 @@ from repro.library import SOI28, build_cell
 #: largest cell of the bench suite: 4 inputs -> 256 exhaustive stimuli
 LARGEST = ("AOI22", 1)
 
-WORKERS = 4
-
-
-def test_parallel_generation_speedup(benchmark):
-    cell = build_cell(SOI28, *LARGEST)
-    started = time.perf_counter()
-    serial = generate_ca_model(cell, params=SOI28.electrical)
-    serial_seconds = time.perf_counter() - started
-
-    parallel = benchmark.pedantic(
-        generate_ca_model,
-        args=(cell,),
-        kwargs={"params": SOI28.electrical, "parallelism": WORKERS},
-        rounds=1,
-        iterations=1,
-    )
-
-    assert parallel.detection.tobytes() == serial.detection.tobytes()
-    assert parallel.stats.workers == WORKERS
-
-    speedup = serial_seconds / parallel.stats.total_seconds
-    benchmark.extra_info["serial_seconds"] = round(serial_seconds, 3)
-    benchmark.extra_info["parallel_seconds"] = round(
-        parallel.stats.total_seconds, 3
-    )
-    benchmark.extra_info[f"speedup_x{WORKERS}"] = round(speedup, 2)
-    print(
-        f"\n{cell.name}: serial {serial_seconds:.2f}s, "
-        f"{WORKERS} workers {parallel.stats.total_seconds:.2f}s "
-        f"-> {speedup:.2f}x (cores={os.cpu_count()})"
-    )
-    if (os.cpu_count() or 1) >= WORKERS:
-        assert speedup >= 2.0
-
 
 def test_generation_cost_accounting(benchmark):
-    """Serial run of the same cell: tracks solves and cache efficiency."""
+    """Tracks solves and cache efficiency of one generation."""
     cell = build_cell(SOI28, *LARGEST)
     model = benchmark.pedantic(
         generate_ca_model,

@@ -2,9 +2,8 @@
 
 :func:`generate_library` packs a library of two or more cells through
 the cross-cell engine (:func:`~repro.camodel.throughput.run_throughput`);
-``packed=False`` selects the scalar reference solver instead.  For the
-*defect-level* fan-out of one large cell, see the ``parallelism`` knob
-of :func:`~repro.camodel.generate.generate_ca_model`.
+``packed=False`` selects the scalar reference solver instead.  It runs
+in this one process.
 
 This is one of the two ways to characterize a library.  The other is
 the run-directory service (:func:`repro.service.submit_library` +
@@ -12,7 +11,8 @@ the run-directory service (:func:`repro.service.submit_library` +
 quarantined per cell, with a per-attempt ``cell_timeout`` and N local
 or external worker processes ("CPU requirements" are one of the costs
 the paper lists, and the conventional flow is embarrassingly parallel
-over cells).  Both produce the same canonical models.
+over cells).  The service is the repo's one multi-process path.  Both
+produce the same canonical models.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ def generate_library(
     universe: Optional[Sequence[Defect]] = None,
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
-    parallelism: Optional[int] = None,
     packed: bool = True,
     phase_cache: PhaseCacheArg = None,
 ) -> Dict[str, CAModel]:
@@ -100,11 +99,8 @@ def generate_library(
     kernel: libraries of two or more cells go through
     :func:`~repro.camodel.throughput.run_throughput`, so every cell's
     phases share kernel calls; ``packed=False`` selects the scalar
-    reference solver and characterizes cell by cell.  ``parallelism``
-    is the defect-level worker count forwarded to
-    :func:`~repro.camodel.generate.generate_ca_model` (it also selects
-    the cell-by-cell loop).  ``phase_cache`` persists solved phases
-    across runs.  Every knob is identity-preserving: detection tables,
+    reference solver and characterizes cell by cell.  ``phase_cache``
+    persists solved phases across runs.  Every knob is identity-preserving: detection tables,
     golden responses and solve/cache-hit counts are identical either way
     (the scalar solver reports zero ``batched_phases``).
 
@@ -116,7 +112,7 @@ def generate_library(
     ensure_unique_cell_names([cell.name for cell in cells])
 
     tracer = obs.tracer()
-    if packed and len(cells) > 1 and (parallelism is None or parallelism <= 1):
+    if packed and len(cells) > 1:
         # Whole-library cross-cell packing: every cell's phase batches
         # share kernel calls (byte-identical models).  One cell packs the
         # same phases through generate_ca_model, which keeps its per-cell
@@ -145,7 +141,6 @@ def generate_library(
                     universe=universe,
                     delay_detection=delay_detection,
                     slow_factor=slow_factor,
-                    parallelism=parallelism,
                     packed=packed,
                     phase_cache=phase_cache,
                 )

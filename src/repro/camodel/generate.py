@@ -6,7 +6,7 @@ requires a deterministic mismatch: an X defective response (floating or
 contended output) is *not* a detection.
 
 The per-defect loop is the hot path of the whole reproduction (the very
-cost the paper attacks); three levers keep it fast (see
+cost the paper attacks); two levers keep it fast (see
 ``docs/performance.md``):
 
 * **Shared structure** — the cell's switch-level topology (net indexing,
@@ -26,11 +26,10 @@ cost the paper attacks); three levers keep it fast (see
   :func:`~repro.simulation.engine.prefetch_drive` solves the queries'
   misses in one batched resistive solve before the unchanged per-query
   calls run in their original order.
-* **Defect-level parallelism** — ``parallelism=N`` splits the defect
-  universe into contiguous chunks characterized on a process pool and
-  merges the per-chunk detection blocks; the result is byte-identical to
-  the serial run.  This saturates all cores even for a single large cell,
-  the case cell-level fan-out (:mod:`repro.camodel.batch`) cannot help.
+
+Generation runs in one process.  A library gets its cores from the
+run-directory service (``serve --workers N``), which characterizes
+cells on N worker processes.
 
 Multi-output cells are characterized in **one sweep**: every solved phase
 carries the codes of all nets, so :func:`generate_multi` runs a single
@@ -44,10 +43,9 @@ model.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +58,6 @@ from repro.camodel.stats import (
     M_CACHE_HITS,
     M_DEFECT_SECONDS,
     M_GOLDEN_SECONDS,
-    M_MERGE_SECONDS,
     M_SIMULATED,
     M_SKIPPED,
     M_CELL_SECONDS,
@@ -98,9 +95,6 @@ AUTO_EXHAUSTIVE_LIMIT = 4
 #: proxy for the transient "slow cell" detections of a SPICE-based flow);
 #: 1.25 catches the loss of one finger out of four (ratio 4/3)
 DEFAULT_SLOW_FACTOR = 1.25
-
-#: below this many defects a process pool costs more than it saves
-MIN_DEFECTS_PER_WORKER = 8
 
 
 def resolve_policy(n_inputs: int, policy: str) -> str:
@@ -230,8 +224,6 @@ def _simulate_defect_rows(
     slow_factor: float,
     keep_responses: bool,
     progress: Optional[Callable[[int, int], None]] = None,
-    progress_offset: int = 0,
-    progress_total: Optional[int] = None,
     packed: bool = True,
     prepared_rows: Optional[
         List[Tuple[DefectEffect, Optional[CellSimulator]]]
@@ -241,14 +233,11 @@ def _simulate_defect_rows(
     Optional[Dict[str, List[List[V4]]]],
     Dict[str, int],
 ]:
-    """Characterize a contiguous slice of the defect universe.
+    """Characterize a slice of the defect universe.
 
-    This is the kernel both the serial path and every pool worker run;
-    determinism (fixed defect order, identity-based V4 comparison against
-    a locally computed golden pass) guarantees the parallel merge is
-    byte-identical to the serial table.  Each defect is simulated once
-    and every output port's detection row is read from the same solved
-    phases.
+    The kernel of both :func:`generate_ca_model` and the cross-cell
+    library engine.  Each defect is simulated once and every output
+    port's detection row is read from the same solved phases.
 
     The slice's phase demand is planned up front and solved through the
     packed kernel (:func:`~repro.simulation.engine.solve_words_across`
@@ -264,7 +253,6 @@ def _simulate_defect_rows(
     packed a larger scope (the cross-cell library engine) hand in the
     materialized rows.
     """
-    total = progress_total if progress_total is not None else len(defects)
     plans = golden_run.plans
 
     if prepared_rows is None:
@@ -346,105 +334,9 @@ def _simulate_defect_rows(
             counters["cache_hits"] += sim_counters["cache_hits"]
             counters["batched"] += sim_counters["batched"]
         if progress is not None:
-            progress(progress_offset + row + 1, total)
+            progress(row + 1, len(defects))
 
     return detection, responses, counters
-
-
-def _defect_chunk_worker(payload: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Pool worker: rebuild the cell, redo the golden pass, run one chunk.
-
-    The golden pass is recomputed per worker (cheap relative to a chunk)
-    so every ``detect`` comparison happens against locally materialized
-    V4 singletons; only the small (index, detection block, counters,
-    spans) result crosses the pipe back.  The worker runs under a fresh
-    obs scope — the forked copy of the parent tracer is never written —
-    and exports its span buffer for the parent to re-parent and merge.
-    """
-    (
-        index,
-        cell_text,
-        technology,
-        params,
-        policy,
-        ports,
-        defects,
-        delay_detection,
-        slow_factor,
-        keep_responses,
-        trace_enabled,
-        packed,
-        phase_cache,
-    ) = payload
-
-    worker_tracer = obs.Tracer(enabled=trace_enabled)
-    with obs.scoped(
-        tracer=worker_tracer,
-        metrics=obs.Metrics(),
-        events=obs.EventLog(obs.NullSink()),
-    ):
-        with worker_tracer.span(
-            "generate.chunk", chunk=index, defects=len(defects)
-        ):
-            # Plan-once / replay-many: repeated chunks (and retried
-            # attempts) of one cell in the same worker process reuse the
-            # parsed netlist, the stimulus plans and the topology instead
-            # of rebuilding them per payload.
-            store_ = plan_store()
-            cell = store_.cell(cell_text, technology)
-            words, plans = store_.stimulus_plan(cell.n_inputs, policy)
-            topology = store_.topology(cell, params)
-            phase_store = attach_store(topology, phase_cache)
-            with worker_tracer.span("generate.golden", chunk=index):
-                golden_run = _GoldenRun(
-                    cell, params, words, ports, delay_detection,
-                    topology=topology, packed=packed, plans=plans,
-                )
-            detection, responses, counters = _simulate_defect_rows(
-                cell,
-                params,
-                words,
-                ports,
-                defects,
-                golden_run,
-                delay_detection,
-                slow_factor,
-                keep_responses,
-                packed=packed,
-            )
-            if phase_store is not None:
-                phase_store.save(topology)
-    # The duplicated golden pass is pool overhead, not simulation work the
-    # serial flow would have paid; account it separately.
-    counters["golden_solves"] = golden_run.solve_count
-    counters["golden_batched"] = golden_run.batched_count
-    return index, detection, responses, counters, worker_tracer.export()
-
-
-def _effective_workers(parallelism: Optional[int], n_defects: int) -> int:
-    """Clamp the requested worker count to something that can pay off."""
-    if parallelism is None or parallelism <= 1:
-        return 1
-    if multiprocessing.current_process().daemon:
-        # Pool workers cannot fork children (cell-level fan-out already
-        # claimed the process budget); fall back to the serial kernel.
-        return 1
-    if n_defects < 2 * MIN_DEFECTS_PER_WORKER:
-        return 1
-    return min(parallelism, max(1, n_defects // MIN_DEFECTS_PER_WORKER))
-
-
-def _chunk_bounds(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:
-    """Near-equal contiguous [start, stop) chunks preserving order."""
-    base, extra = divmod(n_items, n_chunks)
-    bounds = []
-    start = 0
-    for i in range(n_chunks):
-        stop = start + base + (1 if i < extra else 0)
-        if stop > start:
-            bounds.append((start, stop))
-        start = stop
-    return bounds
 
 
 def _generate(
@@ -457,7 +349,6 @@ def _generate(
     slow_factor: float,
     ports: Sequence[str],
     progress: Optional[Callable[[int, int], None]],
-    parallelism: Optional[int],
     packed: bool,
     phase_cache: PhaseCacheArg = None,
 ) -> Dict[str, CAModel]:
@@ -501,104 +392,22 @@ def _generate(
         golden_seconds = time.perf_counter() - started
         registry.inc(M_GOLDEN_SECONDS, golden_seconds)
 
-        workers = _effective_workers(parallelism, len(defects))
         defect_started = time.perf_counter()
-        merge_seconds = 0.0
-
-        if workers <= 1:
-            with tracer.span("generate.defects", workers=1):
-                detection, responses, counters = _simulate_defect_rows(
-                    cell,
-                    params,
-                    words,
-                    ports,
-                    defects,
-                    golden_run,
-                    delay_detection,
-                    slow_factor,
-                    keep_responses,
-                    progress=progress,
-                    packed=packed,
-                )
-            defect_seconds = time.perf_counter() - defect_started
-            workers = 1
-        else:
-            from repro.spice.writer import write_cell
-
-            cell_text = write_cell(cell)
-            bounds = _chunk_bounds(len(defects), workers)
-            payloads = [
-                (
-                    i,
-                    cell_text,
-                    cell.technology,
-                    params,
-                    resolved,
-                    tuple(ports),
-                    defects[start:stop],
-                    delay_detection,
-                    slow_factor,
-                    keep_responses,
-                    tracer.enabled,
-                    packed,
-                    str(phase_store.root) if phase_store is not None else None,
-                )
-                for i, (start, stop) in enumerate(bounds)
-            ]
-            blocks: List[Optional[Dict[str, np.ndarray]]] = [None] * len(bounds)
-            chunk_responses: List[Optional[Dict[str, List[List[V4]]]]] = (
-                [None] * len(bounds)
+        with tracer.span("generate.defects"):
+            detection, responses, counters = _simulate_defect_rows(
+                cell,
+                params,
+                words,
+                ports,
+                defects,
+                golden_run,
+                delay_detection,
+                slow_factor,
+                keep_responses,
+                progress=progress,
+                packed=packed,
             )
-            counters = {
-                "simulated": 0, "skipped": 0, "solves": 0, "cache_hits": 0,
-                "batched": 0,
-            }
-            done = 0
-            with tracer.span(
-                "generate.defects", workers=len(bounds)
-            ) as defects_span:
-                with multiprocessing.Pool(processes=len(bounds)) as pool:
-                    for index, block, block_responses, chunk_counters, spans in (
-                        pool.imap_unordered(_defect_chunk_worker, payloads)
-                    ):
-                        tracer.absorb(spans, parent_id=defects_span.span_id)
-                        blocks[index] = block
-                        chunk_responses[index] = block_responses
-                        for key in (
-                            "simulated", "skipped", "solves", "cache_hits",
-                            "batched",
-                        ):
-                            counters[key] += chunk_counters[key]
-                        counters["solves"] += chunk_counters.get("golden_solves", 0)
-                        counters["batched"] += chunk_counters.get(
-                            "golden_batched", 0
-                        )
-                        done += len(block[ports[0]])
-                        if progress is not None:
-                            progress(done, len(defects))
-            defect_seconds = time.perf_counter() - defect_started
-            merge_started = time.perf_counter()
-            with tracer.span("generate.merge", chunks=len(bounds)):
-                detection = {
-                    port: np.vstack([chunk[port] for chunk in blocks])
-                    for port in ports
-                }
-                if keep_responses:
-                    responses = {
-                        port: [
-                            row for chunk in chunk_responses
-                            for row in chunk[port]
-                        ]
-                        for port in ports
-                    }
-                else:
-                    responses = None
-            merge_seconds = time.perf_counter() - merge_started
-            workers = len(bounds)
-
-        registry.inc(M_DEFECT_SECONDS, defect_seconds)
-        if merge_seconds:
-            registry.inc(M_MERGE_SECONDS, merge_seconds)
+        registry.inc(M_DEFECT_SECONDS, time.perf_counter() - defect_started)
         registry.inc(M_SIMULATED, counters["simulated"])
         registry.inc(M_SKIPPED, counters["skipped"])
         registry.inc(M_SOLVES, counters["solves"] + golden_run.solve_count)
@@ -607,24 +416,18 @@ def _generate(
         )
         registry.inc(M_BATCHED, counters["batched"] + golden_run.batched_count)
 
-        # Same accounting formula as the serial flow (one golden pass plus one
-        # full stimulus sweep per simulated defect), so serial and parallel
-        # runs of the same cell report the same simulation_count.
+        # One golden pass plus one full stimulus sweep per simulated defect.
         simulation_count = len(words) * (1 + counters["simulated"])
         total_seconds = time.perf_counter() - started
         registry.inc(M_TOTAL_SECONDS, total_seconds)
         # Histogram sample per finished cell: p50/p95/p99 across a
         # library run (counters only carry the sum).
         registry.observe(M_CELL_SECONDS, total_seconds)
-        generate_span.set("workers", workers)
         generate_span.set("simulated_defects", counters["simulated"])
-        stats = GenerationStats.from_metrics(
-            registry.counter_delta(checkpoint), workers=workers
-        )
+        stats = GenerationStats.from_metrics(registry.counter_delta(checkpoint))
 
     if phase_store is not None:
-        # Persist what this run solved (pool workers saved their own
-        # chunk phases already; merge-on-save makes the writers converge).
+        # Persist what this run solved (merged with the store's entries).
         phase_store.save(topology)
 
     # Every port's model carries a copy of the one shared run's stats:
@@ -658,7 +461,6 @@ def generate_ca_model(
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     output: Optional[str] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    parallelism: Optional[int] = None,
     packed: bool = True,
     phase_cache: PhaseCacheArg = None,
 ) -> CAModel:
@@ -684,12 +486,7 @@ def generate_ca_model(
         Cell output to characterize (first output by default); use
         :func:`generate_multi` for all outputs of a multi-output cell.
     progress:
-        Optional callback ``(done, total)`` per defect (per chunk when
-        running in parallel).
-    parallelism:
-        Worker processes for the defect loop (``None``/``1`` = serial).
-        The detection table is byte-identical to the serial run; small
-        universes fall back to the serial kernel automatically.
+        Optional callback ``(done, total)`` per defect.
     packed:
         Plan the golden pass and the whole defect slice up front and
         solve them through the vectorized kernel
@@ -716,7 +513,6 @@ def generate_ca_model(
         slow_factor,
         [port],
         progress,
-        parallelism,
         packed,
         phase_cache,
     )
@@ -732,7 +528,6 @@ def generate_multi(
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     progress: Optional[Callable[[int, int], None]] = None,
-    parallelism: Optional[int] = None,
     packed: bool = True,
     phase_cache: PhaseCacheArg = None,
 ) -> Dict[str, CAModel]:
@@ -755,7 +550,6 @@ def generate_multi(
         slow_factor,
         list(cell.outputs),
         progress,
-        parallelism,
         packed,
         phase_cache,
     )

@@ -1,19 +1,17 @@
 """Process-local plan store: parse and plan once, replay many times.
 
-The library paths (:mod:`repro.camodel.batch` cell fan-out,
-:mod:`repro.resilience.runner` retries and chunked defect pools) used to
-rebuild the same immutable inputs over and over: every worker payload
-re-parsed the cell netlist, re-split the stimulus words and rebuilt the
-:class:`~repro.simulation.switchgraph.CellTopology` on every attempt.
-The :class:`PlanStore` is a content-keyed, process-local cache of exactly
-those three products:
+Characterizing many cells in one process would otherwise rebuild the
+same immutable inputs over and over: re-split the stimulus words per
+cell, and re-parse the cell netlist and rebuild the
+:class:`~repro.simulation.switchgraph.CellTopology` per generation.
+The :class:`PlanStore` is a content-keyed, process-local cache of
+exactly those three products:
 
 * :meth:`stimulus_plan` — the (words, plans) pair of a stimulus policy.
   Splitting a word is a property of the word alone, so the plans of
   ``(n_inputs, policy)`` are shared across every cell of that shape.
 * :meth:`cell` — the parsed :class:`~repro.spice.netlist.CellNetlist` of
-  a netlist text.  Repeated attempts (retries, defect chunks) of one
-  cell in one worker process parse once.
+  a netlist text (how a service worker rebuilds a manifest cell).
 * :meth:`topology` — the cell's :class:`CellTopology`.  Checked-out
   topologies are **detached** from any accumulated phase state first
   (:meth:`CellTopology.detach_phase_state`), so a replayed generation
@@ -22,9 +20,9 @@ those three products:
   job of the on-disk :class:`~repro.simulation.phasecache.PhaseCacheStore`,
   which re-warms through the counter-neutral prefetch path.
 
-The store is a module singleton (:func:`plan_store`); forked pool
-workers inherit the parent's entries copy-on-write and extend their own
-copy.  Reuse is observable as the ``throughput.plan_reuse`` counter.
+The store is a module singleton (:func:`plan_store`); a service worker
+runs each attempt against an empty one (:func:`fresh_store`).  Reuse is
+observable as the ``throughput.plan_reuse`` counter.
 """
 
 from __future__ import annotations

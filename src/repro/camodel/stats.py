@@ -26,7 +26,6 @@ M_SIMULATED = "camodel.defects.simulated"
 M_SKIPPED = "camodel.defects.skipped"
 M_GOLDEN_SECONDS = "camodel.seconds.golden"
 M_DEFECT_SECONDS = "camodel.seconds.defects"
-M_MERGE_SECONDS = "camodel.seconds.merge"
 M_TOTAL_SECONDS = "camodel.seconds.total"
 #: histogram (one sample per finished cell) — p50/p95/p99 of per-cell
 #: generation wall time in ``--stats`` / inspect output
@@ -39,13 +38,18 @@ class GenerationStats:
 
     Extends the engine's per-simulator ``solve_count`` into a whole-run
     record: how many solver phases actually ran, how many were served
-    from the memoization caches, how the wall time split across the
-    golden pass / defect loop / merge, and how many worker processes the
-    defect loop used.  Attached to :class:`~repro.camodel.model.CAModel`
-    and serialized with it.
+    from the memoization caches, and how the wall time split across the
+    golden pass and the defect loop.  Attached to
+    :class:`~repro.camodel.model.CAModel` and serialized with it.
+
+    ``workers`` and ``merge_seconds`` stay in the serialized record so
+    the model JSON keeps its shape: generation runs in one process, so
+    a new model carries 1 and 0.0, and files written with more workers
+    still load.
     """
 
-    #: worker processes used for the defect loop (1 = serial)
+    #: worker processes the defect loop used (always 1 since generation
+    #: runs in one process; older files may hold more)
     workers: int = 1
     #: solver phase solves actually performed (golden pass included)
     solves: int = 0
@@ -62,7 +66,7 @@ class GenerationStats:
     golden_seconds: float = 0.0
     #: wall time of the per-defect characterization loop
     defect_seconds: float = 0.0
-    #: wall time spent merging parallel chunk results (0 when serial)
+    #: wall time spent merging per-worker results (0.0 in one process)
     merge_seconds: float = 0.0
     #: end-to-end wall time of the generation call
     total_seconds: float = 0.0
@@ -97,9 +101,7 @@ class GenerationStats:
         return cls(**{k: v for k, v in data.items() if k in known})
 
     @classmethod
-    def from_metrics(
-        cls, counters: Mapping[str, float], workers: int = 1
-    ) -> "GenerationStats":
+    def from_metrics(cls, counters: Mapping[str, float]) -> "GenerationStats":
         """Build the stats record from a run's metric counter deltas.
 
         The generation flow accounts everything into the
@@ -108,7 +110,6 @@ class GenerationStats:
         no parallel bookkeeping path that could drift.
         """
         return cls(
-            workers=workers,
             solves=int(counters.get(M_SOLVES, 0)),
             cache_hits=int(counters.get(M_CACHE_HITS, 0)),
             batched_phases=int(counters.get(M_BATCHED, 0)),
@@ -116,7 +117,6 @@ class GenerationStats:
             skipped_defects=int(counters.get(M_SKIPPED, 0)),
             golden_seconds=float(counters.get(M_GOLDEN_SECONDS, 0.0)),
             defect_seconds=float(counters.get(M_DEFECT_SECONDS, 0.0)),
-            merge_seconds=float(counters.get(M_MERGE_SECONDS, 0.0)),
             total_seconds=float(counters.get(M_TOTAL_SECONDS, 0.0)),
         )
 

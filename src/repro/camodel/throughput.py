@@ -234,7 +234,7 @@ def run_throughput(
                 for key, value in delta.items():
                     registry.inc(key, value)
                 registry.observe(M_CELL_SECONDS, cell_seconds)
-                stats = GenerationStats.from_metrics(delta, workers=1)
+                stats = GenerationStats.from_metrics(delta)
                 out[run.cell.name] = CAModel(
                     cell_name=run.cell.name,
                     technology=run.cell.technology,

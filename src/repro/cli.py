@@ -86,7 +86,6 @@ def cmd_generate(args) -> int:
     by_name = generate_library(
         cells,
         policy=args.policy,
-        parallelism=args.parallelism,
         packed=not args.scalar,
         phase_cache=args.phase_cache,
     )
@@ -96,13 +95,12 @@ def cmd_generate(args) -> int:
         if args.stats and model.stats is not None:
             stats = model.stats
             print(
-                f"  generation: workers={stats.workers} solves={stats.solves} "
+                f"  generation: solves={stats.solves} "
                 f"batched={stats.batched_phases} "
                 f"cache_hits={stats.cache_hits} "
                 f"(hit rate {stats.cache_hit_rate:.1%}), "
                 f"golden {stats.golden_seconds:.3f}s + "
-                f"defects {stats.defect_seconds:.3f}s + "
-                f"merge {stats.merge_seconds:.3f}s "
+                f"defects {stats.defect_seconds:.3f}s "
                 f"= {stats.total_seconds:.3f}s"
             )
     if args.stats:
@@ -163,7 +161,6 @@ def cmd_batch(args) -> int:
             retries=args.retries,
             cell_timeout=args.cell_timeout,
             fault_plan=fault_plan,
-            parallelism=args.parallelism,
             packed=not args.scalar,
             phase_cache=args.phase_cache,
         )
@@ -196,7 +193,6 @@ def cmd_serve(args) -> int:
                 retries=args.retries,
                 lease_ttl=args.lease_ttl,
                 fault_plan=fault_plan,
-                parallelism=args.parallelism,
                 packed=not args.scalar,
                 phase_cache=args.phase_cache,
             )
@@ -426,13 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--policy", default="auto")
     p.add_argument(
-        "-j",
-        "--parallelism",
-        type=int,
-        default=None,
-        help="worker processes for the per-defect simulation loop of each cell",
-    )
-    p.add_argument(
         "--stats",
         action="store_true",
         help="print per-cell generation cost accounting (solves, caches, timings)",
@@ -477,13 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="local worker processes characterizing cells concurrently "
         "(default 1)",
-    )
-    p.add_argument(
-        "-j",
-        "--parallelism",
-        type=int,
-        default=None,
-        help="worker processes for the per-defect loop inside each cell",
     )
     p.add_argument(
         "--retries",
@@ -547,13 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-o", "--output", help="write the assembled library JSON")
     p.add_argument("--policy", default="auto")
-    p.add_argument(
-        "-j",
-        "--parallelism",
-        type=int,
-        default=None,
-        help="worker processes for the per-defect loop inside each cell",
-    )
     p.add_argument(
         "--retries",
         type=int,

@@ -72,13 +72,8 @@ def library_with_models(
     cache_dir: Optional[Path] = None,
     verbose: bool = False,
     policy: str = "auto",
-    parallelism: Optional[int] = None,
 ) -> Tuple[Library, Dict[str, CAModel]]:
-    """Build a preset library and its CA models (cached on disk).
-
-    ``parallelism`` fans the per-defect simulation loop of each generated
-    cell out over worker processes (cache misses only; hits are pure IO).
-    """
+    """Build a preset library and its CA models (cached on disk)."""
     library = build_preset(tech_name, preset)
     path = cache_path(tech_name, preset, cache_dir, policy=policy)
     models: Dict[str, CAModel] = {}
@@ -104,7 +99,7 @@ def library_with_models(
                 ),
             )
             models[cell.name] = generate_ca_model(
-                cell, params=params, policy=policy, parallelism=parallelism
+                cell, params=params, policy=policy
             )
         save_models(
             [models[cell.name] for cell in library if cell.name in models], path

@@ -37,7 +37,6 @@ from repro.learning.evaluate import (
     ClassifierFactory,
     DEFAULT_MAX_GROUP_ROWS,
     default_classifier_factory,
-    _apply_parallelism,
     _cap_rows,
 )
 from repro.library.technology import ElectricalParams
@@ -114,15 +113,13 @@ class HybridFlow:
         max_group_rows: int = DEFAULT_MAX_GROUP_ROWS,
         router: str = "strict",
         similarity_threshold: float = 0.6,
-        parallelism: Optional[int] = None,
     ) -> None:
         if router not in ("strict", "relaxed"):
             raise ValueError(f"unknown router {router!r}")
         self.params = params
-        self.classifier_factory = classifier_factory or default_classifier_factory(
-            parallelism=parallelism
+        self.classifier_factory = (
+            classifier_factory or default_classifier_factory()
         )
-        self.parallelism = parallelism
         self.cost_model = cost_model or CostModel()
         self.kinds = kinds
         self.max_group_rows = max_group_rows
@@ -146,7 +143,7 @@ class HybridFlow:
             group = self._groups[key]
             cap = _cap_rows(group, self.max_group_rows)
             X, y = stack_group(group, kinds=self.kinds, max_rows_per_cell=cap)
-            clf = _apply_parallelism(self.classifier_factory(), self.parallelism)
+            clf = self.classifier_factory()
             with obs.tracer().span(
                 "learning.fit", group=str(key), rows=len(y), cells=len(group)
             ):

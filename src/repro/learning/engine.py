@@ -886,18 +886,20 @@ class PackedForest:
         self._exact32: bool = bool(
             np.all(threshold_e32.astype(np.float64) == self._threshold_e)
         )
-        # Depth of the deepest tree bounds the descent's step count.
-        # Children follow their parent in DFS preorder, so one reverse
-        # pass resolves every subtree depth bottom-up.
-        below = np.zeros(n_nodes, dtype=np.int64)
-        left, right = self.left, self.right
-        for node in range(n_nodes - 1, -1, -1):
-            if left[node] >= 0:
-                below[node] = 1 + max(below[left[node]], below[right[node]])
-        roots = self.offsets[:-1]
-        self._max_depth: int = (
-            int(below[roots].max()) if len(roots) else 0
-        )
+        # Depth of the deepest tree bounds the descent's step count: walk
+        # every tree's frontier from the roots, one level per step.
+        # Children lie after their parent, so the walk ends.
+        depth = 0
+        frontier = self.offsets[:-1]
+        while True:
+            frontier = frontier[self.left.take(frontier) >= 0]
+            if not frontier.size:
+                break
+            depth += 1
+            frontier = np.concatenate(
+                (self.left.take(frontier), self.right.take(frontier))
+            )
+        self._max_depth: int = depth
 
     @classmethod
     def from_forest(cls, forest: object) -> "PackedForest":

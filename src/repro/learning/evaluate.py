@@ -34,16 +34,13 @@ DEFAULT_MAX_GROUP_ROWS = 150_000
 ClassifierFactory = Callable[[], object]
 
 
-def default_classifier_factory(
-    seed: int = 0, parallelism: Optional[int] = None
-) -> ClassifierFactory:
+def default_classifier_factory(seed: int = 0) -> ClassifierFactory:
     """The reproduction's default Random Forest configuration.
 
     The CA-matrix labels are nearly noise-free, so a few deep trees with a
     large per-split feature fraction dominate the usual sqrt-features
     setting (which too often misses the one defect-location column a
-    split needs).  ``parallelism`` fans tree fitting across a process
-    pool; fitted forests are byte-identical either way.
+    split needs).
     """
 
     def make() -> RandomForestClassifier:
@@ -52,22 +49,9 @@ def default_classifier_factory(
             max_depth=None,
             max_features=0.5,
             random_state=seed,
-            parallelism=parallelism,
         )
 
     return make
-
-
-def _apply_parallelism(clf: object, parallelism: Optional[int]) -> object:
-    """Best-effort override of a classifier's ``parallelism`` knob.
-
-    Fitted trees are seed-determined, so flipping the knob on a
-    factory-built classifier never changes its output — only its
-    wall-clock.  Classifiers without the attribute are left alone.
-    """
-    if parallelism is not None and hasattr(clf, "parallelism"):
-        clf.parallelism = parallelism
-    return clf
 
 
 @dataclass
@@ -136,7 +120,6 @@ def leave_one_out(
     kinds: Optional[Set[str]] = frozenset({"open"}),
     classifier_factory: Optional[ClassifierFactory] = None,
     max_group_rows: int = DEFAULT_MAX_GROUP_ROWS,
-    parallelism: Optional[int] = None,
 ) -> EvaluationReport:
     """Same-technology protocol (Table IV.a)."""
     factory = classifier_factory or default_classifier_factory()
@@ -150,7 +133,7 @@ def leave_one_out(
         for held_out in group:
             train = [s for s in group if s is not held_out]
             X, y = stack_group(train, kinds=kinds, max_rows_per_cell=cap)
-            clf = _apply_parallelism(factory(), parallelism)
+            clf = factory()
             with obs.tracer().span(
                 "learning.fit", group=str(key), rows=len(y), cells=len(train)
             ):
@@ -179,7 +162,6 @@ def cross_technology(
     kinds: Optional[Set[str]] = frozenset({"open"}),
     classifier_factory: Optional[ClassifierFactory] = None,
     max_group_rows: int = DEFAULT_MAX_GROUP_ROWS,
-    parallelism: Optional[int] = None,
 ) -> EvaluationReport:
     """Cross-technology protocol (Tables IV.b and IV.c)."""
     factory = classifier_factory or default_classifier_factory()
@@ -194,7 +176,7 @@ def cross_technology(
         if key not in classifiers:
             cap = _cap_rows(train, max_group_rows)
             X, y = stack_group(train, kinds=kinds, max_rows_per_cell=cap)
-            clf = _apply_parallelism(factory(), parallelism)
+            clf = factory()
             with obs.tracer().span(
                 "learning.fit", group=str(key), rows=len(y), cells=len(train)
             ):

@@ -15,9 +15,6 @@ Throughput (all identity-preserving):
   and a tree is a pure function of ``(bootstrap sample, seed)``, so the
   forest equals the oracle :func:`fit_per_tree` (each tree grown
   depth-first on its own bootstrap copy).
-* ``parallelism`` splits the trees into that many contiguous groups and
-  grows each group on a process pool; the forest is byte-identical to a
-  serial fit.
 * Inference runs through the fused :class:`~repro.learning.engine.PackedForest`
   — one level-synchronous descent over every ``(sample, tree)`` lane
   instead of a per-tree Python loop — and is bit-for-bit equal to the
@@ -26,42 +23,18 @@ Throughput (all identity-preserving):
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.learning.engine import M_FIT_SECONDS, GrownTree, PackedForest, grow_forest
+from repro.learning.engine import M_FIT_SECONDS, PackedForest, grow_forest
 from repro.learning.tree import (
     DecisionTreeClassifier,
     check_split_params,
     fit_depth_first,
 )
-
-#: per-worker growth context installed by the pool initializer, so group
-#: payloads stay small (seeds + bootstrap weights, not the matrix)
-_GROW_CONTEXT: Optional[Tuple[np.ndarray, np.ndarray, int, Dict[str, Any]]] = None
-
-
-def _grow_pool_init(
-    X: np.ndarray, y: np.ndarray, n_classes: int, params: Dict[str, Any]
-) -> None:
-    global _GROW_CONTEXT
-    _GROW_CONTEXT = (X, y, n_classes, params)
-
-
-def _grow_group_worker(
-    task: Tuple[Sequence[int], Optional[np.ndarray]]
-) -> List[GrownTree]:
-    """Grow one contiguous group of trees from its seeds and weights."""
-    assert _GROW_CONTEXT is not None
-    X, y, n_classes, params = _GROW_CONTEXT
-    seeds, weights = task
-    return grow_forest(
-        X, y, n_classes, base_seeds=seeds, weights=weights, **params
-    )
 
 
 class RandomForestClassifier:
@@ -76,7 +49,6 @@ class RandomForestClassifier:
         bootstrap: bool = True,
         max_samples: Optional[float] = None,
         random_state: Optional[int] = None,
-        parallelism: Optional[int] = None,
     ) -> None:
         # a forest without trees would "fit" and then fail to predict
         if n_estimators < 1:
@@ -89,7 +61,6 @@ class RandomForestClassifier:
         self.bootstrap = bootstrap
         self.max_samples = max_samples
         self.random_state = random_state
-        self.parallelism = parallelism
         self.estimators_: List[DecisionTreeClassifier] = []
         self.classes_: Optional[np.ndarray] = None
         self._packed: Optional[PackedForest] = None
@@ -127,8 +98,8 @@ class RandomForestClassifier:
         sample_size = n
         if self.max_samples is not None:
             sample_size = max(1, int(self.max_samples * n))
-        # Seeds and bootstrap samples are drawn in the exact serial order
-        # regardless of how the growing itself is scheduled.
+        # Seeds and bootstrap samples are drawn in tree order, before
+        # any tree grows.
         trees: List[DecisionTreeClassifier] = []
         samples: List[np.ndarray] = []
         for _ in range(self.n_estimators):
@@ -161,30 +132,14 @@ class RandomForestClassifier:
             else None
         )
         assert self.classes_ is not None
-        n_classes = len(self.classes_)
-        params = trees[0]._growth_params()
-        workers = min(self.parallelism or 1, len(trees))
-        if workers > 1:
-            groups = np.array_split(np.arange(len(trees)), workers)
-            tasks = [
-                (
-                    [seeds[t] for t in group],
-                    None if weights is None else weights[group],
-                )
-                for group in groups
-            ]
-            with multiprocessing.Pool(
-                processes=workers,
-                initializer=_grow_pool_init,
-                initargs=(X, labels, n_classes, params),
-            ) as pool:
-                # map() preserves group order, so estimator order (and
-                # therefore every prediction) matches the serial path.
-                grown = [g for part in pool.map(_grow_group_worker, tasks) for g in part]
-        else:
-            grown = grow_forest(
-                X, labels, n_classes, base_seeds=seeds, weights=weights, **params
-            )
+        grown = grow_forest(
+            X,
+            labels,
+            len(self.classes_),
+            base_seeds=seeds,
+            weights=weights,
+            **trees[0]._growth_params(),
+        )
         for tree, tree_grown in zip(trees, grown):
             tree._adopt(tree_grown, self.classes_)
 

@@ -5,37 +5,19 @@ protocol: leave-one-cell-out accuracy within training groups.  Used to
 pick the defaults in :func:`repro.learning.evaluate.default_classifier_factory`
 and available to users retuning for their own libraries.
 
-Candidates are independent (each one trains its own forests from the
-same deterministic seed), so ``parallelism`` fans them across a process
-pool with rankings and winners identical to the serial loop.
+Every candidate trains its own forests from the same deterministic
+seed, so the ranking is a pure function of the samples and the grid.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
-
 
 from repro.learning.datasets import CellSample
 from repro.learning.evaluate import leave_one_out
 from repro.learning.forest import RandomForestClassifier
-
-#: per-worker search context installed by the pool initializer, so each
-#: candidate payload is just its parameter dict
-_GRID_SAMPLES: Optional[Sequence[CellSample]] = None
-_GRID_KINDS: Optional[Set[str]] = None
-_GRID_SEED: int = 0
-
-
-def _grid_pool_init(
-    samples: Sequence[CellSample], kinds: Optional[Set[str]], seed: int
-) -> None:
-    global _GRID_SAMPLES, _GRID_KINDS, _GRID_SEED
-    _GRID_SAMPLES = samples
-    _GRID_KINDS = kinds
-    _GRID_SEED = seed
 
 
 def _score_candidate(
@@ -49,12 +31,6 @@ def _score_candidate(
 
     report = leave_one_out(samples, kinds=kinds, classifier_factory=factory)
     return report.mean_accuracy()
-
-
-def _grid_candidate_worker(params: Dict) -> float:
-    """Score one parameter dict against the worker's shared samples."""
-    assert _GRID_SAMPLES is not None
-    return _score_candidate(_GRID_SAMPLES, _GRID_KINDS, _GRID_SEED, params)
 
 
 @dataclass
@@ -87,15 +63,11 @@ def grid_search(
     kinds: Optional[Set[str]] = frozenset({"open"}),
     base_params: Optional[Dict] = None,
     seed: int = 0,
-    parallelism: Optional[int] = None,
 ) -> TuningResult:
     """Evaluate every Random-Forest configuration in *grid* by LOO.
 
     *grid* maps RandomForestClassifier argument names to candidate value
-    lists; *base_params* fixes the remaining arguments.  ``parallelism``
-    distributes candidates across a process pool; every candidate still
-    trains from the same deterministic seed, so the ranking (and hence
-    ``best_params``) is identical to the serial search.
+    lists; *base_params* fixes the remaining arguments.
     """
     base = dict(base_params or {})
     names = sorted(grid)
@@ -104,18 +76,9 @@ def grid_search(
         params = dict(base)
         params.update(dict(zip(names, values)))
         candidates.append(params)
-    if parallelism is not None and parallelism > 1 and len(candidates) > 1:
-        with multiprocessing.Pool(
-            processes=min(parallelism, len(candidates)),
-            initializer=_grid_pool_init,
-            initargs=(list(samples), kinds, seed),
-        ) as pool:
-            scores = pool.map(_grid_candidate_worker, candidates)
-    else:
-        scores = [
-            _score_candidate(samples, kinds, seed, params)
-            for params in candidates
-        ]
+    scores = [
+        _score_candidate(samples, kinds, seed, params) for params in candidates
+    ]
     ranking = list(zip(candidates, scores))
     ranking.sort(key=lambda item: -item[1])
     return TuningResult(ranking=ranking)

@@ -65,7 +65,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "camodel.defects.skipped",
         "camodel.seconds.golden",
         "camodel.seconds.defects",
-        "camodel.seconds.merge",
         "camodel.seconds.total",
         # checkpointed run layer (repro.resilience.runner)
         "resilience.cells_done",

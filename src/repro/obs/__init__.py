@@ -3,8 +3,9 @@
 Dependency-free instrumentation substrate for the whole repo:
 
 * :mod:`repro.obs.trace` — nested spans with a context-manager API,
-  serializable to JSONL and Chrome-trace JSON; worker span buffers merge
-  into the parent tracer so a parallel run yields one coherent trace.
+  serializable to JSONL and Chrome-trace JSON; the service coordinator
+  merges its workers' span buffers into its own tracer, so a
+  multi-process run yields one coherent trace.
 * :mod:`repro.obs.metrics` — named counters / gauges / histograms with
   cheap in-process increments and child-process delta merging.
   :class:`~repro.camodel.stats.GenerationStats` is a view over this
@@ -23,16 +24,16 @@ State model: one process-wide :class:`ObsState` (tracer + metrics +
 event log), read through :func:`tracer` / :func:`metrics` /
 :func:`events`.  Tracing is **off by default** (the null tracer adds no
 measurable overhead, see ``benchmarks/test_bench_obs.py``); a CLI run
-installs a real one via :func:`session`, and pool workers install a
-fresh scope via :func:`scoped` so forked copies of the parent state are
-never written to.
+installs a real one via :func:`session`, and each service worker
+attempt installs a fresh scope via :func:`scoped` so forked copies of
+the parent state are never written to.
 
 Typical embedding::
 
     from repro import obs
 
     with obs.session(trace_path="run.json", verbosity=1) as state:
-        generate_ca_model(cell, parallelism=4)
+        generate_ca_model(cell)
     # run.json now holds the Chrome-trace timeline of the run
 """
 

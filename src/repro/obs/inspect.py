@@ -37,7 +37,6 @@ M_WATCH_REFRESHES = "watch.refreshes"
 # import-light — the rot-guard in tests/test_lint.py pins them).
 _C_GOLDEN = "camodel.seconds.golden"
 _C_DEFECTS = "camodel.seconds.defects"
-_C_MERGE = "camodel.seconds.merge"
 _C_TOTAL = "camodel.seconds.total"
 _C_SOLVES = "camodel.sim.solves"
 _C_CACHE_HITS = "camodel.sim.cache_hits"
@@ -56,31 +55,27 @@ def report_summary(tel: RunTelemetry) -> str:
     by_cell = tel.counters_by_cell()
     lines = [
         f"run {tel.run_dir}",
-        f"{'cell':<20} {'wall[s]':>8} {'simulate':>8} {'merge':>8} "
-        f"{'other':>8} {'solves':>8} {'hit%':>6}",
+        f"{'cell':<20} {'wall[s]':>8} {'simulate':>8} {'other':>8} "
+        f"{'solves':>8} {'hit%':>6}",
     ]
-    totals = {"wall": 0.0, "sim": 0.0, "merge": 0.0, "other": 0.0}
+    totals = {"wall": 0.0, "sim": 0.0, "other": 0.0}
     for name in sorted(by_cell):
         counters = by_cell[name]
         wall = float(tel.ledger.cells[name].get("seconds", 0.0))
         sim = counters.get(_C_GOLDEN, 0.0) + counters.get(_C_DEFECTS, 0.0)
-        merge = counters.get(_C_MERGE, 0.0)
         other = max(0.0, wall - counters.get(_C_TOTAL, 0.0))
         solves = counters.get(_C_SOLVES, 0.0)
         hits = counters.get(_C_CACHE_HITS, 0.0)
         totals["wall"] += wall
         totals["sim"] += sim
-        totals["merge"] += merge
         totals["other"] += other
         lines.append(
             f"{name:<20} {_fmt_seconds(wall)} {_fmt_seconds(sim)} "
-            f"{_fmt_seconds(merge)} {_fmt_seconds(other)} "
-            f"{solves:8g} {_fmt_rate(hits, hits + solves)}"
+            f"{_fmt_seconds(other)} {solves:8g} {_fmt_rate(hits, hits + solves)}"
         )
     lines.append(
         f"{'TOTAL':<20} {_fmt_seconds(totals['wall'])} "
-        f"{_fmt_seconds(totals['sim'])} {_fmt_seconds(totals['merge'])} "
-        f"{_fmt_seconds(totals['other'])}"
+        f"{_fmt_seconds(totals['sim'])} {_fmt_seconds(totals['other'])}"
     )
     # Per-cell sums ARE the ledger totals (single source of truth); the
     # shard cross-check catches a worker whose shard diverged anyway.

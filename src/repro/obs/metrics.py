@@ -1,11 +1,11 @@
 """In-process metrics registry: counters, gauges, histograms.
 
-Increments are one dict update — cheap enough for per-chunk accounting on
-the generation hot path.  The registry is process-local; pool workers run
-their own :class:`Metrics`, ship :meth:`snapshot` back with their results,
-and the parent :meth:`merge`\\ s the deltas, so a parallel run ends with
-one coherent registry (the numbers :class:`~repro.camodel.stats.GenerationStats`
-is now a view over).
+Increments are one dict update — cheap enough for per-cell accounting on
+the generation hot path.  The registry is process-local; service workers
+run their own :class:`Metrics`, ship their counters back with each
+finished cell, and the coordinator merges them, so a multi-process run
+ends with one coherent registry (the numbers
+:class:`~repro.camodel.stats.GenerationStats` is a view over).
 
 Histograms carry fixed, log-spaced buckets besides count/sum/min/max, so
 p50/p95/p99 estimates (:meth:`Metrics.percentile`) are deterministic —

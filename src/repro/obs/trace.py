@@ -12,9 +12,9 @@ inside a ``with`` block parent automatically.  A disabled tracer hands out
 a shared no-op span, which keeps the instrumented hot paths free of
 measurable overhead when tracing is off (the default).
 
-Cross-process merging: pool workers run their own tracer, export the
-finished spans as plain dicts, and the parent re-parents them under the
-span that owned the fan-out (:meth:`Tracer.absorb`).  Span ids embed the
+Cross-process merging: service workers run their own tracer, export
+the finished spans as plain dicts, and the coordinator re-parents them
+under the span that owned the fan-out (:meth:`Tracer.absorb`).  Span ids embed the
 producing PID, so ids never collide across workers, and span start times
 are wall-clock (``time.time``), so one merged timeline stays coherent.
 
@@ -163,10 +163,10 @@ class Tracer:
         spans: Iterable[Dict[str, object]],
         parent_id: Optional[str] = None,
     ) -> None:
-        """Merge spans exported by another tracer (typically a pool worker).
+        """Merge spans exported by another tracer (typically a service worker).
 
         Worker-side root spans (``parent_id is None``) are re-parented
-        under *parent_id*, so a parallel run yields one tree; ids embed
+        under *parent_id*, so a multi-process run yields one tree; ids embed
         the worker PID and never collide with local ones.  Incoming spans
         whose parents exist in neither the absorbed buffer nor this
         tracer would silently break the tree, so they raise a

@@ -73,13 +73,11 @@ def _options_fingerprint(
     delay_detection: bool,
     slow_factor: float,
     packed: bool,
-    parallelism: Optional[int],
 ) -> Dict[str, object]:
     """JSON-stable fingerprint of every option that shapes an artifact.
 
     ``packed`` shapes ``stats.batched_phases`` (0 under the scalar
-    solver); it is stored under the key ``"batched"`` so the content
-    keys of existing run directories stay valid and they still resume.
+    solver); it is stored under its older name, ``"batched"``.
     ``phase_cache`` is deliberately absent: it is identity-preserving,
     so changing it must not invalidate existing artifacts or block a
     resume.
@@ -99,7 +97,6 @@ def _options_fingerprint(
         "delay_detection": delay_detection,
         "slow_factor": slow_factor,
         "batched": packed,
-        "parallelism": parallelism,
     }
 
 

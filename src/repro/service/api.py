@@ -57,8 +57,10 @@ from repro.service.lease import DEFAULT_TTL, LeaseStore
 from repro.spice.netlist import CellNetlist
 from repro.spice.writer import write_cell
 
-#: ``job.json`` layout version (2: ``kwargs`` carry ``packed`` only, no ``batched``)
-MANIFEST_FORMAT = 2
+#: ``job.json`` layout version (2: ``kwargs`` carry ``packed`` only, no
+#: ``batched``; 3: ``kwargs`` and the fingerprint drop the defect-level
+#: worker count)
+MANIFEST_FORMAT = 3
 MANIFEST_NAME = "job.json"
 
 # service event names (registered in repro.lint.catalog)
@@ -289,7 +291,6 @@ def submit_library(
     universe: Optional[Sequence[Defect]] = None,
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
-    parallelism: Optional[int] = None,
     packed: bool = True,
     phase_cache: PhaseCacheArg = None,
 ) -> Job:
@@ -316,8 +317,7 @@ def submit_library(
     names = [cell.name for cell in cells]
     ensure_unique_cell_names(names)
     options = _options_fingerprint(
-        policy, params, universe, delay_detection, slow_factor, packed,
-        parallelism,
+        policy, params, universe, delay_detection, slow_factor, packed
     )
     texts = {cell.name: write_cell(cell) for cell in cells}
     keyed = [(name, content_key(texts[name], options)) for name in names]
@@ -330,7 +330,6 @@ def submit_library(
             "universe": options["universe"],
             "delay_detection": delay_detection,
             "slow_factor": slow_factor,
-            "parallelism": parallelism,
             "packed": packed,
             "phase_cache": (
                 str(phase_cache)

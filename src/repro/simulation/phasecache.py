@@ -196,9 +196,11 @@ class PhaseCacheStore:
         The written payload is the union of what the file already holds,
         any prefetched-but-unused entries, and the settled caches, so
         repeated save/load cycles are lossless and concurrent writers
-        (e.g. defect-chunk pool workers of one cell) converge to the
-        union.  Entries are canonically sorted, so equal content always
-        produces equal bytes.
+        (service workers sharing one store) converge to the union.
+        Entries are canonically sorted, so equal content always produces
+        equal bytes.  A signature whose file parsed and already holds
+        the whole union is left untouched: a warm run that solved
+        nothing new writes no file.
         """
         written: List[Path] = []
         for signature, state in topology._phase_states.items():
@@ -218,6 +220,8 @@ class PhaseCacheStore:
             drive.update(state.prefetch_drive)
             drive.update(state.drive)
             if not (memoryless or history or drive):
+                continue
+            if existing is not None and existing == (memoryless, history, drive):
                 continue
             payload = {
                 "format": PHASECACHE_FORMAT,

@@ -18,9 +18,8 @@ Five contracts, each against its scalar oracle:
   included — a NumPy release that changes ``choice`` fails here instead
   of silently growing different forests.
 * ``PackedForest`` inference is bit-for-bit equal to the per-tree vote
-  loop oracle ``predict_proba_per_tree``.
-* Parallel fits are byte-identical to serial fits (same serialized
-  forest), and parallel grid search ranks candidates identically.
+  loop oracle ``predict_proba_per_tree``, and its depth bound equals
+  the per-node loop it replaced.
 * Corrupt forest payloads fail at load with a ``ValueError`` naming the
   field, and forest writes are atomic.
 """
@@ -35,10 +34,10 @@ from repro.learning import (
     PackedForest,
     RandomForestClassifier,
     build_samples,
-    grid_search,
 )
 from repro.learning import engine
 from repro.learning.datasets import stack_group
+from repro.learning.evaluate import default_classifier_factory
 from repro.learning.engine import (
     batched_candidate_features,
     candidate_features,
@@ -742,70 +741,40 @@ class TestPackedForest:
             packed_forest_from_dict(payload)
 
 
-class TestParallelFit:
-    def test_parallel_fit_byte_identical(self):
-        X, y = _random_dataset(20, n=250)
-        serial = RandomForestClassifier(
-            n_estimators=6, max_features=0.5, random_state=5
-        ).fit(X, y)
-        pooled = RandomForestClassifier(
-            n_estimators=6, max_features=0.5, random_state=5, parallelism=3
-        ).fit(X, y)
-        assert forest_to_dict(serial) == forest_to_dict(pooled)
-        assert np.array_equal(
-            serial.predict_proba(X), pooled.predict_proba(X)
-        )
-
-    def test_parallelism_one_stays_serial(self):
-        X, y = _random_dataset(21, n=100)
-        a = RandomForestClassifier(
-            n_estimators=3, random_state=1, parallelism=1
-        ).fit(X, y)
-        b = RandomForestClassifier(n_estimators=3, random_state=1).fit(X, y)
-        assert forest_to_dict(a) == forest_to_dict(b)
-
-    def test_no_bootstrap_parallel(self):
-        X, y = _random_dataset(22, n=100)
-        a = RandomForestClassifier(
-            n_estimators=4, random_state=2, bootstrap=False
-        ).fit(X, y)
-        b = RandomForestClassifier(
-            n_estimators=4, random_state=2, bootstrap=False, parallelism=2
-        ).fit(X, y)
-        assert forest_to_dict(a) == forest_to_dict(b)
+def _depth_by_node_loop(packed):
+    """Oracle: the per-node reverse pass ``_max_depth`` replaced."""
+    below = np.zeros(packed.node_count, dtype=np.int64)
+    for node in range(packed.node_count - 1, -1, -1):
+        if packed.left[node] >= 0:
+            below[node] = 1 + max(
+                below[packed.left[node]], below[packed.right[node]]
+            )
+    return int(below[packed.offsets[:-1]].max())
 
 
-    def test_uneven_tree_groups(self):
-        # 7 trees on 3 workers: groups of 3, 2 and 2 contiguous trees
-        X, y = _random_dataset(23, n=150)
-        params = dict(n_estimators=7, max_features=0.5, random_state=3)
-        serial = RandomForestClassifier(**params).fit(X, y)
-        pooled = RandomForestClassifier(parallelism=3, **params).fit(X, y)
-        assert forest_to_dict(serial) == forest_to_dict(pooled)
+class TestPackedDepth:
+    """The descent's step bound equals the per-node oracle."""
 
+    def test_hybrid_style_forests(self, ca_group):
+        X, y = ca_group
+        for seed in range(3):
+            forest = default_classifier_factory(seed)().fit(X, y)
+            packed = forest.packed_forest()
+            assert packed._max_depth == _depth_by_node_loop(packed)
+            assert packed._max_depth == max(
+                tree.depth() for tree in forest.estimators_
+            )
+            loaded = packed_forest_from_dict(packed_forest_to_dict(packed))
+            assert loaded._max_depth == packed._max_depth
 
-class TestParallelGridSearch:
-    def _samples(self):
-        cells = [
-            build_cell(SOI28, "NAND2", 1),
-            build_cell(SOI28, "NOR2", 1),
-            build_cell(SOI28, "NAND2", 2),
-        ]
-        return build_samples(
-            [
-                (c, generate_ca_model(c, params=SOI28.electrical))
-                for c in cells
-            ],
-            params=SOI28.electrical,
-        )
-
-    def test_parallel_ranking_identical(self):
-        samples = self._samples()
-        grid = {"n_estimators": [2, 4], "max_features": [0.5, None]}
-        serial = grid_search(samples, grid, seed=3)
-        pooled = grid_search(samples, grid, seed=3, parallelism=2)
-        assert serial.ranking == pooled.ranking
-        assert serial.best_params == pooled.best_params
+    def test_chain_deeper_than_64_levels(self):
+        column = np.arange(160)
+        X = np.stack([column, column], axis=1).astype(np.int16)
+        forest = RandomForestClassifier(
+            n_estimators=2, max_features=1, bootstrap=False, random_state=1
+        ).fit(X, column % 2)
+        packed = forest.packed_forest()
+        assert packed._max_depth == _depth_by_node_loop(packed) == 159
 
 
 class TestCorruptPayloads:

@@ -60,18 +60,18 @@ class TestTracer:
 
     def test_absorb_reparents_worker_roots(self):
         worker = Tracer()
-        with worker.span("generate.chunk"):
+        with worker.span("camodel.generate"):
             with worker.span("generate.golden"):
                 pass
         parent = Tracer()
-        with parent.span("generate.defects") as anchor:
+        with parent.span("service.serve") as anchor:
             parent.absorb(worker.export(), parent_id=anchor.span_id)
         spans = parent.export()
-        chunk = next(s for s in spans if s["name"] == "generate.chunk")
+        root = next(s for s in spans if s["name"] == "camodel.generate")
         golden = next(s for s in spans if s["name"] == "generate.golden")
-        assert chunk["parent_id"] == anchor.span_id
+        assert root["parent_id"] == anchor.span_id
         # non-root worker spans keep their original parent
-        assert golden["parent_id"] == chunk["span_id"]
+        assert golden["parent_id"] == root["span_id"]
         assert orphan_parents(spans) == []
 
     def test_jsonl_roundtrip(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import runner
 from repro.library import SOI28, build_cell
-from repro.spice import write_cell
+from repro.spice import write_cell, write_library
 
 
 @pytest.fixture()
@@ -18,21 +18,32 @@ def nand2_file(tmp_path, nand2):
 
 
 class TestGenerateTrace:
-    def test_parallel_generate_writes_chrome_trace(self, tmp_path, nand2_file):
+    def test_parallel_generate_writes_chrome_trace(self, tmp_path):
+        # Two service workers generate the cells: their spans join the
+        # coordinator's trace under one root.
+        library = tmp_path / "lib.sp"
+        cells = [build_cell(SOI28, fn, 1) for fn in ("NAND2", "NOR2")]
+        library.write_text(write_library(cells, SOI28.dialect))
         trace = tmp_path / "run.json"
         assert main(
-            ["generate", str(nand2_file), "-j", "2", "--trace", str(trace)]
+            [
+                "batch", str(library), "--run-dir", str(tmp_path / "run"),
+                "--processes", "2", "--trace", str(trace),
+            ]
         ) == 0
         payload = json.loads(trace.read_text())
         events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         names = [e["name"] for e in events]
-        # golden / defect-chunk / merge spans from all workers, one root
-        assert names.count("cli.generate") == 1
-        assert names.count("camodel.generate") == 1
-        assert names.count("generate.chunk") == 2
-        assert names.count("generate.merge") == 1
+        assert names.count("cli.batch") == 1
+        assert names.count("service.serve") == 1
+        assert names.count("camodel.generate") == 2
         assert "generate.golden" in names and "generate.defects" in names
-        assert len({e["pid"] for e in events}) == 3  # main + 2 workers
+        main_pid = next(e["pid"] for e in events if e["name"] == "cli.batch")
+        assert all(
+            e["pid"] != main_pid
+            for e in events
+            if e["name"] == "camodel.generate"
+        )
         ids = {e["args"]["span_id"] for e in events}
         for event in events:
             parent = event["args"].get("parent_id")

@@ -2,9 +2,10 @@
 
 Pins down the subsystem's load-bearing guarantees:
 
-* a 2-worker parallel generation produces one coherent span tree (chunk
-  spans from every worker, no orphaned parents) and byte-identical
-  detection output with tracing on vs. off;
+* a two-worker service run produces one coherent span tree (every
+  worker's ``camodel.generate`` span under the coordinator's
+  ``service.serve``, no orphaned parents), and disabled tracing buffers
+  nothing;
 * ``GenerationStats`` is a view over the metrics registry (same numbers,
   single source of truth);
 * the hybrid flow's ledger ML seconds equal the per-cell span windows;
@@ -42,58 +43,11 @@ def traced_state():
 
 
 class TestParallelTraceMerge:
-    def test_two_worker_trace_is_one_coherent_tree(self, nand2):
-        with obs.scoped(**traced_state()) as state:
-            traced = generate_ca_model(
-                nand2, params=SOI28.electrical, parallelism=2
-            )
-            spans = state.tracer.export()
-        plain = generate_ca_model(nand2, params=SOI28.electrical, parallelism=2)
-
-        # tracing must not change the result: byte-identical detection
-        assert traced.detection.tobytes() == plain.detection.tobytes()
-
-        by_name = {}
-        for span in spans:
-            by_name.setdefault(span["name"], []).append(span)
-        assert len(by_name["camodel.generate"]) == 1
-        assert len(by_name["generate.defects"]) == 1
-        assert len(by_name["generate.chunk"]) == 2
-        assert len(by_name["generate.merge"]) == 1
-        # golden pass: once in the parent, once per worker
-        assert len(by_name["generate.golden"]) == 3
-
-        # all chunk spans hang under the defects span, from worker PIDs
-        defects_span = by_name["generate.defects"][0]
-        chunk_pids = set()
-        for chunk in by_name["generate.chunk"]:
-            assert chunk["parent_id"] == defects_span["span_id"]
-            chunk_pids.add(chunk["pid"])
-        assert defects_span["pid"] not in chunk_pids
-        assert {c["attrs"]["chunk"] for c in by_name["generate.chunk"]} == {0, 1}
-
-        # no span references a parent that is not in the merged buffer
-        assert obs.orphan_parents(spans) == []
-
-        # chunk wall times stay inside the defect-loop window and cover it:
-        # every chunk fits in the window, and summed busy time accounts for
-        # (at least a worker-count-normalized share of) defect_seconds.
-        defect_seconds = traced.stats.defect_seconds
-        durations = [c["duration"] for c in by_name["generate.chunk"]]
-        slack = 0.25
-        for duration in durations:
-            assert duration <= defect_seconds + slack
-        assert sum(durations) <= 2 * defect_seconds + slack
-        assert sum(durations) >= 0.25 * defect_seconds
-        assert defects_span["duration"] == pytest.approx(
-            defect_seconds, abs=0.1
-        )
-
     def test_disabled_tracing_buffers_nothing(self, nand2):
         with obs.scoped(
             tracer=obs.Tracer(enabled=False), metrics=obs.Metrics()
         ) as state:
-            generate_ca_model(nand2, params=SOI28.electrical, parallelism=2)
+            generate_ca_model(nand2, params=SOI28.electrical)
             assert state.tracer.export() == []
 
     def test_batch_pool_reparents_under_library_span(self, tmp_path):
@@ -241,8 +195,8 @@ class TestStatsUnknownKeys:
             M_DEFECT_SECONDS: 1.5,
             M_TOTAL_SECONDS: 2.0,
         }
-        stats = GenerationStats.from_metrics(counters, workers=4)
-        assert stats.workers == 4
+        stats = GenerationStats.from_metrics(counters)
+        assert stats.workers == 1
         assert stats.solves == 11 and stats.cache_hits == 4
         assert stats.simulated_defects == 7 and stats.skipped_defects == 3
         assert stats.golden_seconds == 0.25

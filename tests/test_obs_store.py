@@ -95,9 +95,7 @@ class TestMergedChromeTrace:
         self, tmp_path, library_cells
     ):
         run_dir = tmp_path / "run"
-        result = _run(
-            run_dir, library_cells, parallelism=2, packed=True
-        )
+        result = _run(run_dir, library_cells, packed=True)
         assert result.complete
         tel = RunTelemetry.load(run_dir)
         first = tel.write_chrome(tmp_path / "first.json")

@@ -1,7 +1,7 @@
-"""Defect-level parallel generation: identity with the serial path, stats,
-and the batch kwargs-forwarding regression."""
+"""Generation stats, the shared per-cell topology, and the service's
+kwargs-forwarding regression (a worker must run the submitted options,
+not silent defaults)."""
 
-import numpy as np
 import pytest
 
 from repro.camodel import generate_ca_model, generate_library
@@ -9,47 +9,6 @@ from repro.defects import default_universe
 from repro.library import SOI28, ElectricalParams, build_cell
 from repro.service import serve, submit_library
 from repro.simulation import CellSimulator, CellTopology
-
-
-class TestParallelIdentity:
-    @pytest.mark.parametrize("function", ["NAND2", "AOI221"])  # 2 and 5 inputs
-    def test_detection_byte_identical(self, function):
-        cell = build_cell(SOI28, function, 1)
-        serial = generate_ca_model(cell, params=SOI28.electrical)
-        parallel = generate_ca_model(cell, params=SOI28.electrical, parallelism=2)
-        assert serial.detection.tobytes() == parallel.detection.tobytes()
-        assert serial.golden == parallel.golden
-        assert serial.stimuli == parallel.stimuli
-        assert [d.name for d in serial.defects] == [d.name for d in parallel.defects]
-        assert serial.simulation_count == parallel.simulation_count
-
-    def test_parallel_keep_responses(self, nand2):
-        serial = generate_ca_model(
-            nand2, params=SOI28.electrical, keep_responses=True
-        )
-        parallel = generate_ca_model(
-            nand2, params=SOI28.electrical, keep_responses=True, parallelism=2
-        )
-        assert serial.responses == parallel.responses
-
-    def test_small_universe_falls_back_to_serial(self, nand2):
-        universe = default_universe(nand2)[:4]
-        model = generate_ca_model(
-            nand2, params=SOI28.electrical, universe=universe, parallelism=4
-        )
-        assert model.stats.workers == 1
-        assert model.n_defects == 4
-
-    def test_progress_reaches_total_in_parallel(self, nand2):
-        seen = []
-        generate_ca_model(
-            nand2,
-            params=SOI28.electrical,
-            parallelism=2,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        total = len(default_universe(nand2))
-        assert seen[-1] == (total, total)
 
 
 class TestGenerationStats:
@@ -63,14 +22,6 @@ class TestGenerationStats:
         assert stats.cache_hits > 0
         assert 0.0 < stats.cache_hit_rate < 1.0
         assert stats.total_seconds >= stats.golden_seconds
-
-    def test_parallel_stats_record_workers(self, nand2):
-        model = generate_ca_model(nand2, params=SOI28.electrical, parallelism=2)
-        assert model.stats.workers == 2
-        assert (
-            model.stats.simulated_defects + model.stats.skipped_defects
-            == model.n_defects
-        )
 
     def test_stats_survive_serialization(self, nand2):
         from repro.camodel import model_from_dict, model_to_dict
@@ -154,10 +105,3 @@ class TestBatchKwargsForwarding:
             generate_library([nand2, nand2])
         with pytest.raises(ValueError, match="duplicate"):
             submit_library([nand2, nand2], run_dir=tmp_path / "run")
-
-    def test_generate_multi_forwards_parallelism(self, nand2):
-        from repro.camodel import generate_multi
-
-        models = generate_multi(nand2, params=SOI28.electrical, parallelism=2)
-        model = models[nand2.outputs[0]]
-        assert model.stats.workers == 2

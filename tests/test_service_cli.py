@@ -23,7 +23,8 @@ import pytest
 from repro.cli import main
 from repro.library import SOI28, build_cell
 from repro.obs.store import RunTelemetry
-from repro.service import serve, submit_library
+from repro.resilience import RunDirError
+from repro.service import Job, serve, submit_library
 from repro.spice import parse_library, write_library
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,6 +92,10 @@ def distributed_run(tmp_path_factory, netlist_file):
         text=True,
     )
     workers = []
+    # Each worker's stderr goes to a file (a pipe nobody drains could
+    # block a chatty worker), read back when a worker exits non-zero.
+    stderr_paths = [base / f"worker{i}.err" for i in range(N_WORKERS)]
+    stderr_files = []
     try:
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
@@ -102,6 +107,7 @@ def distributed_run(tmp_path_factory, netlist_file):
             time.sleep(0.01)
         else:
             pytest.fail("job.json never appeared within 120s")
+        stderr_files = [path.open("w") for path in stderr_paths]
         workers = [
             subprocess.Popen(
                 [
@@ -115,9 +121,9 @@ def distributed_run(tmp_path_factory, netlist_file):
                 ],
                 env=_env(),
                 stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
+                stderr=stderr_file,
             )
-            for i in range(N_WORKERS)
+            for i, stderr_file in enumerate(stderr_files)
         ]
         out, _ = coordinator.communicate(timeout=560)
     finally:
@@ -128,12 +134,17 @@ def distributed_run(tmp_path_factory, netlist_file):
                 except subprocess.TimeoutExpired:
                     worker.kill()
                     worker.wait()
+        for stderr_file in stderr_files:
+            stderr_file.close()
         if coordinator.poll() is None:
             coordinator.kill()
             coordinator.wait()
     assert coordinator.returncode == 0, out
-    for worker in workers:
-        assert worker.returncode == 0
+    for i, (worker, stderr_path) in enumerate(zip(workers, stderr_paths)):
+        assert worker.returncode == 0, (
+            f"worker ext{i} exited {worker.returncode}; stderr:\n"
+            + stderr_path.read_text()
+        )
     return {"run_dir": run_dir, "output": output, "stdout": out}
 
 
@@ -198,3 +209,31 @@ def test_pre_merge_manifest_is_refused_at_attach(tmp_path, capsys):
     job.manifest_path.write_text(json.dumps(data))
     assert main(["worker", str(run_dir), "--max-cells", "1"]) == 1
     assert "unsupported job manifest format 1" in capsys.readouterr().err
+
+
+def test_format_2_manifest_is_refused_at_attach(tmp_path):
+    """A layout-2 ``job.json`` still carries the defect-level worker
+    count in its kwargs and fingerprint; attaching refuses it."""
+    run_dir = tmp_path / "run"
+    job = submit_library([build_cell(SOI28, "NAND2", 1)], run_dir=run_dir)
+    data = json.loads(job.manifest_path.read_text())
+    data["format"] = 2
+    data["kwargs"]["parallelism"] = None
+    data["options"]["parallelism"] = None
+    job.manifest_path.write_text(json.dumps(data))
+    with pytest.raises(RunDirError, match="unsupported job manifest format 2"):
+        Job.attach(run_dir)
+
+
+@pytest.mark.parametrize("command", ["generate", "batch", "serve"])
+def test_defect_worker_flag_is_gone(tmp_path, capsys, command):
+    """``-j`` is no longer an option: argparse exits 2."""
+    argv = {
+        "generate": ["generate", "cells.sp", "-j", "2"],
+        "batch": ["batch", "cells.sp", "--run-dir", str(tmp_path), "-j", "2"],
+        "serve": ["serve", str(tmp_path), "-j", "2"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: -j 2" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from repro.resilience import FaultPlan, FaultRule, faults
 from repro.resilience.ledger import RunLedger
 from repro.resilience.runner import canonical_model_dict
 from repro.service import serve, submit_library
+from repro.simulation.phasecache import M_PHASECACHE_LOADS, M_PHASECACHE_STORES
 
 PARAMS = SOI28.electrical
 
@@ -201,6 +202,33 @@ class TestPhaseCacheStore:
         assert corrupt, "corrupt store entries must be reported, not fatal"
         # ...and the rewritten store heals: the entry is valid JSON again.
         json.loads(entries[0].read_text())
+
+    def test_warm_runs_write_no_file(self, tmp_path):
+        cell = build_cell(SOI28, "NAND2", 1)
+        store = tmp_path / "phases"
+        cold = generate_ca_model(
+            cell, params=PARAMS, packed=True, phase_cache=store
+        )
+
+        def snapshot():
+            return {
+                path.name: (path.stat().st_ino, path.read_bytes())
+                for path in store.glob("*.json")
+            }
+
+        before = snapshot()
+        assert before
+        registry = obs.Metrics()
+        with obs.scoped(metrics=registry):
+            for _ in range(2):
+                warm = generate_ca_model(
+                    cell, params=PARAMS, packed=True, phase_cache=store
+                )
+                assert canonical_model_dict(warm) == canonical_model_dict(cold)
+                # Nothing new was solved, so no file is rewritten.
+                assert snapshot() == before
+        assert registry.get(M_PHASECACHE_LOADS) == 2 * len(before)
+        assert registry.get(M_PHASECACHE_STORES) == 0
 
     def test_store_is_partitioned_by_electrical_params(self, tmp_path):
         from repro.library import ElectricalParams
