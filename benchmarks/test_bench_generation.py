@@ -1,7 +1,9 @@
 """Fig. 1 bench: conventional CA model generation throughput.
 
 Measures what the paper is trying to avoid — the per-cell cost of
-simulating every defect against every stimulus — across cell sizes.
+simulating every defect against every stimulus — across cell sizes,
+and tracks the solves and cache efficiency of that loop on the shared
+per-cell :class:`~repro.simulation.switchgraph.CellTopology`.
 """
 
 import pytest
@@ -30,6 +32,32 @@ def test_conventional_generation(benchmark, function, drive):
         f"\n{cell.name}: {model.simulation_count} simulations, "
         f"{model.n_defects} defects -> {len(model.equivalence())} classes, "
         f"coverage {model.coverage():.2%}"
+    )
+
+
+#: largest cell of the bench suite: 4 inputs -> 256 exhaustive stimuli
+LARGEST = ("AOI22", 1)
+
+
+def test_generation_cost_accounting(benchmark):
+    """Tracks solves and cache efficiency of one generation."""
+    cell = build_cell(SOI28, *LARGEST)
+    model = benchmark.pedantic(
+        generate_ca_model,
+        args=(cell,),
+        kwargs={"params": SOI28.electrical},
+        rounds=1,
+        iterations=1,
+    )
+    stats = model.stats
+    assert stats.simulated_defects + stats.skipped_defects == model.n_defects
+    benchmark.extra_info["solves"] = stats.solves
+    benchmark.extra_info["cache_hits"] = stats.cache_hits
+    benchmark.extra_info["cache_hit_rate"] = round(stats.cache_hit_rate, 4)
+    print(
+        f"\n{cell.name}: {stats.solves} solves, {stats.cache_hits} cache hits "
+        f"({stats.cache_hit_rate:.1%}), golden {stats.golden_seconds:.3f}s, "
+        f"defects {stats.defect_seconds:.3f}s"
     )
 
 

@@ -135,6 +135,14 @@ def test_frontier_fit_speedup(bench_record, group_data):
     import time
 
     X, y, _, _ = group_data
+    # Leave the allocator as the file's earlier tests leave it.  glibc
+    # serves blocks above its mmap threshold (128 KiB at start-up) with
+    # fresh pages and raises the threshold to the largest such block
+    # freed, so after one large free the fits' per-level arrays come
+    # from recycled heap pages.  Without this a lone run of this test
+    # timed the frontier side slower than a run after the rest of the
+    # file did, and read a lower ratio.
+    np.empty(16 << 20, dtype=np.uint8)
 
     def timed(fit):
         clf = RandomForestClassifier(

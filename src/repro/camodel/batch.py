@@ -1,9 +1,10 @@
 """In-process library characterization.
 
-:func:`generate_library` packs a library of two or more cells through
-the cross-cell engine (:func:`~repro.camodel.throughput.run_throughput`);
-``packed=False`` selects the scalar reference solver instead.  It runs
-in this one process.
+:func:`generate_library` characterizes a library in one call of the
+generation engine (through
+:func:`~repro.camodel.throughput.run_throughput`), so the phases of all
+its cells share packed kernel calls; ``packed=False`` selects the
+scalar reference solver instead.  It runs in this one process.
 
 This is one of the two ways to characterize a library.  The other is
 the run-directory service (:func:`repro.service.submit_library` +
@@ -17,16 +18,10 @@ produce the same canonical models.
 
 from __future__ import annotations
 
-import traceback
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
-from repro import obs
-from repro.camodel.generate import (
-    DEFAULT_SLOW_FACTOR,
-    PhaseCacheArg,
-    generate_ca_model,
-)
+from repro.camodel.generate import DEFAULT_SLOW_FACTOR, PhaseCacheArg
 from repro.camodel.model import CAModel
 from repro.defects.model import Defect
 from repro.library.technology import ElectricalParams
@@ -95,63 +90,28 @@ def generate_library(
     cell fails, the completed siblings are never discarded: the raised
     :class:`LibraryGenerationError` carries them as ``.completed``.
 
-    ``packed`` (the default) solves through the vectorized packed
-    kernel: libraries of two or more cells go through
-    :func:`~repro.camodel.throughput.run_throughput`, so every cell's
-    phases share kernel calls; ``packed=False`` selects the scalar
-    reference solver and characterizes cell by cell.  ``phase_cache``
-    persists solved phases across runs.  Every knob is identity-preserving: detection tables,
-    golden responses and solve/cache-hit counts are identical either way
-    (the scalar solver reports zero ``batched_phases``).
+    Every cell goes through one engine call
+    (:func:`~repro.camodel.throughput.run_throughput`), so the phases
+    of all cells share kernel calls.  ``packed=False`` selects the
+    scalar reference solver; ``phase_cache`` persists solved phases
+    across runs.  Both are identity-preserving: detection tables,
+    golden responses and solve/cache-hit counts are identical either
+    way (the scalar solver reports zero ``batched_phases``).
 
     Checkpointing, retries, quarantine, resume, cell timeouts and
     multi-process runs belong to the run-directory service:
     :func:`repro.service.submit_library` then
     :func:`repro.service.serve`.
     """
-    ensure_unique_cell_names([cell.name for cell in cells])
+    from repro.camodel.throughput import run_throughput
 
-    tracer = obs.tracer()
-    if packed and len(cells) > 1:
-        # Whole-library cross-cell packing: every cell's phase batches
-        # share kernel calls (byte-identical models).  One cell packs the
-        # same phases through generate_ca_model, which keeps its per-cell
-        # span and golden/defect seconds.
-        from repro.camodel.throughput import run_throughput
-
-        with tracer.span("camodel.generate_library", cells=len(cells)):
-            return run_throughput(
-                cells,
-                policy=policy,
-                params=params,
-                universe=universe,
-                delay_detection=delay_detection,
-                slow_factor=slow_factor,
-                phase_cache=phase_cache,
-            )
-    out: Dict[str, CAModel] = {}
-    failures: List[Dict[str, str]] = []
-    with tracer.span("camodel.generate_library", cells=len(cells)):
-        for cell in cells:
-            try:
-                out[cell.name] = generate_ca_model(
-                    cell,
-                    policy=policy,
-                    params=params,
-                    universe=universe,
-                    delay_detection=delay_detection,
-                    slow_factor=slow_factor,
-                    packed=packed,
-                    phase_cache=phase_cache,
-                )
-            except Exception as exc:  # noqa: BLE001 - collected below
-                failures.append(
-                    {
-                        "cell": cell.name,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                    }
-                )
-    if failures:
-        raise LibraryGenerationError(failures, completed=out)
-    return out
+    return run_throughput(
+        cells,
+        policy=policy,
+        params=params,
+        universe=universe,
+        delay_detection=delay_detection,
+        slow_factor=slow_factor,
+        packed=packed,
+        phase_cache=phase_cache,
+    )

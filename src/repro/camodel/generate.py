@@ -5,36 +5,48 @@ stimulus set and each response compared with the golden one.  Detection
 requires a deterministic mismatch: an X defective response (floating or
 contended output) is *not* a detection.
 
-The per-defect loop is the hot path of the whole reproduction (the very
-cost the paper attacks); two levers keep it fast (see
-``docs/performance.md``):
+The defect sweep is the hot path of the whole reproduction (the very
+cost the paper attacks).  One engine, :func:`_characterize`, runs it for
+every entry point: one cell (:func:`generate_ca_model`), every output of
+one cell (:func:`generate_multi`) and a whole library
+(:func:`~repro.camodel.throughput.run_throughput`,
+:func:`~repro.camodel.batch.generate_library`).  It takes a list of
+(cell, output ports) jobs through four phases:
 
-* **Shared structure** — the cell's switch-level topology (net indexing,
-  on-conductances, driver edges) is built once per cell as a
-  :class:`~repro.simulation.switchgraph.CellTopology` and cheaply
-  specialized per defect effect; benign / golden-equivalent defects
-  short-circuit before any solver is built; and phases solved under one
-  defect are shared with every signature-equal defect through the
-  topology's cross-defect phase cache.
-* **Packed solving** — a defect slice is planned as one unit:
-  :func:`~repro.simulation.engine.solve_words_across` dedups the phase
-  sets of every defect and runs them through the vectorized NumPy kernel
-  (:func:`~repro.simulation.packed.solve_packed`), which is byte-identical
-  to the scalar path (``packed=False`` forces the scalar reference).
-  Delay detection's drive-resistance queries are planned the same way:
-  the golden pass and the defect sweep assemble every word first, then
-  :func:`~repro.simulation.engine.prefetch_drive` solves the queries'
-  misses in one batched resistive solve before the unchanged per-query
-  calls run in their original order.
+1. **Setup**, per cell: stimulus plan, defect universe, and the cell's
+   switch-level topology (:class:`~repro.simulation.switchgraph.CellTopology`),
+   built once per cell and cheaply specialized per defect effect.
+2. **Golden pass**: every cell's golden phases go through one packed
+   solve, then each cell reads its golden responses and reference drive
+   resistances from the staged results.
+3. **Defect pass**: benign / golden-equivalent defects short-circuit
+   before any solver is built; the phases of every other defect of
+   every cell go through one more packed solve
+   (:func:`~repro.simulation.engine.solve_words_across` over the
+   vectorized kernel :func:`~repro.simulation.packed.solve_packed`).
+   Phases solved under one defect are shared with every signature-equal
+   defect through the topology's cross-defect phase cache.
+4. **Assembly**, per cell in job order: detection tables, delay
+   detection, stats and the :class:`CAModel`.  Delay detection's
+   drive-resistance queries are planned like phases: assembly lists
+   every call first, :func:`~repro.simulation.engine.prefetch_drive`
+   solves their misses in one batched resistive solve, and the
+   unchanged calls then run in their original order.
+
+Assembly runs cell-major, defect-minor — the order a per-cell loop
+would solve in — and the packed planner charges each simulator exactly
+what that loop would, so every model, counters included, is the same
+whatever else shares the call.  ``packed=False`` builds scalar
+simulators, which both packed solves skip: every phase and drive
+resistance is then solved by the scalar reference oracle.
+
+Multi-output cells are characterized in **one sweep**: every solved
+phase carries the codes of all nets, so each output port's detection
+table is read from the same golden pass and defect sweep.
 
 Generation runs in one process.  A library gets its cores from the
 run-directory service (``serve --workers N``), which characterizes
 cells on N worker processes.
-
-Multi-output cells are characterized in **one sweep**: every solved phase
-carries the codes of all nets, so :func:`generate_multi` runs a single
-golden pass and a single defect loop and reads one detection table per
-output port out of it, instead of paying O(outputs) full simulations.
 
 Cost accounting is collected into a
 :class:`~repro.camodel.stats.GenerationStats` attached to the returned
@@ -44,6 +56,7 @@ model.
 from __future__ import annotations
 
 import time
+import traceback
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -76,7 +89,6 @@ from repro.simulation.engine import (
     WordPlan,
     prefetch_drive,
     solve_words_across,
-    split_word,
 )
 from repro.simulation.phasecache import PhaseCacheStore, attach_store
 from repro.simulation.switchgraph import CellTopology, DefectEffect
@@ -95,6 +107,9 @@ AUTO_EXHAUSTIVE_LIMIT = 4
 #: proxy for the transient "slow cell" detections of a SPICE-based flow);
 #: 1.25 catches the loss of one finger out of four (ratio 4/3)
 DEFAULT_SLOW_FACTOR = 1.25
+
+#: one failed cell of an engine call: (cell name, exception, traceback)
+Failure = Tuple[str, Exception, str]
 
 
 def resolve_policy(n_inputs: int, policy: str) -> str:
@@ -117,45 +132,78 @@ def _port_responses(
     return [V4.from_phases(codes1[node], codes2[node]) for codes1, codes2 in solved]
 
 
-class _GoldenRun:
-    """Golden pass of one cell: responses plus reference resistances.
+class _CellRun:
+    """One job's working state, filled in phase by phase by the engine."""
 
-    Solves the stimulus set once and reads every requested output port
-    out of the solved phases (each phase carries the codes of all nets),
-    so multi-output cells pay a single pass.  The reference resistances
-    of every port's transitions are prefetched in one batch before the
-    per-port drive calls (see :func:`_simulate_defect_rows`).
-    """
+    cell: CellNetlist
+    ports: Sequence[str]
+    params: ElectricalParams
+    packed: bool
+    words: List[Word]
+    plans: List[WordPlan]
+    defects: List[Defect]
+    topology: CellTopology
+    store: Optional[PhaseCacheStore]
+    golden_sim: CellSimulator
+    #: per port: golden response, transition columns, reference resistances
+    golden: Dict[str, List[V4]]
+    transition_cols: Dict[str, List[int]]
+    resistance: Dict[str, Dict[int, float]]
+    #: one (effect, simulator) row per defect; benign rows have no simulator
+    rows: List[Tuple[DefectEffect, Optional[CellSimulator]]]
+    detection: Dict[str, np.ndarray]
+    responses: Optional[Dict[str, List[List[V4]]]]
+    #: solves / cache_hits / batched (golden pass included), simulated, skipped
+    counters: Dict[str, int]
 
-    def __init__(
+    def __init__(self, cell: CellNetlist, ports: Sequence[str]) -> None:
+        self.cell = cell
+        self.ports = ports
+
+    def setup(
         self,
-        cell: CellNetlist,
-        params: ElectricalParams,
-        words: Sequence[Word],
-        ports: Sequence[str],
-        delay_detection: bool,
-        topology: Optional[CellTopology] = None,
-        packed: bool = True,
-        plans: Optional[Sequence[WordPlan]] = None,
-        sim: Optional[CellSimulator] = None,
+        params: Optional[ElectricalParams],
+        policy: str,
+        universe: Optional[Sequence[Defect]],
+        phase_cache: PhaseCacheArg,
+        packed: bool,
     ) -> None:
-        self.topology = topology or CellTopology(cell, params=params)
-        self.plans = (
-            plans
-            if plans is not None
-            else [split_word(w, cell.n_inputs, cell.name) for w in words]
+        """Plans, defect universe, topology and golden simulator."""
+        cell = self.cell
+        # Fault-injection seam: a scripted 'raise'-mode fault surfaces
+        # here as an exception from inside generation (no-op when no
+        # plan is armed; see repro.resilience.faults).
+        _faults.fire(_faults.SITE_SOLVER, cell=cell.name)
+        for port in self.ports:
+            if port not in cell.outputs:
+                raise ValueError(f"{port!r} is not an output of {cell.name}")
+        self.params = params if params is not None else _default_params(cell)
+        self.packed = packed
+        self.words, self.plans = plan_store().stimulus_plan(
+            cell.n_inputs, resolve_policy(cell.n_inputs, policy)
         )
-        if sim is None:
-            # *sim* lets the cross-cell engine hand in the simulator whose
-            # phases it already packed; counters must accrue on that object.
-            sim = CellSimulator(
-                cell, params=params, topology=self.topology, packed=packed
-            )
-        solved = sim.solve_words(words, self.plans)
-        self.golden: Dict[str, List[V4]] = {}
-        self.transition_cols: Dict[str, List[int]] = {}
-        self.resistance: Dict[str, Dict[int, float]] = {}
-        for port in ports:
+        self.defects = (
+            list(universe) if universe is not None else default_universe(cell)
+        )
+        self.topology = plan_store().topology(cell, self.params)
+        self.store = attach_store(self.topology, phase_cache)
+        self.golden_sim = CellSimulator(
+            cell, params=self.params, topology=self.topology, packed=packed
+        )
+
+    def golden_pass(self, delay_detection: bool) -> None:
+        """Golden responses and reference resistances of every port.
+
+        Every port is read out of the same solved phases (each phase
+        carries the codes of all nets), so multi-output cells pay a
+        single pass.  The reference resistances of every port's
+        transitions are prefetched in one batch before the per-port
+        drive calls.
+        """
+        sim, words, plans = self.golden_sim, self.words, self.plans
+        solved = sim.solve_words(words, plans)
+        self.golden, self.transition_cols, self.resistance = {}, {}, {}
+        for port in self.ports:
             responses = _port_responses(solved, sim.graph.net_index[port])
             self.golden[port] = responses
             self.transition_cols[port] = [
@@ -165,290 +213,269 @@ class _GoldenRun:
         if delay_detection:
             prefetch_drive(
                 [
-                    (sim, self.plans[col], sim.graph.net_index[port], *solved[col])
-                    for port in ports
+                    (sim, plans[col], sim.graph.net_index[port], *solved[col])
+                    for port in self.ports
                     for col in self.transition_cols[port]
                 ]
             )
-            for port in ports:
+            for port in self.ports:
                 self.resistance[port] = {
                     col: sim.output_drive_resistance(
-                        words[col], output=port, plan=self.plans[col]
+                        words[col], output=port, plan=plans[col]
                     )
                     for col in self.transition_cols[port]
                 }
-        self.solve_count = sim.solve_count
-        self.cache_hit_count = sim.cache_hit_count
-        self.batched_count = sim.batched_count
+        self.counters = dict(sim.counters())
 
+    def prepare_rows(self) -> None:
+        """Materialize every defect's (effect, simulator) row in defect order.
 
-def _prepare_defect_rows(
-    cell: CellNetlist,
-    params: ElectricalParams,
-    defects: Sequence[Defect],
-    topology: CellTopology,
-    packed: bool = True,
-) -> List[Tuple[DefectEffect, Optional[CellSimulator]]]:
-    """Materialize every defect's (effect, simulator) row in defect order.
-
-    Benign / golden-equivalent defects carry no simulator; the rest get
-    the simulator the detection loop runs, so the packed planner can see
-    the whole slice's phase demand up front.
-    """
-    rows: List[Tuple[DefectEffect, Optional[CellSimulator]]] = []
-    for defect in defects:
-        effect = defect.effect(cell, params.short_resistance)
-        if effect.benign or effect.is_golden:
-            rows.append((effect, None))
-        else:
-            rows.append(
-                (
-                    effect,
-                    CellSimulator(
-                        cell, params=params, effect=effect,
-                        topology=topology, packed=packed,
-                    ),
+        Benign / golden-equivalent defects carry no simulator; the rest
+        get the simulator the sweep runs, so the packed planner sees the
+        phase demand of every defect up front.
+        """
+        self.rows = []
+        for defect in self.defects:
+            effect = defect.effect(self.cell, self.params.short_resistance)
+            sim: Optional[CellSimulator] = None
+            if not (effect.benign or effect.is_golden):
+                sim = CellSimulator(
+                    self.cell, params=self.params, effect=effect,
+                    topology=self.topology, packed=self.packed,
                 )
-            )
-    return rows
+            self.rows.append((effect, sim))
 
+    def sweep(
+        self, delay_detection: bool, slow_factor: float, keep_responses: bool
+    ) -> None:
+        """Detection tables of every port, read from the staged phases.
 
-def _simulate_defect_rows(
-    cell: CellNetlist,
-    params: ElectricalParams,
-    words: Sequence[Word],
-    ports: Sequence[str],
-    defects: Sequence[Defect],
-    golden_run: _GoldenRun,
-    delay_detection: bool,
-    slow_factor: float,
-    keep_responses: bool,
-    progress: Optional[Callable[[int, int], None]] = None,
-    packed: bool = True,
-    prepared_rows: Optional[
-        List[Tuple[DefectEffect, Optional[CellSimulator]]]
-    ] = None,
-) -> Tuple[
-    Dict[str, np.ndarray],
-    Optional[Dict[str, List[List[V4]]]],
-    Dict[str, int],
-]:
-    """Characterize a slice of the defect universe.
-
-    The kernel of both :func:`generate_ca_model` and the cross-cell
-    library engine.  Each defect is simulated once and every output
-    port's detection row is read from the same solved phases.
-
-    The slice's phase demand is planned up front and solved through the
-    packed kernel (:func:`~repro.simulation.engine.solve_words_across`
-    with ``assemble=False``); the per-defect loop below then only
-    assembles from the staged results, with unchanged order and cost
-    accounting.  Delay detection follows in three steps: assembly lists
-    every drive-resistance call in the per-defect order, one
-    :func:`~repro.simulation.engine.prefetch_drive` batch solves their
-    misses, and the calls then run in that order; each simulator's
-    counters are read after them.  ``packed=False`` skips both
-    prepasses, so every phase and every drive resistance is solved by
-    the scalar oracle.  *prepared_rows* lets a caller that already
-    packed a larger scope (the cross-cell library engine) hand in the
-    materialized rows.
-    """
-    plans = golden_run.plans
-
-    if prepared_rows is None:
-        prepared_rows = _prepare_defect_rows(
-            cell, params, defects, golden_run.topology, packed
+        Each defect is simulated once and every output port's detection
+        row is read from the same solved phases: a packed simulator only
+        assembles what the defect pass staged, a scalar one solves.
+        Delay detection follows in three steps: assembly lists every
+        drive-resistance call in the per-defect order, one
+        :func:`~repro.simulation.engine.prefetch_drive` batch solves
+        their misses, and the calls then run in that order; each
+        simulator's counters are read after them.
+        """
+        words, plans, ports = self.words, self.plans, self.ports
+        detection = {
+            port: np.zeros((len(self.rows), len(words)), dtype=np.int8)
+            for port in ports
+        }
+        responses: Optional[Dict[str, List[List[V4]]]] = (
+            {port: [] for port in ports} if keep_responses else None
         )
-        if packed:
-            solve_words_across(
-                [
-                    (sim, words, plans)
-                    for _effect, sim in prepared_rows
-                    if sim is not None
-                ],
-                assemble=False,
-            )
 
-    detection = {
-        port: np.zeros((len(defects), len(words)), dtype=np.int8)
-        for port in ports
-    }
-    responses: Optional[Dict[str, List[List[V4]]]] = (
-        {port: [] for port in ports} if keep_responses else None
-    )
-    counters = {
-        "simulated": 0, "skipped": 0, "solves": 0, "cache_hits": 0,
-        "batched": 0,
-    }
+        # Assembly: packed phases are staged, a scalar simulator solves.  It
+        # also lists the drive-resistance calls in the per-defect order, with
+        # the (initial, final) codes of each call's word.
+        drive_calls: List[
+            Tuple[int, str, int, CellSimulator, Tuple[List[int], List[int]]]
+        ] = []
+        for row, (_effect, sim) in enumerate(self.rows):
+            if sim is None:
+                if responses is not None:
+                    for port in ports:
+                        responses[port].append(list(self.golden[port]))
+                continue
+            solved = [sim.solve_word(word, plan) for word, plan in zip(words, plans)]
+            for port in ports:
+                golden = self.golden[port]
+                row_responses = _port_responses(solved, sim.graph.net_index[port])
+                block = detection[port]
+                for col, response in enumerate(row_responses):
+                    block[row, col] = detect(golden[col], response)
+                if delay_detection:
+                    for col in self.transition_cols[port]:
+                        if block[row, col] or row_responses[col] is not golden[col]:
+                            continue
+                        drive_calls.append((row, port, col, sim, solved[col]))
+                if responses is not None:
+                    responses[port].append(row_responses)
 
-    # Assembly: packed phases are staged, a scalar simulator solves.  It
-    # also lists the drive-resistance calls in the per-defect order, with
-    # the (initial, final) codes of each call's word.
-    drive_calls: List[
-        Tuple[int, str, int, CellSimulator, Tuple[List[int], List[int]]]
-    ] = []
-    for row, (_effect, sim) in enumerate(prepared_rows):
-        if sim is None:
-            if responses is not None:
-                for port in ports:
-                    responses[port].append(list(golden_run.golden[port]))
-            continue
-        solved = [sim.solve_word(word, plan) for word, plan in zip(words, plans)]
-        for port in ports:
-            golden = golden_run.golden[port]
-            node = sim.graph.net_index[port]
-            row_responses = _port_responses(solved, node)
-            block = detection[port]
-            for col, response in enumerate(row_responses):
-                block[row, col] = detect(golden[col], response)
-            if delay_detection:
-                for col in golden_run.transition_cols[port]:
-                    if block[row, col] or row_responses[col] is not golden[col]:
-                        continue
-                    drive_calls.append((row, port, col, sim, solved[col]))
-            if responses is not None:
-                responses[port].append(row_responses)
-
-    # Delay detection: the calls run in their per-defect order after one
-    # batched solve of their misses.  A call only reads phases assembly
-    # already settled, so moving it after later rows' assembly changes
-    # no counter.
-    prefetch_drive(
-        (sim, plans[col], sim.graph.net_index[port], *codes)
-        for _row, port, col, sim, codes in drive_calls
-    )
-    for row, port, col, sim, _codes in drive_calls:
-        measured = sim.output_drive_resistance(
-            words[col], output=port, plan=plans[col]
+        # Delay detection: the calls run in their per-defect order after one
+        # batched solve of their misses.  A call only reads phases assembly
+        # already settled, so moving it after later rows' assembly changes
+        # no counter.
+        prefetch_drive(
+            (sim, plans[col], sim.graph.net_index[port], *codes)
+            for _row, port, col, sim, codes in drive_calls
         )
-        if measured > slow_factor * golden_run.resistance[port][col]:
-            detection[port][row, col] = 1
+        for row, port, col, sim, _codes in drive_calls:
+            measured = sim.output_drive_resistance(
+                words[col], output=port, plan=plans[col]
+            )
+            if measured > slow_factor * self.resistance[port][col]:
+                detection[port][row, col] = 1
 
-    for row, (_effect, sim) in enumerate(prepared_rows):
-        if sim is None:
-            counters["skipped"] += 1
-        else:
+        counters = self.counters
+        counters["simulated"] = counters["skipped"] = 0
+        for _effect, sim in self.rows:
+            if sim is None:
+                counters["skipped"] += 1
+                continue
             counters["simulated"] += 1
-            sim_counters = sim.counters()
-            counters["solves"] += sim_counters["solves"]
-            counters["cache_hits"] += sim_counters["cache_hits"]
-            counters["batched"] += sim_counters["batched"]
-        if progress is not None:
-            progress(row + 1, len(defects))
+            for key, value in sim.counters().items():
+                counters[key] += value
+        self.detection, self.responses = detection, responses
 
-    return detection, responses, counters
+    @property
+    def simulation_count(self) -> int:
+        """One golden pass plus one full stimulus sweep per simulated defect."""
+        return len(self.words) * (1 + self.counters["simulated"])
+
+    def models(self, stats: GenerationStats) -> Dict[str, CAModel]:
+        """One model per port; each carries its own copy of the run's stats.
+
+        The sweep ran once for all ports, so per-port cost attribution
+        is not meaningful.
+        """
+        return {
+            port: CAModel(
+                cell_name=self.cell.name,
+                technology=self.cell.technology,
+                inputs=tuple(self.cell.inputs),
+                output=port,
+                stimuli=self.words,
+                golden=self.golden[port],
+                defects=self.defects,
+                detection=self.detection[port],
+                responses=(
+                    self.responses[port] if self.responses is not None else None
+                ),
+                simulation_count=self.simulation_count,
+                generation_seconds=stats.total_seconds,
+                stats=GenerationStats.from_dict(stats.to_dict()),
+            )
+            for port in self.ports
+        }
 
 
-def _generate(
-    cell: CellNetlist,
+def _characterize(
+    jobs: Sequence[Tuple[CellNetlist, Sequence[str]]],
     params: Optional[ElectricalParams],
     policy: str,
     universe: Optional[Sequence[Defect]],
     keep_responses: bool,
     delay_detection: bool,
     slow_factor: float,
-    ports: Sequence[str],
-    progress: Optional[Callable[[int, int], None]],
     packed: bool,
-    phase_cache: PhaseCacheArg = None,
-) -> Dict[str, CAModel]:
-    """Shared generation core: one sweep, one CAModel per requested port."""
-    started = time.perf_counter()
-    if params is None:
-        params = _default_params(cell)
-    for port in ports:
-        if port not in cell.outputs:
-            raise ValueError(f"{port!r} is not an output of {cell.name}")
-    resolved = resolve_policy(cell.n_inputs, policy)
-    words, plans = plan_store().stimulus_plan(cell.n_inputs, resolved)
-    defects = list(universe) if universe is not None else default_universe(cell)
+    phase_cache: PhaseCacheArg,
+) -> Tuple[Dict[str, Dict[str, CAModel]], List[Failure]]:
+    """The conventional sweep over (cell, ports) jobs.
 
-    # All cost accounting goes through the obs metrics registry; the stats
-    # record attached to the model is derived from the registry delta at
-    # the end (single source of truth, see GenerationStats.from_metrics).
+    Returns ``{cell name: {port: CAModel}}`` for every cell that
+    finished, and one :data:`Failure` per cell that raised; a failing
+    cell never discards its siblings.  Options are those of
+    :func:`generate_ca_model`.
+
+    All cost accounting goes through the obs metrics registry: each
+    cell's stats record is derived from the counter increments it adds
+    (single source of truth, see
+    :meth:`~repro.camodel.stats.GenerationStats.from_metrics`).  The
+    golden and defect phases are timed once for the whole call; how
+    their wall time is split across cells is documented on
+    :class:`~repro.camodel.stats.GenerationStats`.
+    """
+    started = time.perf_counter()
     tracer = obs.tracer()
     registry = obs.metrics()
-    checkpoint = registry.checkpoint()
+    failures: List[Failure] = []
 
+    def survives(run: _CellRun, step: Callable[..., object], *args: object) -> bool:
+        try:
+            step(*args)
+        except Exception as exc:  # noqa: BLE001 - the caller reports it
+            failures.append((run.cell.name, exc, traceback.format_exc()))
+            return False
+        return True
+
+    runs = [_CellRun(cell, ports) for cell, ports in jobs]
     with tracer.span(
         "camodel.generate",
-        cell=cell.name,
-        policy=resolved,
-        defects=len(defects),
-        stimuli=len(words),
-        outputs=len(ports),
+        cells=[run.cell.name for run in runs],
+        policy=policy,
     ) as generate_span:
-        # Fault-injection seam: a scripted 'raise'-mode fault surfaces
-        # here as an exception from inside generation (no-op when no
-        # plan is armed; see repro.resilience.faults).
-        _faults.fire(_faults.SITE_SOLVER, cell=cell.name)
-        topology = plan_store().topology(cell, params)
-        phase_store = attach_store(topology, phase_cache)
-        with tracer.span("generate.golden", cell=cell.name):
-            golden_run = _GoldenRun(
-                cell, params, words, ports, delay_detection,
-                topology=topology, packed=packed, plans=plans,
+        with tracer.span("generate.golden"):
+            runs = [
+                run for run in runs
+                if survives(run, run.setup, params, policy, universe,
+                            phase_cache, packed)
+            ]
+            solve_words_across(
+                [(run.golden_sim, run.words, run.plans) for run in runs],
+                assemble=False,
             )
+            runs = [
+                run for run in runs
+                if survives(run, run.golden_pass, delay_detection)
+            ]
         golden_seconds = time.perf_counter() - started
-        registry.inc(M_GOLDEN_SECONDS, golden_seconds)
 
         defect_started = time.perf_counter()
         with tracer.span("generate.defects"):
-            detection, responses, counters = _simulate_defect_rows(
-                cell,
-                params,
-                words,
-                ports,
-                defects,
-                golden_run,
-                delay_detection,
-                slow_factor,
-                keep_responses,
-                progress=progress,
-                packed=packed,
+            runs = [run for run in runs if survives(run, run.prepare_rows)]
+            solve_words_across(
+                [
+                    (sim, run.words, run.plans)
+                    for run in runs
+                    for _effect, sim in run.rows
+                    if sim is not None
+                ],
+                assemble=False,
             )
-        registry.inc(M_DEFECT_SECONDS, time.perf_counter() - defect_started)
-        registry.inc(M_SIMULATED, counters["simulated"])
-        registry.inc(M_SKIPPED, counters["skipped"])
-        registry.inc(M_SOLVES, counters["solves"] + golden_run.solve_count)
-        registry.inc(
-            M_CACHE_HITS, counters["cache_hits"] + golden_run.cache_hit_count
-        )
-        registry.inc(M_BATCHED, counters["batched"] + golden_run.batched_count)
-
-        # One golden pass plus one full stimulus sweep per simulated defect.
-        simulation_count = len(words) * (1 + counters["simulated"])
+            runs = [
+                run for run in runs
+                if survives(run, run.sweep, delay_detection, slow_factor,
+                            keep_responses)
+            ]
+        defect_seconds = time.perf_counter() - defect_started
         total_seconds = time.perf_counter() - started
-        registry.inc(M_TOTAL_SECONDS, total_seconds)
-        # Histogram sample per finished cell: p50/p95/p99 across a
-        # library run (counters only carry the sum).
-        registry.observe(M_CELL_SECONDS, total_seconds)
-        generate_span.set("simulated_defects", counters["simulated"])
-        stats = GenerationStats.from_metrics(registry.counter_delta(checkpoint))
 
-    if phase_store is not None:
-        # Persist what this run solved (merged with the store's entries).
-        phase_store.save(topology)
-
-    # Every port's model carries a copy of the one shared run's stats:
-    # the sweep ran once, so per-port cost attribution is not meaningful.
-    return {
-        port: CAModel(
-            cell_name=cell.name,
-            technology=cell.technology,
-            inputs=tuple(cell.inputs),
-            output=port,
-            stimuli=words,
-            golden=golden_run.golden[port],
-            defects=defects,
-            detection=detection[port],
-            responses=responses[port] if responses is not None else None,
-            simulation_count=simulation_count,
-            generation_seconds=total_seconds,
-            stats=GenerationStats.from_dict(stats.to_dict()),
+        simulations = sum(run.simulation_count for run in runs)
+        out: Dict[str, Dict[str, CAModel]] = {}
+        for run in runs:
+            share = run.simulation_count / simulations
+            delta = {
+                M_SOLVES: run.counters["solves"],
+                M_CACHE_HITS: run.counters["cache_hits"],
+                M_BATCHED: run.counters["batched"],
+                M_SIMULATED: run.counters["simulated"],
+                M_SKIPPED: run.counters["skipped"],
+                M_GOLDEN_SECONDS: golden_seconds * share,
+                M_DEFECT_SECONDS: defect_seconds * share,
+                M_TOTAL_SECONDS: total_seconds * share,
+            }
+            models = run.models(GenerationStats.from_metrics(delta))
+            # Persist what this run solved (merged with the store's entries).
+            if run.store is not None and not survives(
+                run, run.store.save, run.topology
+            ):
+                continue
+            for key, value in delta.items():
+                registry.inc(key, value)
+            # Histogram sample per finished cell: p50/p95/p99 across a
+            # library run (counters only carry the sum).
+            registry.observe(M_CELL_SECONDS, delta[M_TOTAL_SECONDS])
+            out[run.cell.name] = models
+        generate_span.set("defects", sum(len(run.defects) for run in runs))
+        generate_span.set(
+            "simulated_defects", sum(run.counters["simulated"] for run in runs)
         )
-        for port in ports
-    }
+    return out, failures
+
+
+def _cell_models(
+    cell: CellNetlist,
+    result: Tuple[Dict[str, Dict[str, CAModel]], List[Failure]],
+) -> Dict[str, CAModel]:
+    """A one-job engine result; re-raises the cell's own exception."""
+    models, failures = result
+    if failures:
+        raise failures[0][1]
+    return models[cell.name]
 
 
 def generate_ca_model(
@@ -460,7 +487,6 @@ def generate_ca_model(
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     output: Optional[str] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     packed: bool = True,
     phase_cache: PhaseCacheArg = None,
 ) -> CAModel:
@@ -485,8 +511,6 @@ def generate_ca_model(
     output:
         Cell output to characterize (first output by default); use
         :func:`generate_multi` for all outputs of a multi-output cell.
-    progress:
-        Optional callback ``(done, total)`` per defect.
     packed:
         Plan the golden pass and the whole defect slice up front and
         solve them through the vectorized kernel
@@ -503,20 +527,18 @@ def generate_ca_model(
         sweep.
     """
     port = output or cell.outputs[0]
-    models = _generate(
-        cell,
-        params,
-        policy,
-        universe,
-        keep_responses,
-        delay_detection,
-        slow_factor,
-        [port],
-        progress,
-        packed,
-        phase_cache,
+    result = _characterize(
+        [(cell, [port])],
+        params=params,
+        policy=policy,
+        universe=universe,
+        keep_responses=keep_responses,
+        delay_detection=delay_detection,
+        slow_factor=slow_factor,
+        packed=packed,
+        phase_cache=phase_cache,
     )
-    return models[port]
+    return _cell_models(cell, result)[port]
 
 
 def generate_multi(
@@ -527,7 +549,6 @@ def generate_multi(
     keep_responses: bool = False,
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
-    progress: Optional[Callable[[int, int], None]] = None,
     packed: bool = True,
     phase_cache: PhaseCacheArg = None,
 ) -> Dict[str, CAModel]:
@@ -540,19 +561,18 @@ def generate_multi(
     sweep instead of re-simulating the universe per output.  Each model
     carries a copy of the shared run's stats.
     """
-    return _generate(
-        cell,
-        params,
-        policy,
-        universe,
-        keep_responses,
-        delay_detection,
-        slow_factor,
-        list(cell.outputs),
-        progress,
-        packed,
-        phase_cache,
+    result = _characterize(
+        [(cell, list(cell.outputs))],
+        params=params,
+        policy=policy,
+        universe=universe,
+        keep_responses=keep_responses,
+        delay_detection=delay_detection,
+        slow_factor=slow_factor,
+        packed=packed,
+        phase_cache=phase_cache,
     )
+    return _cell_models(cell, result)
 
 
 def _default_params(cell: CellNetlist) -> ElectricalParams:

@@ -34,13 +34,28 @@ M_CELL_SECONDS = "camodel.seconds.per_cell"
 
 @dataclass
 class GenerationStats:
-    """Cost accounting of one :func:`~repro.camodel.generate.generate_ca_model` run.
+    """Cost accounting of one cell's conventional generation.
 
     Extends the engine's per-simulator ``solve_count`` into a whole-run
     record: how many solver phases actually ran, how many were served
     from the memoization caches, and how the wall time split across the
-    golden pass and the defect loop.  Attached to
+    golden pass and the defect pass.  Attached to
     :class:`~repro.camodel.model.CAModel` and serialized with it.
+
+    The counters are the cell's own.  The seconds are timed once per
+    engine call (:mod:`repro.camodel.generate`): the golden phase (setup
+    and golden pass), the defect phase (defect pass and assembly) and
+    the whole call.  A one-cell call
+    (:func:`~repro.camodel.generate.generate_ca_model`,
+    :func:`~repro.camodel.generate.generate_multi`) gets those wall
+    times as they are.  A library call
+    (:func:`~repro.camodel.throughput.run_throughput`,
+    :func:`~repro.camodel.batch.generate_library`) packs all its cells
+    into shared kernel calls, so each of the three times is split
+    across the cells that complete, in proportion to their
+    ``simulation_count`` (stimuli x (1 + simulated defects)); the
+    per-cell seconds of one call then add up to its timed phases.
+    Canonical artifacts zero every seconds field.
 
     ``workers`` and ``merge_seconds`` stay in the serialized record so
     the model JSON keeps its shape: generation runs in one process, so
@@ -64,7 +79,7 @@ class GenerationStats:
     skipped_defects: int = 0
     #: wall time of the golden pass (stimuli + reference resistances)
     golden_seconds: float = 0.0
-    #: wall time of the per-defect characterization loop
+    #: wall time of the defect pass and per-defect assembly
     defect_seconds: float = 0.0
     #: wall time spent merging per-worker results (0.0 in one process)
     merge_seconds: float = 0.0

@@ -9,8 +9,8 @@ ends with one coherent registry (the numbers
 
 Histograms carry fixed, log-spaced buckets besides count/sum/min/max, so
 p50/p95/p99 estimates (:meth:`Metrics.percentile`) are deterministic —
-the same samples produce the same estimate in any order, across merges,
-and across processes.  The bounds cover 1 µs to 100 ks at four buckets
+the same samples produce the same estimate in any order and in any
+process.  The bounds cover 1 µs to 100 ks at four buckets
 per decade, matching the duration distributions the repo observes.
 """
 
@@ -36,7 +36,7 @@ def _new_histogram() -> Dict[str, object]:
 
 
 class Metrics:
-    """Named counters / gauges / histograms with snapshot-and-merge."""
+    """Named counters / gauges / histograms with snapshots and counter merges."""
 
     def __init__(self):
         self.counters: Dict[str, float] = {}
@@ -96,31 +96,6 @@ class Metrics:
         for name, value in counters.items():
             self.inc(name, float(value))
 
-    def merge(self, snapshot: Mapping[str, Mapping[str, object]]) -> None:
-        """Fold a child snapshot in: counters add, histograms combine,
-        gauges last-write-wins."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.inc(name, float(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.set_gauge(name, float(value))
-        for name, other in snapshot.get("histograms", {}).items():
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = _new_histogram()
-            hist["count"] += other["count"]
-            hist["sum"] += other["sum"]
-            hist["min"] = min(hist["min"], other["min"])
-            hist["max"] = max(hist["max"], other["max"])
-            # Buckets from an older writer may be absent; counts and
-            # extremes still merge, percentiles just see fewer samples.
-            other_buckets = other.get("buckets")
-            if other_buckets is not None and len(other_buckets) == len(
-                hist["buckets"]
-            ):
-                hist["buckets"] = [
-                    a + b for a, b in zip(hist["buckets"], other_buckets)
-                ]
-
     # ------------------------------------------------------------------
     def get(self, name: str, default: float = 0.0) -> float:
         return self.counters.get(name, default)
@@ -169,10 +144,7 @@ def _bucket_percentile(hist: Mapping[str, object], q: float) -> float:
     count = float(hist["count"])  # type: ignore[arg-type]
     lo_clamp = float(hist["min"])  # type: ignore[arg-type]
     hi_clamp = float(hist["max"])  # type: ignore[arg-type]
-    buckets: Optional[List[float]] = hist.get("buckets")  # type: ignore[assignment]
-    if not buckets or not any(buckets):
-        # Bucketless (older writer): the extremes are all we know.
-        return hi_clamp if q >= 0.5 else lo_clamp
+    buckets: List[float] = hist["buckets"]  # type: ignore[assignment]
     target = max(1.0, q * count)
     cumulative = 0.0
     for index, in_bucket in enumerate(buckets):

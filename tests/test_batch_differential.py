@@ -222,6 +222,40 @@ class TestPackedDifferential:
                 reference[name]
             )
 
+    def test_scalar_library_matches_per_cell_and_packed(self):
+        """``packed=False`` on an N-cell library is one engine call over
+        scalar simulators: it must equal per-cell scalar generation
+        canonically, and the packed library in every detection table and
+        every counter except ``batched_phases``."""
+        from repro import obs
+        from repro.camodel import generate_library
+
+        cells = [
+            build_cell(SOI28, fn, 1)
+            for fn in ("INV", "NAND2", "NOR3", "AOI21", "XOR2")
+        ]
+        with obs.scoped(tracer=obs.Tracer()) as state:
+            scalar = generate_library(cells, params=PARAMS, packed=False)
+            spans = [span["name"] for span in state.tracer.export()]
+        assert spans.count("camodel.generate") == 1
+        packed = generate_library(cells, params=PARAMS)
+        assert list(scalar) == list(packed) == [cell.name for cell in cells]
+        for cell in cells:
+            reference = generate_ca_model(cell, params=PARAMS, packed=False)
+            one, other = scalar[cell.name], packed[cell.name]
+            assert self._canonical(one) == self._canonical(reference)
+            assert one.golden == other.golden
+            assert one.detection.tobytes() == other.detection.tobytes()
+            assert one.simulation_count == other.simulation_count
+            for counter in (
+                "workers", "solves", "cache_hits",
+                "simulated_defects", "skipped_defects",
+            ):
+                assert getattr(one.stats, counter) == getattr(
+                    other.stats, counter
+                ), (cell.name, counter)
+            assert one.stats.batched_phases == 0 < other.stats.batched_phases
+
     def test_phase_cache_warm_run_byte_identical(self, tmp_path):
         """A warm on-disk phase cache must change nothing observable —
         not even the solve / cache-hit counter sequences."""

@@ -131,16 +131,6 @@ class TestGeneration:
         )
         assert with_delay.detection.sum() > without.detection.sum()
 
-    def test_progress_callback(self, nand2):
-        seen = []
-        generate_ca_model(
-            nand2,
-            params=SOI28.electrical,
-            policy="static",
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen[-1] == (40, 40)
-
     def test_summary_keys(self, nand2_model):
         summary = nand2_model.summary()
         for key in ("cell", "defects", "coverage", "equivalence_classes"):

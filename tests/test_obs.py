@@ -179,20 +179,6 @@ class TestMetrics:
         assert h["count"] == 3 and h["sum"] == 6.0
         assert h["min"] == 1.0 and h["max"] == 3.0
 
-    def test_merge_child_snapshot(self):
-        parent = Metrics()
-        parent.inc("n", 1)
-        parent.observe("h", 5.0)
-        child = Metrics()
-        child.inc("n", 2)
-        child.observe("h", 1.0)
-        child.set_gauge("workers", 4)
-        parent.merge(child.snapshot())
-        assert parent.get("n") == 3
-        assert parent.gauges["workers"] == 4
-        h = parent.histograms["h"]
-        assert h["count"] == 2 and h["min"] == 1.0 and h["max"] == 5.0
-
     def test_render_filters_by_prefix(self):
         m = Metrics()
         m.inc("camodel.solves", 3)
@@ -210,22 +196,6 @@ class TestMetrics:
         for q in (0.5, 0.95, 0.99):
             assert forward.percentile("h", q) == backward.percentile("h", q)
 
-    def test_percentiles_survive_cross_process_merge(self):
-        samples = [0.001, 0.5, 0.02, 3.0, 0.2, 0.9, 12.0, 0.07, 1.5, 0.4]
-        whole = Metrics()
-        for v in samples:
-            whole.observe("h", v)
-        parent = Metrics()
-        child_a, child_b = Metrics(), Metrics()
-        for v in samples[:5]:
-            child_a.observe("h", v)
-        for v in samples[5:]:
-            child_b.observe("h", v)
-        parent.merge(child_a.snapshot())
-        parent.merge(child_b.snapshot())
-        for q in (0.5, 0.95, 0.99):
-            assert parent.percentile("h", q) == whole.percentile("h", q)
-
     def test_percentile_bounds_and_edge_cases(self):
         m = Metrics()
         assert m.percentile("missing", 0.5) == 0.0
@@ -238,20 +208,6 @@ class TestMetrics:
         for q in (0.5, 0.95, 0.99):
             assert 1.0 <= m.percentile("h", q) <= 4.0
         assert m.percentile("h", 0.5) <= m.percentile("h", 0.95)
-
-    def test_percentile_backcompat_bucketless_snapshot(self):
-        parent = Metrics()
-        old = {
-            "counters": {},
-            "gauges": {},
-            "histograms": {
-                "h": {"count": 4.0, "sum": 10.0, "min": 1.0, "max": 4.0}
-            },
-        }
-        parent.merge(old)
-        # extremes are all we know for an old writer's snapshot
-        assert parent.percentile("h", 0.95) == 4.0
-        assert parent.histograms["h"]["count"] == 4.0
 
     def test_render_includes_percentiles(self):
         m = Metrics()

@@ -3,9 +3,9 @@
 Covers the duplicate-name guard every library path shares, the run-dir
 options :func:`~repro.service.submit_library` carries to every worker
 through ``job.json``, plus the engine-level behaviours the differential
-suite does not touch: per-cell failure containment, progress reporting,
-metric registration, on-disk phase cache corruption tolerance, and
-quarantine-then-resume with a warm store.
+suite does not touch: per-cell failure containment, metric registration,
+on-disk phase cache corruption tolerance, and quarantine-then-resume
+with a warm store.
 """
 
 import json
@@ -144,18 +144,6 @@ class TestRunThroughput:
             assert canonical_model_dict(
                 survivors[cell.name]
             ) == canonical_model_dict(reference)
-
-    def test_progress_reaches_total(self, library_cells):
-        seen = []
-        run_throughput(
-            library_cells,
-            params=PARAMS,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen[-1] == (len(library_cells), len(library_cells))
-        assert [done for done, _total in seen] == list(
-            range(1, len(library_cells) + 1)
-        )
 
     def test_engine_metrics_are_recorded(self, library_cells):
         from repro.camodel.throughput import M_THROUGHPUT_CELLS
