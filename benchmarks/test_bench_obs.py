@@ -6,6 +6,7 @@ the acceptance bar is <5% slowdown on one generation of a 6-input cell.
 Both numbers land in the benchmark JSON via ``extra_info``.
 """
 
+import gc
 import time
 
 from repro import obs
@@ -17,7 +18,7 @@ from repro.library import SOI28, build_cell
 #: it in 1 of 5 benches)
 CELL = ("MUX4", 1)
 
-ROUNDS = 3
+ROUNDS = 5
 
 
 def _best_seconds(run, rounds=ROUNDS):
@@ -40,14 +41,24 @@ def test_tracing_overhead(benchmark):
         with obs.scoped(tracer=obs.Tracer(enabled=True), metrics=obs.Metrics()):
             return generate_ca_model(cell, params=SOI28.electrical)
 
-    plain()  # warm caches (imports, plans) outside the measured window
+    def timed(run):
+        # As timeit does: a collection inside the window costs in
+        # proportion to every object the test process holds.
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            run()
+            return time.perf_counter() - started
+        finally:
+            gc.enable()
+
+    plain()  # warm caches (imports) outside the measured window
     # Alternate the two so drift on a shared host hits both alike.
     base_seconds = traced_seconds = float("inf")
     for _ in range(ROUNDS):
         for run, is_traced in ((plain, False), (traced, True)):
-            started = time.perf_counter()
-            run()
-            seconds = time.perf_counter() - started
+            seconds = timed(run)
             if is_traced:
                 traced_seconds = min(traced_seconds, seconds)
             else:

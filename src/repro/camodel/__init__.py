@@ -31,7 +31,6 @@ from repro.camodel.batch import (
     ensure_unique_cell_names,
     generate_library,
 )
-from repro.camodel.planstore import PlanStore, plan_store
 from repro.camodel.throughput import run_throughput
 from repro.camodel.merge import MergedModel, MergeError, merge_models
 from repro.camodel.udfm import parse_udfm, save_udfm, to_udfm
@@ -88,8 +87,6 @@ __all__ = [
     "generate_library",
     "LibraryGenerationError",
     "ensure_unique_cell_names",
-    "PlanStore",
-    "plan_store",
     "run_throughput",
     "to_udfm",
     "save_udfm",

@@ -15,7 +15,9 @@ one cell (:func:`generate_multi`) and a whole library
 
 1. **Setup**, per cell: stimulus plan, defect universe, and the cell's
    switch-level topology (:class:`~repro.simulation.switchgraph.CellTopology`),
-   built once per cell and cheaply specialized per defect effect.
+   built once per cell and cheaply specialized per defect effect.  The
+   engine keeps nothing between calls: a call's topologies, with their
+   solved phases, are freed when it returns.
 2. **Golden pass**: every cell's golden phases go through one packed
    solve, then each cell reads its golden responses and reference drive
    resistances from the staged results.
@@ -77,8 +79,7 @@ from repro.camodel.stats import (
     M_SOLVES,
     M_TOTAL_SECONDS,
 )
-from repro.camodel.planstore import plan_store
-from repro.camodel.stimuli import Word
+from repro.camodel.stimuli import Word, stimuli
 from repro.defects.model import Defect
 from repro.defects.universe import default_universe
 from repro.library.technology import ElectricalParams
@@ -89,6 +90,7 @@ from repro.simulation.engine import (
     WordPlan,
     prefetch_drive,
     solve_words_across,
+    split_word,
 )
 from repro.simulation.phasecache import PhaseCacheStore, attach_store
 from repro.simulation.switchgraph import CellTopology, DefectEffect
@@ -179,13 +181,14 @@ class _CellRun:
                 raise ValueError(f"{port!r} is not an output of {cell.name}")
         self.params = params if params is not None else _default_params(cell)
         self.packed = packed
-        self.words, self.plans = plan_store().stimulus_plan(
+        self.words = stimuli(
             cell.n_inputs, resolve_policy(cell.n_inputs, policy)
         )
+        self.plans = [split_word(word, cell.n_inputs) for word in self.words]
         self.defects = (
             list(universe) if universe is not None else default_universe(cell)
         )
-        self.topology = plan_store().topology(cell, self.params)
+        self.topology = CellTopology(cell, params=self.params)
         self.store = attach_store(self.topology, phase_cache)
         self.golden_sim = CellSimulator(
             cell, params=self.params, topology=self.topology, packed=packed

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.camatrix import rename_transistors, training_matrix
-from repro.camodel import generate_library, load_models, save_model, save_models
+from repro.camodel import CAModel, generate_library, load_models, save_model, save_models
 from repro.flow import HybridFlow
 from repro.library import build_cell, function_names, get_technology
 from repro.spice import parse_library, write_cell
@@ -113,12 +113,17 @@ def cmd_generate(args) -> int:
                 f"p99={registry.percentile('camodel.seconds.per_cell', 0.99):.3f}"
             )
     if args.output:
-        if len(models) == 1:
-            save_model(models[0], args.output)
-        else:
-            save_models(models, args.output)
-        print(f"wrote {args.output}")
+        _write_models(models, args.output)
     return 0
+
+
+def _write_models(models: List[CAModel], output: str) -> None:
+    """One model as a model file, several as a model library."""
+    if len(models) == 1:
+        save_model(models[0], output)
+    else:
+        save_models(models, output)
+    print(f"wrote {output}")
 
 
 def _report_run(names: List[str], result, output: Optional[str]) -> int:
@@ -305,16 +310,17 @@ def cmd_predict(args) -> int:
     if not samples:
         print("no usable training models", file=sys.stderr)
         return 1
-    flow = HybridFlow(samples)
-    for cell in _load_cells(args.netlist):
-        decision = flow.generate(cell, policy=args.policy)
+    report = HybridFlow(samples).run(_load_cells(args.netlist), policy=args.policy)
+    for decision in report.decisions:
         print(
-            f"{cell.name}: match={decision.match} route={decision.route} "
+            f"{decision.cell_name}: match={decision.match} route={decision.route} "
             f"({decision.seconds:.2f}s)"
         )
-        if args.output and decision.model is not None:
-            save_model(decision.model, args.output)
-            print(f"wrote {args.output}")
+    if args.output:
+        _write_models(
+            [d.model for d in report.decisions if d.model is not None],
+            args.output,
+        )
     return 0
 
 

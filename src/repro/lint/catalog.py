@@ -13,10 +13,9 @@ and a syntax error in a linted module must not break the linter).
 the copy against rot: every ``M_*`` constant in
 :mod:`repro.camodel.stats`, :mod:`repro.resilience.runner`,
 :mod:`repro.simulation.engine`, :mod:`repro.simulation.phasecache`,
-:mod:`repro.simulation.packed`, :mod:`repro.camodel.planstore`,
-:mod:`repro.camodel.throughput`, :mod:`repro.obs.store`,
-:mod:`repro.obs.inspect`, :mod:`repro.learning.engine`,
-:mod:`repro.lint.program.driver` and the
+:mod:`repro.simulation.packed`, :mod:`repro.camodel.throughput`,
+:mod:`repro.obs.store`, :mod:`repro.obs.inspect`,
+:mod:`repro.learning.engine`, :mod:`repro.lint.program.driver` and the
 :mod:`repro.service` modules must appear in :data:`METRIC_NAMES`, and
 every ``E_*`` constant in :mod:`repro.obs.trace` / :mod:`repro.obs.store`
 in :data:`EVENT_NAMES`.
@@ -76,12 +75,10 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "resilience.corrupt_artifacts",
         "resilience.quarantined",
         # packed planner flushes and the cross-cell throughput engine
-        # (repro.simulation.engine, repro.camodel.throughput,
-        # repro.camodel.planstore)
+        # (repro.simulation.engine, repro.camodel.throughput)
         "throughput.packed_rows",
         "throughput.flushes",
         "throughput.cells",
-        "throughput.plan_reuse",
         # on-disk phase-cache store (repro.simulation.phasecache)
         "phasecache.hits",
         "phasecache.misses",

@@ -131,7 +131,7 @@ def report_stragglers(tel: RunTelemetry, top: int = 5) -> str:
 
 
 def report_cache(tel: RunTelemetry) -> str:
-    """Phase-cache / plan-store effectiveness + packed padding waste."""
+    """Phase-cache effectiveness + packed padding waste."""
     total = tel.ledger.metrics_total()
     session = tel.session_counters()
     merged = dict(total)
@@ -143,7 +143,6 @@ def report_cache(tel: RunTelemetry) -> str:
     misses = merged.get("phasecache.misses", 0.0)
     stores = merged.get("phasecache.stores", 0.0)
     pc_hits = merged.get("phasecache.hits", 0.0)
-    reuse = merged.get("throughput.plan_reuse", 0.0)
     kernel_slots = merged.get("throughput.kernel_slots", 0.0)
     padded_slots = merged.get("throughput.padded_slots", 0.0)
     lines = [
@@ -153,7 +152,6 @@ def report_cache(tel: RunTelemetry) -> str:
         f"phase-cache store  : {loads:g} loads, {misses:g} misses "
         f"({_fmt_rate(loads, loads + misses).strip()} warm), "
         f"{stores:g} files written, {pc_hits:g} prefetched phases served",
-        f"plan store         : {reuse:g} plan reuses",
     ]
     if kernel_slots:
         waste = padded_slots / kernel_slots

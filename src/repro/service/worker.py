@@ -26,8 +26,8 @@ afterwards is belt-and-braces:
   path, so even two workers racing the same cell can complete it at
   most once.
 
-Replay identity: each attempt runs under a fresh obs scope *and* a
-fresh plan store (:func:`repro.camodel.planstore.fresh_store`), so a
+Replay identity: each attempt parses its cell and runs under a fresh
+obs scope, and the generation engine keeps no state between calls, so a
 warm long-lived worker records exactly the counters a cold one-attempt
 process records — ``metrics_total()`` does not depend on which worker
 ran which cell, or how many cells it ran before.
@@ -59,7 +59,6 @@ from repro import obs
 from repro.atomic import write_text_atomic
 from repro.obs import store as obs_store
 from repro.camodel.generate import generate_ca_model
-from repro.camodel.planstore import fresh_store
 from repro.resilience import faults
 from repro.resilience.ledger import (
     DONE,
@@ -71,6 +70,7 @@ from repro.resilience.ledger import (
 from repro.resilience.runner import canonical_model_dict
 from repro.service.api import Job, JobManifest
 from repro.service.lease import Lease, LeaseStore
+from repro.spice.parser import parse_cell
 
 # service metric/event names (registered in repro.lint.catalog)
 M_WORKER_CELLS = "service.cells"
@@ -243,16 +243,14 @@ def run_attempt(
                     metrics=worker_metrics,
                     events=obs.EventLog(worker_events),
                 ):
-                    # Fresh plan store per attempt: a warm long-lived
-                    # worker must record the exact counters a cold
-                    # one-attempt process records (see planstore).
-                    with fresh_store() as plans:
-                        cell = plans.cell(record["text"], record["technology"])
-                        model = generate_ca_model(
-                            cell,
-                            policy=manifest.policy,
-                            **manifest.generation_kwargs(),
-                        )
+                    cell = parse_cell(
+                        record["text"], technology=record["technology"]
+                    )
+                    model = generate_ca_model(
+                        cell,
+                        policy=manifest.policy,
+                        **manifest.generation_kwargs(),
+                    )
                 elapsed = time.perf_counter() - started
                 data = canonical_model_dict(model)
                 artifact = ledger.artifact_path(name)

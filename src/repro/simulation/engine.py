@@ -559,20 +559,24 @@ AcrossTask = Tuple[
     "CellSimulator", Sequence[Sequence[V4]], Optional[Sequence[WordPlan]]
 ]
 
+#: :func:`solve_words_across` flushes its pending phases to the kernel
+#: once they reach this many rows
+FLUSH_ROWS = 4096
+
 
 def solve_words_across(
     tasks: Sequence[AcrossTask],
-    max_rows: int = 4096,
     assemble: bool = True,
 ) -> List[List[Tuple[List[int], List[int]]]]:
     """Solve many simulators' stimulus sets through one packed kernel.
 
     The missing phases of *every* task are packed into a handful of
     multi-topology :func:`~repro.simulation.packed.solve_packed` flushes
-    (windowed at *max_rows* rows) instead of one kernel call per (cell,
-    defect), which is where the throughput win at library scale comes
-    from — the per-call NumPy overhead stops scaling with the number of
-    defects.  :meth:`CellSimulator.solve_words` is the one-task case.
+    (windowed at :data:`FLUSH_ROWS` rows) instead of one kernel call per
+    (cell, defect), which is where the throughput win at library scale
+    comes from — the per-call NumPy overhead stops scaling with the
+    number of defects.  :meth:`CellSimulator.solve_words` is the
+    one-task case.
 
     Element ``[i][j]`` equals ``tasks[i]`` solving its word ``j`` through
     the ordinary sequential path, **including the cost accounting**:
@@ -636,7 +640,7 @@ def solve_words_across(
         pending_reqs.append((sim, vectors, prevs))
         pending_sinks.append(sink)
         pending_rows += len(vectors)
-        if pending_rows >= max_rows:
+        if pending_rows >= FLUSH_ROWS:
             flush()
 
     def stage1_sink(sim, vectors):

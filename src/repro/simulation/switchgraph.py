@@ -124,7 +124,7 @@ class CellTopology:
     channels, same gate opens, same resistive bridges — e.g. the drain
     open and the source open of one transistor) build byte-identical
     switch graphs, so their solved phases are interchangeable.
-    :meth:`phase_caches` hands every simulator of the same effect
+    :meth:`phase_state` hands every simulator of the same effect
     signature the same memoization dicts, collapsing that duplicate work.
     """
 
@@ -210,14 +210,6 @@ class CellTopology:
                 self._phase_store.load_into(self, signature, state)
         return state
 
-    def phase_caches(self, effect: DefectEffect) -> Tuple[dict, dict, dict]:
-        """Shared (memoryless, history, drive) caches for *effect*.
-
-        Compatibility view over :meth:`phase_state`.
-        """
-        state = self.phase_state(effect)
-        return (state.memoryless, state.history, state.drive)
-
     def attach_phase_store(self, store) -> None:
         """Back this topology's phase states with an on-disk store.
 
@@ -227,15 +219,6 @@ class CellTopology:
         :meth:`phase_state` call of the signatures it should warm.
         """
         self._phase_store = store
-
-    def detach_phase_state(self) -> None:
-        """Drop all shared phase state and any attached store.
-
-        Used by plan replay: a checked-out topology must solve from
-        scratch so its counters match a freshly built one.
-        """
-        self._phase_states = {}
-        self._phase_store = None
 
     def _ron(self, t: Transistor) -> float:
         rsq = self.params.rsq_nmos if t.is_nmos else self.params.rsq_pmos

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import _cell_from_name, main
-from repro.camodel import generate_ca_model, load_model, save_models
+from repro.camodel import generate_ca_model, load_model, load_models, save_models
 from repro.library import SOI28, C40, build_cell, get_technology
 from repro.spice import write_cell, write_library
 
@@ -67,6 +67,22 @@ class TestCommands:
         model = load_model(out)
         assert model.detection.shape[0] == 40
         assert "route=ml" in capsys.readouterr().out
+
+    def test_predict_writes_every_cell(self, tmp_path, training_file, capsys):
+        cells = [build_cell(C40, "NAND2", 1), build_cell(C40, "NOR2", 1)]
+        netlist = tmp_path / "cells.sp"
+        netlist.write_text(write_library(cells, C40.dialect))
+        out = tmp_path / "predicted.json"
+        code = main(
+            ["predict", str(netlist), "-t", str(training_file), "-o", str(out)]
+        )
+        assert code == 0
+        models = load_models(out)
+        assert [m.cell_name for m in models] == [c.name for c in cells]
+        assert all(m.detection.shape[0] == 40 for m in models)
+        printed = capsys.readouterr().out
+        assert all(f"{c.name}: match=" in printed for c in cells)
+        assert printed.count(f"wrote {out}") == 1
 
     def test_hybrid(self, tmp_path, training_file, capsys):
         cells = [build_cell(C40, "NAND2", 1), build_cell(C40, "NOR2", 1)]

@@ -429,7 +429,6 @@ def test_suppression_directive_inside_string_does_not_suppress(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_catalog_matches_defining_modules():
-    import repro.camodel.planstore as planstore
     import repro.camodel.stats as stats
     import repro.camodel.throughput as throughput
     import repro.learning.engine as learning_engine
@@ -447,7 +446,7 @@ def test_catalog_matches_defining_modules():
     from repro.lint.catalog import EVENT_NAMES, METRIC_NAMES
 
     modules = (
-        stats, runner, engine, phasecache, planstore, throughput,
+        stats, runner, engine, phasecache, throughput,
         packed, obs_store, obs_inspect, obs_trace, learning_engine,
         service_api, service_coordinator, service_lease, service_worker,
         lint_driver,

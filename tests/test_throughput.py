@@ -1,14 +1,16 @@
-"""Cross-cell throughput engine, plan store, and run-dir options.
+"""Cross-cell throughput engine and run-dir options.
 
 Covers the duplicate-name guard every library path shares, the run-dir
 options :func:`~repro.service.submit_library` carries to every worker
 through ``job.json``, plus the engine-level behaviours the differential
 suite does not touch: per-cell failure containment, metric registration,
-on-disk phase cache corruption tolerance, and quarantine-then-resume
-with a warm store.
+no state kept between engine calls, on-disk phase cache corruption
+tolerance, and quarantine-then-resume with a warm store.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.resilience.ledger import RunLedger
 from repro.resilience.runner import canonical_model_dict
 from repro.service import serve, submit_library
 from repro.simulation.phasecache import M_PHASECACHE_LOADS, M_PHASECACHE_STORES
+from repro.simulation.switchgraph import CellTopology
 
 PARAMS = SOI28.electrical
 
@@ -168,6 +171,31 @@ class TestRunThroughput:
             assert canonical_model_dict(packed[name]) == canonical_model_dict(
                 plain[name]
             )
+
+
+class TestNoStateBetweenCalls:
+    def test_no_topology_outlives_its_call(self, monkeypatch, library_cells):
+        """A call's topologies, with their solved phases, die with it."""
+        built = []
+        init = CellTopology.__init__
+
+        def recording_init(topology, *args, **kwargs):
+            init(topology, *args, **kwargs)
+            built.append(weakref.ref(topology))
+
+        monkeypatch.setattr(CellTopology, "__init__", recording_init)
+        models = generate_library(library_cells, params=PARAMS)
+        first = {name: canonical_model_dict(m) for name, m in models.items()}
+        del models
+        gc.collect()
+        assert len(built) == len(library_cells)
+        assert [ref() for ref in built] == [None] * len(built)
+
+        # The same cell objects again: every counter is charged afresh.
+        again = generate_library(library_cells, params=PARAMS)
+        assert {
+            name: canonical_model_dict(m) for name, m in again.items()
+        } == first
 
 
 class TestPhaseCacheStore:
