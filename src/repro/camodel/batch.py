@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.camodel.generate import DEFAULT_SLOW_FACTOR, PhaseCacheArg
+from repro.camodel.generate import DEFAULT_SLOW_FACTOR
 from repro.camodel.model import CAModel
 from repro.defects.model import Defect
 from repro.library.technology import ElectricalParams
@@ -81,7 +81,6 @@ def generate_library(
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     packed: bool = True,
-    phase_cache: PhaseCacheArg = None,
 ) -> Dict[str, CAModel]:
     """Characterize many cells in this process.
 
@@ -93,10 +92,9 @@ def generate_library(
     Every cell goes through one engine call
     (:func:`~repro.camodel.throughput.run_throughput`), so the phases
     of all cells share kernel calls.  ``packed=False`` selects the
-    scalar reference solver; ``phase_cache`` persists solved phases
-    across runs.  Both are identity-preserving: detection tables,
-    golden responses and solve/cache-hit counts are identical either
-    way (the scalar solver reports zero ``batched_phases``).
+    scalar reference solver, which is identity-preserving: detection
+    tables, golden responses and solve/cache-hit counts are identical
+    either way (the scalar solver reports zero ``batched_phases``).
 
     Checkpointing, retries, quarantine, resume, cell timeouts and
     multi-process runs belong to the run-directory service:
@@ -113,5 +111,4 @@ def generate_library(
         delay_detection=delay_detection,
         slow_factor=slow_factor,
         packed=packed,
-        phase_cache=phase_cache,
     )

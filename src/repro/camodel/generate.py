@@ -59,8 +59,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,13 +91,8 @@ from repro.simulation.engine import (
     solve_words_across,
     split_word,
 )
-from repro.simulation.phasecache import PhaseCacheStore, attach_store
 from repro.simulation.switchgraph import CellTopology, DefectEffect
 from repro.spice.netlist import CellNetlist
-
-#: accepted forms of the on-disk phase-cache argument: a directory path
-#: or an already-constructed store (``None`` disables persistence)
-PhaseCacheArg = Optional[Union[str, Path, PhaseCacheStore]]
 
 #: with 'auto', exhaustive stimuli are used up to this input count and the
 #: adjacent (single-input-transition) set beyond — see DESIGN.md
@@ -145,7 +139,6 @@ class _CellRun:
     plans: List[WordPlan]
     defects: List[Defect]
     topology: CellTopology
-    store: Optional[PhaseCacheStore]
     golden_sim: CellSimulator
     #: per port: golden response, transition columns, reference resistances
     golden: Dict[str, List[V4]]
@@ -167,7 +160,6 @@ class _CellRun:
         params: Optional[ElectricalParams],
         policy: str,
         universe: Optional[Sequence[Defect]],
-        phase_cache: PhaseCacheArg,
         packed: bool,
     ) -> None:
         """Plans, defect universe, topology and golden simulator."""
@@ -189,7 +181,6 @@ class _CellRun:
             list(universe) if universe is not None else default_universe(cell)
         )
         self.topology = CellTopology(cell, params=self.params)
-        self.store = attach_store(self.topology, phase_cache)
         self.golden_sim = CellSimulator(
             cell, params=self.params, topology=self.topology, packed=packed
         )
@@ -365,7 +356,6 @@ def _characterize(
     delay_detection: bool,
     slow_factor: float,
     packed: bool,
-    phase_cache: PhaseCacheArg,
 ) -> Tuple[Dict[str, Dict[str, CAModel]], List[Failure]]:
     """The conventional sweep over (cell, ports) jobs.
 
@@ -404,8 +394,7 @@ def _characterize(
         with tracer.span("generate.golden"):
             runs = [
                 run for run in runs
-                if survives(run, run.setup, params, policy, universe,
-                            phase_cache, packed)
+                if survives(run, run.setup, params, policy, universe, packed)
             ]
             solve_words_across(
                 [(run.golden_sim, run.words, run.plans) for run in runs],
@@ -452,11 +441,6 @@ def _characterize(
                 M_TOTAL_SECONDS: total_seconds * share,
             }
             models = run.models(GenerationStats.from_metrics(delta))
-            # Persist what this run solved (merged with the store's entries).
-            if run.store is not None and not survives(
-                run, run.store.save, run.topology
-            ):
-                continue
             for key, value in delta.items():
                 registry.inc(key, value)
             # Histogram sample per finished cell: p50/p95/p99 across a
@@ -491,7 +475,6 @@ def generate_ca_model(
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     output: Optional[str] = None,
     packed: bool = True,
-    phase_cache: PhaseCacheArg = None,
 ) -> CAModel:
     """Run the conventional generation flow for one cell.
 
@@ -521,13 +504,6 @@ def generate_ca_model(
         forces the scalar reference solver — byte-identical models and
         solve/cache-hit counts (only ``stats.batched_phases`` is 0),
         mainly useful for differential testing and benchmarks.
-    phase_cache:
-        Directory (or
-        :class:`~repro.simulation.phasecache.PhaseCacheStore`) persisting
-        solved phases across runs.  Warm entries are served through the
-        counter-neutral prefetch path, so results *and* stats stay
-        byte-identical to a cold run; the store is updated after the
-        sweep.
     """
     port = output or cell.outputs[0]
     result = _characterize(
@@ -539,7 +515,6 @@ def generate_ca_model(
         delay_detection=delay_detection,
         slow_factor=slow_factor,
         packed=packed,
-        phase_cache=phase_cache,
     )
     return _cell_models(cell, result)[port]
 
@@ -553,7 +528,6 @@ def generate_multi(
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     packed: bool = True,
-    phase_cache: PhaseCacheArg = None,
 ) -> Dict[str, CAModel]:
     """Characterize every output of a multi-output cell in one sweep.
 
@@ -573,7 +547,6 @@ def generate_multi(
         delay_detection=delay_detection,
         slow_factor=slow_factor,
         packed=packed,
-        phase_cache=phase_cache,
     )
     return _cell_models(cell, result)
 

@@ -30,11 +30,7 @@ from repro.camodel.batch import (
     LibraryGenerationError,
     ensure_unique_cell_names,
 )
-from repro.camodel.generate import (
-    DEFAULT_SLOW_FACTOR,
-    PhaseCacheArg,
-    _characterize,
-)
+from repro.camodel.generate import DEFAULT_SLOW_FACTOR, _characterize
 from repro.camodel.model import CAModel
 from repro.defects.model import Defect
 from repro.library.technology import ElectricalParams
@@ -59,7 +55,6 @@ def run_throughput(
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     packed: bool = True,
-    phase_cache: PhaseCacheArg = None,
 ) -> Dict[str, CAModel]:
     """Characterize a whole library in one engine call.
 
@@ -84,7 +79,6 @@ def run_throughput(
         delay_detection=delay_detection,
         slow_factor=slow_factor,
         packed=packed,
-        phase_cache=phase_cache,
     )
     out = {
         cell.name: models[cell.name][ports[0]]

@@ -87,7 +87,6 @@ def cmd_generate(args) -> int:
         cells,
         policy=args.policy,
         packed=not args.scalar,
-        phase_cache=args.phase_cache,
     )
     models = [by_name[cell.name] for cell in cells]
     for cell, model in zip(cells, models):
@@ -167,7 +166,6 @@ def cmd_batch(args) -> int:
             cell_timeout=args.cell_timeout,
             fault_plan=fault_plan,
             packed=not args.scalar,
-            phase_cache=args.phase_cache,
         )
         result = serve(
             args.run_dir,
@@ -199,7 +197,6 @@ def cmd_serve(args) -> int:
                 lease_ttl=args.lease_ttl,
                 fault_plan=fault_plan,
                 packed=not args.scalar,
-                phase_cache=args.phase_cache,
             )
         else:
             job = Job.attach(args.run_dir)
@@ -438,13 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="force the scalar reference solver (disable the vectorized "
         "packed kernel; results are byte-identical either way)",
     )
-    p.add_argument(
-        "--phase-cache",
-        metavar="DIR",
-        default=None,
-        help="directory persisting solved phases across runs (warm runs "
-        "skip the solves; results and counters stay byte-identical)",
-    )
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser(
@@ -495,13 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scalar",
         action="store_true",
         help="force the scalar reference solver",
-    )
-    p.add_argument(
-        "--phase-cache",
-        metavar="DIR",
-        default=None,
-        help="directory persisting solved phases across runs and retries "
-        "(identity-preserving; not part of the run fingerprint)",
     )
     p.set_defaults(func=cmd_batch)
 
@@ -557,12 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--scalar", action="store_true", help="force the scalar solver"
-    )
-    p.add_argument(
-        "--phase-cache",
-        metavar="DIR",
-        default=None,
-        help="directory persisting solved phases across runs and retries",
     )
     p.set_defaults(func=cmd_serve)
 

@@ -58,10 +58,6 @@ class Defect:
     def is_open(self) -> bool:
         return self.kind == OPEN
 
-    @property
-    def is_short(self) -> bool:
-        return self.kind in (SHORT, INTER_SHORT)
-
     def describe(self) -> str:
         """Human-readable one-liner."""
         if self.kind == OPEN:

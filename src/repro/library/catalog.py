@@ -36,10 +36,6 @@ class FunctionDef:
     #: the builder must emit stages driving nets with those port names
     extra_outputs: Tuple[Tuple[str, str], ...] = ()
 
-    @property
-    def output_names(self) -> Tuple[str, ...]:
-        return ("Z",) + tuple(port for port, _formula in self.extra_outputs)
-
     def spec(self, pins: Sequence[str], output: str) -> CellSpec:
         """Instantiate a :class:`CellSpec` with concrete pin names."""
         if len(pins) != self.n_inputs:

@@ -181,9 +181,6 @@ class CellSpec:
     def n_transistors(self) -> int:
         return sum(stage.n_transistors for stage in self.stages)
 
-    def internal_signals(self) -> List[str]:
-        return [s.out for s in self.stages if s.out not in self.outputs]
-
 
 class _NetAllocator:
     """Allocates internal net names in a technology-specific style."""

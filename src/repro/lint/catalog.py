@@ -12,10 +12,10 @@ and a syntax error in a linted module must not break the linter).
 ``tests/test_lint.py::test_catalog_matches_defining_modules`` guards
 the copy against rot: every ``M_*`` constant in
 :mod:`repro.camodel.stats`, :mod:`repro.resilience.runner`,
-:mod:`repro.simulation.engine`, :mod:`repro.simulation.phasecache`,
-:mod:`repro.simulation.packed`, :mod:`repro.camodel.throughput`,
-:mod:`repro.obs.store`, :mod:`repro.obs.inspect`,
-:mod:`repro.learning.engine`, :mod:`repro.lint.program.driver` and the
+:mod:`repro.simulation.engine`, :mod:`repro.simulation.packed`,
+:mod:`repro.camodel.throughput`, :mod:`repro.obs.store`,
+:mod:`repro.obs.inspect`, :mod:`repro.learning.engine`,
+:mod:`repro.lint.program.driver` and the
 :mod:`repro.service` modules must appear in :data:`METRIC_NAMES`, and
 every ``E_*`` constant in :mod:`repro.obs.trace` / :mod:`repro.obs.store`
 in :data:`EVENT_NAMES`.
@@ -41,7 +41,6 @@ NAMESPACES: FrozenSet[str] = frozenset(
         "experiment",
         "stats",
         "throughput",
-        "phasecache",
         "trace",
         "obs",
         "inspect",
@@ -79,11 +78,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "throughput.packed_rows",
         "throughput.flushes",
         "throughput.cells",
-        # on-disk phase-cache store (repro.simulation.phasecache)
-        "phasecache.hits",
-        "phasecache.misses",
-        "phasecache.loads",
-        "phasecache.stores",
         # packed-kernel padding accounting (repro.simulation.packed)
         "throughput.kernel_slots",
         "throughput.padded_slots",
@@ -142,8 +136,6 @@ EVENT_NAMES: FrozenSet[str] = frozenset(
         "resilience.retry",
         "resilience.quarantine",
         "resilience.artifact_invalid",
-        # on-disk phase-cache store
-        "phasecache.corrupt",
         # span-buffer merging (repro.obs.trace)
         "trace.orphan_spans",
         # durable run-telemetry store (repro.obs.store)

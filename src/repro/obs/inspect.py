@@ -9,7 +9,7 @@ a loaded :class:`~repro.obs.store.RunTelemetry`:
   :meth:`~repro.resilience.ledger.RunLedger.metrics_total`.
 * :func:`report_stragglers` — slowest-N cells and the span names their
   winning attempt actually spent its time in.
-* :func:`report_cache` — phase-cache / plan-store effectiveness and the
+* :func:`report_cache` — solver memoization effectiveness and the
   padding waste of the packed cross-cell kernel.
 * :func:`report_failures` — the retry / quarantine timeline, the ledger
   error records joined with the failed attempts' telemetry shards.
@@ -131,7 +131,7 @@ def report_stragglers(tel: RunTelemetry, top: int = 5) -> str:
 
 
 def report_cache(tel: RunTelemetry) -> str:
-    """Phase-cache effectiveness + packed padding waste."""
+    """Solver memoization effectiveness + packed padding waste."""
     total = tel.ledger.metrics_total()
     session = tel.session_counters()
     merged = dict(total)
@@ -139,19 +139,12 @@ def report_cache(tel: RunTelemetry) -> str:
         merged[key] = merged.get(key, 0.0) + value
     solves = merged.get(_C_SOLVES, 0.0)
     hits = merged.get(_C_CACHE_HITS, 0.0)
-    loads = merged.get("phasecache.loads", 0.0)
-    misses = merged.get("phasecache.misses", 0.0)
-    stores = merged.get("phasecache.stores", 0.0)
-    pc_hits = merged.get("phasecache.hits", 0.0)
     kernel_slots = merged.get("throughput.kernel_slots", 0.0)
     padded_slots = merged.get("throughput.padded_slots", 0.0)
     lines = [
         f"cache effectiveness for {tel.run_dir}",
         f"solver memoization : {hits:g} hits / {hits + solves:g} lookups "
         f"({_fmt_rate(hits, hits + solves).strip()})",
-        f"phase-cache store  : {loads:g} loads, {misses:g} misses "
-        f"({_fmt_rate(loads, loads + misses).strip()} warm), "
-        f"{stores:g} files written, {pc_hits:g} prefetched phases served",
     ]
     if kernel_slots:
         waste = padded_slots / kernel_slots

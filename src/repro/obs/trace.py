@@ -141,10 +141,6 @@ class Tracer:
             return NULL_SPAN
         return Span(self, name, attrs)
 
-    @property
-    def current_span_id(self) -> Optional[str]:
-        return self._stack[-1] if self._stack else None
-
     # ------------------------------------------------------------------
     def export(self) -> List[Dict[str, object]]:
         """Finished spans as plain dicts (what crosses a worker pipe)."""

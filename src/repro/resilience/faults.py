@@ -34,7 +34,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 #: exit code of a ``crash``-mode fault (distinguishable from a worker
 #: exception, which exits with :data:`EXCEPTION_EXIT`)
@@ -229,26 +229,3 @@ def enact_artifact_fault(
         # Deliberately torn temp file (simulated mid-write SIGKILL).
         stray.write_text(json.dumps(data)[: max(1, len(cell))])  # reprolint: disable=RPL102
         os._exit(MIDWRITE_EXIT)
-
-
-def _sequence_rules(
-    scripts: Dict[str, Sequence[str]], mode_map: Optional[Dict[str, str]] = None
-) -> "FaultPlan":
-    """Build a plan from per-cell outcome scripts (test helper).
-
-    ``scripts`` maps cell name to a sequence of outcomes, one per
-    attempt, each either ``"ok"`` or a fault mode; e.g.
-    ``{"X": ["raise", "raise", "ok"]}`` fails X's first two attempts.
-    """
-    mode_map = mode_map or {}
-    rules: List[FaultRule] = []
-    by_mode: Dict[Tuple[str, str], List[int]] = {}
-    for cell, outcomes in scripts.items():
-        for attempt, outcome in enumerate(outcomes):
-            if outcome == "ok":
-                continue
-            mode = mode_map.get(outcome, outcome)
-            by_mode.setdefault((cell, mode), []).append(attempt)
-    for (cell, mode), attempts in by_mode.items():
-        rules.append(FaultRule(cell=cell, mode=mode, attempts=tuple(attempts)))
-    return FaultPlan(rules=rules)

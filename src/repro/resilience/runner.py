@@ -78,9 +78,6 @@ def _options_fingerprint(
 
     ``packed`` shapes ``stats.batched_phases`` (0 under the scalar
     solver); it is stored under its older name, ``"batched"``.
-    ``phase_cache`` is deliberately absent: it is identity-preserving,
-    so changing it must not invalidate existing artifacts or block a
-    resume.
     """
     return {
         "format": FORMAT_VERSION,

@@ -38,8 +38,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 from repro import obs
 from repro.atomic import write_text_atomic
 from repro.camodel.batch import ensure_unique_cell_names
-from repro.camodel.generate import DEFAULT_SLOW_FACTOR, PhaseCacheArg
-from repro.camodel.io import FORMAT_VERSION, model_from_dict
+from repro.camodel.generate import DEFAULT_SLOW_FACTOR
+from repro.camodel.io import model_from_dict
 from repro.camodel.model import CAModel
 from repro.defects.model import Defect
 from repro.library.technology import ElectricalParams
@@ -59,8 +59,8 @@ from repro.spice.writer import write_cell
 
 #: ``job.json`` layout version (2: ``kwargs`` carry ``packed`` only, no
 #: ``batched``; 3: ``kwargs`` and the fingerprint drop the defect-level
-#: worker count)
-MANIFEST_FORMAT = 3
+#: worker count; 4: ``kwargs`` drop ``phase_cache``)
+MANIFEST_FORMAT = 4
 MANIFEST_NAME = "job.json"
 
 # service event names (registered in repro.lint.catalog)
@@ -258,25 +258,6 @@ class Job:
                 out[name] = model_from_dict(data)
         return out
 
-    def fetch_library_bytes(self) -> bytes:
-        """The assembled library JSON, byte-identical to ``serve``'s.
-
-        Same payload shape and serialization as the ``output`` file of
-        :func:`repro.service.serve`: artifact dicts in submitted cell
-        order under a ``models`` key.
-        """
-        ledger = self.ledger()
-        artifact_dicts: List[Dict[str, object]] = []
-        for name in self.manifest.names():
-            record = ledger.cells.get(name)
-            if record is not None and record["state"] == DONE:
-                artifact_dicts.append(
-                    json.loads(ledger.artifact_path(name).read_text())
-                )
-        return json.dumps(
-            {"format": FORMAT_VERSION, "models": artifact_dicts}
-        ).encode()
-
 
 def submit_library(
     cells: Sequence[CellNetlist],
@@ -292,7 +273,6 @@ def submit_library(
     delay_detection: bool = True,
     slow_factor: float = DEFAULT_SLOW_FACTOR,
     packed: bool = True,
-    phase_cache: PhaseCacheArg = None,
 ) -> Job:
     """Materialize a library job into *run_dir* and return its handle.
 
@@ -307,10 +287,9 @@ def submit_library(
     wall-clock seconds: the coordinator stops an over-deadline local
     worker, reaps the lease of any holder and charges a ``timeout``
     failure.  ``fault_plan`` scripts failures for chaos testing
-    (:mod:`repro.resilience.faults`).  ``packed`` and ``phase_cache``
-    are forwarded to :func:`~repro.camodel.generate.generate_ca_model`
-    in every worker; ``phase_cache`` is identity-preserving and not
-    fingerprinted.  ``retries``, ``lease_ttl``, ``cell_timeout`` and
+    (:mod:`repro.resilience.faults`).  ``packed`` is forwarded to
+    :func:`~repro.camodel.generate.generate_ca_model` in every worker.
+    ``retries``, ``lease_ttl``, ``cell_timeout`` and
     ``fault_plan`` shape how a run proceeds, not its artifacts, so a
     resumed submission may change them.
     """
@@ -331,11 +310,6 @@ def submit_library(
             "delay_detection": delay_detection,
             "slow_factor": slow_factor,
             "packed": packed,
-            "phase_cache": (
-                str(phase_cache)
-                if isinstance(phase_cache, (str, Path))
-                else phase_cache
-            ),
         },
         cells=[
             {

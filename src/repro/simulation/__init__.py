@@ -10,7 +10,6 @@ from repro.simulation.switchgraph import (
 )
 from repro.simulation.solver import StaticSolver, UnionFind, X
 from repro.simulation.packed import PackedRequest, solve_packed
-from repro.simulation.phasecache import PhaseCacheStore
 from repro.simulation.trace import Trace, capture, dump_vcd, to_vcd
 from repro.simulation.engine import (
     CellSimulator,
@@ -32,7 +31,6 @@ __all__ = [
     "X",
     "CellSimulator",
     "PackedRequest",
-    "PhaseCacheStore",
     "SimulationError",
     "golden_simulator",
     "logic_check",

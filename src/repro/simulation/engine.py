@@ -66,7 +66,6 @@ WordPlan = Tuple[Tuple[int, ...], Tuple[int, ...], bool]
 # ----------------------------------------------------------------------
 M_PACKED_ROWS = "throughput.packed_rows"
 M_PACKED_FLUSHES = "throughput.flushes"
-M_PHASECACHE_HITS = "phasecache.hits"
 
 
 class SimulationError(RuntimeError):
@@ -133,14 +132,6 @@ class CellSimulator:
             state.staged_memoryless
         )
         self._staged_history: Dict[PhaseKey, List[int]] = state.staged_history
-        # Phases loaded from an on-disk store; popped exactly where the
-        # solver would have run, with the same counter increments.
-        self._prefetch_memoryless: Dict[Tuple[int, ...], SolveResult] = (
-            state.prefetch_memoryless
-        )
-        self._prefetch_history: Dict[PhaseKey, List[int]] = (
-            state.prefetch_history
-        )
         self._prefetch_drive: Dict[
             Tuple[Tuple[int, ...], Tuple[int, ...], int], float
         ] = state.prefetch_drive
@@ -186,8 +177,6 @@ class CellSimulator:
         if result is None:
             result = self._staged_memoryless.pop(vector, None)
             if result is None:
-                result = self._prefetch_memoryless.pop(vector, None)
-            if result is None:
                 result = self.solver.solve(vector, None)
             self.solve_count += 1
             self._memoryless_cache[vector] = result
@@ -221,8 +210,6 @@ class CellSimulator:
             self.cache_hit_count += 1
             return cached
         codes = self._staged_history.pop(key, None)
-        if codes is None:
-            codes = self._prefetch_history.pop(key, None)
         if codes is None:
             codes = self.solver.solve(vector, prev_codes).codes
         self.solve_count += 1
@@ -309,30 +296,6 @@ class CellSimulator:
                 need.append(vector)
         return need
 
-    def _take_prefetched_stage1(
-        self, need: Sequence[Tuple[int, ...]]
-    ) -> List[Tuple[int, ...]]:
-        """Serve stage-1 vectors from the disk prefetch; return the rest.
-
-        Prefetched vectors move straight into the staged dict — the same
-        place a kernel solve would have put them — so per-word assembly
-        (and its counters) cannot tell a warm store from a cold solve.
-        """
-        if not self._prefetch_memoryless:
-            return list(need)
-        to_solve: List[Tuple[int, ...]] = []
-        hits = 0
-        for vector in need:
-            result = self._prefetch_memoryless.pop(vector, None)
-            if result is None:
-                to_solve.append(vector)
-            else:
-                self._staged_memoryless[vector] = result
-                hits += 1
-        if hits:
-            obs.metrics().inc(M_PHASECACHE_HITS, hits)
-        return to_solve
-
     def _plan_stage2(
         self,
         plans: Sequence[WordPlan],
@@ -373,27 +336,6 @@ class CellSimulator:
             pending.append(key)
             prevs.append(prev_codes)
         return pending, prevs
-
-    def _take_prefetched_stage2(
-        self, pending: Sequence[PhaseKey], prevs: Sequence[List[int]]
-    ) -> Tuple[List[PhaseKey], List[List[int]]]:
-        """Serve stage-2 keys from the disk prefetch; return the rest."""
-        if not self._prefetch_history:
-            return list(pending), list(prevs)
-        to_solve: List[PhaseKey] = []
-        kept_prevs: List[List[int]] = []
-        hits = 0
-        for key, prev_codes in zip(pending, prevs):
-            codes = self._prefetch_history.pop(key, None)
-            if codes is None:
-                to_solve.append(key)
-                kept_prevs.append(prev_codes)
-            else:
-                self._staged_history[key] = codes
-                hits += 1
-        if hits:
-            obs.metrics().inc(M_PHASECACHE_HITS, hits)
-        return to_solve, kept_prevs
 
     def output_response(self, word: Sequence[V4], output: Optional[str] = None) -> V4:
         """Four-valued response on a cell output (first output default)."""
@@ -666,11 +608,9 @@ def solve_words_across(
         need = sim._plan_stage1(plans, planned)
         if not need:
             continue
-        to_solve = sim._take_prefetched_stage1(need)
         sim.batched_count += len(need)
-        if to_solve:
-            planned.update(to_solve)
-            enqueue(sim, to_solve, None, stage1_sink(sim, to_solve))
+        planned.update(need)
+        enqueue(sim, need, None, stage1_sink(sim, need))
     flush()
 
     # Stage 2 planning: history-dependent survivors (needs the stage-1
@@ -683,16 +623,14 @@ def solve_words_across(
         pending, prevs = sim._plan_stage2(plans, planned)
         if not pending:
             continue
-        to_solve2, prevs2 = sim._take_prefetched_stage2(pending, prevs)
         sim.batched_count += len(pending)
-        if to_solve2:
-            planned.update(to_solve2)
-            enqueue(
-                sim,
-                [key[0] for key in to_solve2],
-                prevs2,
-                stage2_sink(sim, to_solve2),
-            )
+        planned.update(pending)
+        enqueue(
+            sim,
+            [key[0] for key in pending],
+            prevs,
+            stage2_sink(sim, pending),
+        )
     flush()
 
     if not assemble:
@@ -721,9 +659,9 @@ def prefetch_drive(queries: Iterable[DriveQuery]) -> None:
     :meth:`CellSimulator.output_drive_resistance` calls a sweep is about
     to make, with the codes its assembly already solved.  The first miss
     of each key of a shared drive cache — a packed simulator's output
-    settled at 0 or 1, the key neither cached, nor prefetched from an
-    on-disk store, nor claimed by an earlier query of the same signature
-    group — is solved in one :func:`~repro.simulation.packed.drive_resistances`
+    settled at 0 or 1, the key neither cached, nor already prefetched,
+    nor claimed by an earlier query of the same signature group — is
+    solved in one :func:`~repro.simulation.packed.drive_resistances`
     batch into ``PhaseState.prefetch_drive``.  The calls then pop it
     exactly where they would have solved, which moves no counter, so
     results and cost accounting equal the unplanned calls.

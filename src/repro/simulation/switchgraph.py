@@ -66,12 +66,11 @@ class PhaseState:
       packed planner can see what a signature-sibling already has in
       flight; always drained back to empty by per-word assembly, so
       sharing them is invisible to the sequential flow;
-    * ``prefetch_*`` — phases loaded from an on-disk
-      :class:`~repro.simulation.phasecache.PhaseCacheStore`.  Entries
-      are *popped* into the ordinary flow at the point the solver would
-      have been called, with the same counter increments, so a
-      warm-store run stays byte-identical (results **and** cost
-      accounting) to a cold one.
+    * ``prefetch_drive`` — drive resistances the batched solve of
+      :func:`~repro.simulation.engine.prefetch_drive` computed ahead of
+      the sweep.  Entries are *popped* at the point the resistive solve
+      would have run, which moves no counter, so results and cost
+      accounting equal the unplanned calls.
     """
 
     __slots__ = (
@@ -80,8 +79,6 @@ class PhaseState:
         "drive",
         "staged_memoryless",
         "staged_history",
-        "prefetch_memoryless",
-        "prefetch_history",
         "prefetch_drive",
     )
 
@@ -91,8 +88,6 @@ class PhaseState:
         self.drive: dict = {}
         self.staged_memoryless: dict = {}
         self.staged_history: dict = {}
-        self.prefetch_memoryless: dict = {}
-        self.prefetch_history: dict = {}
         self.prefetch_drive: dict = {}
 
 
@@ -171,8 +166,6 @@ class CellTopology:
         )
         #: effect signature -> shared :class:`PhaseState`
         self._phase_states: Dict[tuple, PhaseState] = {}
-        #: optional on-disk phase-cache store (see :meth:`attach_phase_store`)
-        self._phase_store = None
 
     def effect_signature(self, effect: DefectEffect) -> tuple:
         """Canonical key of the switch graph *effect* builds.
@@ -197,28 +190,15 @@ class CellTopology:
 
         Every simulator built on this topology with a signature-equal
         effect gets the same state, so phases solved under one defect are
-        served as cache hits to the next.  When a store is attached (see
-        :meth:`attach_phase_store`), first access of a signature loads
-        its persisted phases into the prefetch dicts.
+        served as cache hits to the next.  The states live as long as
+        the topology.
         """
         signature = self.effect_signature(effect)
         state = self._phase_states.get(signature)
         if state is None:
             state = PhaseState()
             self._phase_states[signature] = state
-            if self._phase_store is not None:
-                self._phase_store.load_into(self, signature, state)
         return state
-
-    def attach_phase_store(self, store) -> None:
-        """Back this topology's phase states with an on-disk store.
-
-        *store* is a :class:`~repro.simulation.phasecache.PhaseCacheStore`
-        (duck-typed: ``load_into(topology, signature, state)`` and
-        ``save(topology)``).  Attach before the first
-        :meth:`phase_state` call of the signatures it should warm.
-        """
-        self._phase_store = store
 
     def _ron(self, t: Transistor) -> float:
         rsq = self.params.rsq_nmos if t.is_nmos else self.params.rsq_pmos

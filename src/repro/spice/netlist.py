@@ -130,9 +130,6 @@ class CellNetlist:
                 return t
         raise NetlistError(f"no transistor named {name!r} in cell {self.name}")
 
-    def transistor_names(self) -> List[str]:
-        return [t.name for t in self.transistors]
-
     @property
     def n_inputs(self) -> int:
         return len(self.inputs)

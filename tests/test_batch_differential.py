@@ -41,6 +41,7 @@ from repro.library.synth import (
 from repro.simulation import (
     GOLDEN,
     CellSimulator,
+    CellTopology,
     PackedRequest,
     StaticSolver,
     UnionFind,
@@ -255,28 +256,6 @@ class TestPackedDifferential:
                     other.stats, counter
                 ), (cell.name, counter)
             assert one.stats.batched_phases == 0 < other.stats.batched_phases
-
-    def test_phase_cache_warm_run_byte_identical(self, tmp_path):
-        """A warm on-disk phase cache must change nothing observable —
-        not even the solve / cache-hit counter sequences."""
-        from repro import obs
-        from repro.simulation.engine import M_PHASECACHE_HITS
-
-        cell = build_cell(SOI28, "AOI22", 1)
-        store = tmp_path / "phases"
-        cold = generate_ca_model(
-            cell, params=PARAMS, keep_responses=True, packed=True,
-            phase_cache=store,
-        )
-        assert list(store.glob("*.json")), "cold run must populate the store"
-        with obs.scoped(metrics=obs.Metrics()) as state:
-            warm = generate_ca_model(
-                cell, params=PARAMS, keep_responses=True, packed=True,
-                phase_cache=store,
-            )
-            hits = state.metrics.get(M_PHASECACHE_HITS)
-        assert hits > 0, "warm run must actually consume the store"
-        assert self._canonical(warm) == self._canonical(cold)
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +663,7 @@ class TestResistiveKernelCases:
 
 class TestResistiveIntegration:
     """The batched kernel inside the packed path: mixed thresholds, the
-    drive prefetch, models, counters and phase-cache bytes."""
+    drive prefetch, models, counters and settled phase caches."""
 
     def test_pack_mixing_thresholds(self, monkeypatch):
         """One pack of topologies with different vil/vih: each contended
@@ -801,22 +780,45 @@ class TestResistiveIntegration:
                     continue
                 assert sa[key] == sb[key], key
 
-    def test_phase_cache_store_bytes(self, tmp_path):
-        """Cold scalar, cold packed and warm packed runs write byte-equal
-        phase-cache stores: batched drive resistances are the scalar ones."""
+    def test_settled_caches_match_scalar(self, monkeypatch):
+        """A packed and a scalar sweep settle equal phase caches: every
+        memoryless, history and drive entry of every signature, with the
+        batched drive resistances bitwise equal to the scalar ones."""
         cell = build_cell(SOI28, "AOI22", 1)
+        built = []
+        init = CellTopology.__init__
 
-        def store_bytes(root):
-            return {p.name: p.read_bytes() for p in sorted(root.glob("*.json"))}
+        def recording_init(topology, *args, **kwargs):
+            init(topology, *args, **kwargs)
+            built.append(topology)
 
-        scalar_store = tmp_path / "scalar"
-        generate_ca_model(
-            cell, params=PARAMS, packed=False, phase_cache=scalar_store
+        monkeypatch.setattr(CellTopology, "__init__", recording_init)
+        generate_ca_model(cell, params=PARAMS)
+        generate_ca_model(cell, params=PARAMS, packed=False)
+        packed_states, scalar_states = (
+            topology._phase_states for topology in built
         )
-        store = tmp_path / "packed"
-        generate_ca_model(cell, params=PARAMS, phase_cache=store)
-        cold = store_bytes(store)
-        assert cold and any(b'"drive": [[' in blob for blob in cold.values())
-        assert cold == store_bytes(scalar_store)
-        generate_ca_model(cell, params=PARAMS, phase_cache=store)
-        assert store_bytes(store) == cold
+        assert packed_states.keys() == scalar_states.keys()
+        drives = histories = 0
+        for signature, state in packed_states.items():
+            other = scalar_states[signature]
+            for drained in (state, other):
+                assert drained.staged_memoryless == {}
+                assert drained.staged_history == {}
+                assert drained.prefetch_drive == {}
+            assert {
+                vector: (result.codes, result.retention_used)
+                for vector, result in state.memoryless.items()
+            } == {
+                vector: (result.codes, result.retention_used)
+                for vector, result in other.memoryless.items()
+            }
+            assert state.history == other.history
+            assert state.drive.keys() == other.drive.keys()
+            keys = sorted(state.drive)
+            assert _bits([state.drive[k] for k in keys]) == _bits(
+                [other.drive[k] for k in keys]
+            )
+            drives += len(keys)
+            histories += len(state.history)
+        assert drives > 0 and histories > 0

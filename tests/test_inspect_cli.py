@@ -59,7 +59,6 @@ def test_inspect_cache_report(run_dir, capsys):
     assert main(["inspect", str(run_dir), "cache"]) == 0
     out = capsys.readouterr().out
     assert "solver memoization" in out
-    assert "phase-cache store" in out
     assert "packed kernel" in out
 
 

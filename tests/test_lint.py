@@ -442,11 +442,10 @@ def test_catalog_matches_defining_modules():
     import repro.service.worker as service_worker
     import repro.simulation.engine as engine
     import repro.simulation.packed as packed
-    import repro.simulation.phasecache as phasecache
     from repro.lint.catalog import EVENT_NAMES, METRIC_NAMES
 
     modules = (
-        stats, runner, engine, phasecache, throughput,
+        stats, runner, engine, throughput,
         packed, obs_store, obs_inspect, obs_trace, learning_engine,
         service_api, service_coordinator, service_lease, service_worker,
         lint_driver,

@@ -211,29 +211,46 @@ def test_pre_merge_manifest_is_refused_at_attach(tmp_path, capsys):
     assert "unsupported job manifest format 1" in capsys.readouterr().err
 
 
-def test_format_2_manifest_is_refused_at_attach(tmp_path):
-    """A layout-2 ``job.json`` still carries the defect-level worker
-    count in its kwargs and fingerprint; attaching refuses it."""
+@pytest.mark.parametrize(
+    "fmt, removed",
+    [
+        # layout 2: the defect-level worker count in kwargs and fingerprint
+        (2, {"kwargs": "parallelism", "options": "parallelism"}),
+        # layout 3: the on-disk phase-cache directory in kwargs
+        (3, {"kwargs": "phase_cache"}),
+    ],
+    ids=["format-2", "format-3"],
+)
+def test_old_manifest_format_is_refused_at_attach(tmp_path, fmt, removed):
+    """A ``job.json`` of an older layout still carries a removed option;
+    attaching refuses it instead of passing that option to a worker."""
     run_dir = tmp_path / "run"
     job = submit_library([build_cell(SOI28, "NAND2", 1)], run_dir=run_dir)
     data = json.loads(job.manifest_path.read_text())
-    data["format"] = 2
-    data["kwargs"]["parallelism"] = None
-    data["options"]["parallelism"] = None
+    data["format"] = fmt
+    for section, key in removed.items():
+        data[section][key] = None
     job.manifest_path.write_text(json.dumps(data))
-    with pytest.raises(RunDirError, match="unsupported job manifest format 2"):
+    with pytest.raises(
+        RunDirError, match=f"unsupported job manifest format {fmt}"
+    ):
         Job.attach(run_dir)
 
 
 @pytest.mark.parametrize("command", ["generate", "batch", "serve"])
 def test_defect_worker_flag_is_gone(tmp_path, capsys, command):
-    """``-j`` is no longer an option: argparse exits 2."""
-    argv = {
-        "generate": ["generate", "cells.sp", "-j", "2"],
-        "batch": ["batch", "cells.sp", "--run-dir", str(tmp_path), "-j", "2"],
-        "serve": ["serve", str(tmp_path), "-j", "2"],
+    """``-j`` and ``--phase-cache`` are no longer options: argparse
+    exits 2."""
+    head = {
+        "generate": ["generate", "cells.sp"],
+        "batch": ["batch", "cells.sp", "--run-dir", str(tmp_path)],
+        "serve": ["serve", str(tmp_path)],
     }[command]
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: -j 2" in capsys.readouterr().err
+    for flag in (["-j", "2"], ["--phase-cache", str(tmp_path / "phases")]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(head + flag)
+        assert exit_info.value.code == 2
+        assert (
+            f"unrecognized arguments: {' '.join(flag)}"
+            in capsys.readouterr().err
+        )

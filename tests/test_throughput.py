@@ -3,9 +3,8 @@
 Covers the duplicate-name guard every library path shares, the run-dir
 options :func:`~repro.service.submit_library` carries to every worker
 through ``job.json``, plus the engine-level behaviours the differential
-suite does not touch: per-cell failure containment, metric registration,
-no state kept between engine calls, on-disk phase cache corruption
-tolerance, and quarantine-then-resume with a warm store.
+suite does not touch: per-cell failure containment, metric registration
+and no state kept between engine calls.
 """
 
 import gc
@@ -27,7 +26,6 @@ from repro.resilience import FaultPlan, FaultRule, faults
 from repro.resilience.ledger import RunLedger
 from repro.resilience.runner import canonical_model_dict
 from repro.service import serve, submit_library
-from repro.simulation.phasecache import M_PHASECACHE_LOADS, M_PHASECACHE_STORES
 from repro.simulation.switchgraph import CellTopology
 
 PARAMS = SOI28.electrical
@@ -87,7 +85,6 @@ class TestRunDirOnlyOptions:
             ]
         )
         run_dir = tmp_path / "run"
-        store = tmp_path / "phases"
         job = submit_library(
             library_cells,
             run_dir=run_dir,
@@ -95,14 +92,12 @@ class TestRunDirOnlyOptions:
             cell_timeout=1.0,
             fault_plan=plan,
             packed=False,
-            phase_cache=store,
         )
         manifest = json.loads(job.manifest_path.read_text())
         assert manifest["retries"] == 2
         assert manifest["cell_timeout"] == 1.0
         assert manifest["fault_plan"] == plan.to_dict()
         assert manifest["kwargs"]["packed"] is False
-        assert manifest["kwargs"]["phase_cache"] == str(store)
 
         result = serve(run_dir, workers=1)
         # fault_plan + retries: the broken cell fails 1 + 2 attempts
@@ -119,8 +114,6 @@ class TestRunDirOnlyOptions:
         }
         for model in result.models.values():
             assert model.stats.batched_phases == 0
-        # phase_cache: the workers solved through the on-disk store
-        assert list(store.glob("*.json"))
 
 
 class TestRunThroughput:
@@ -196,184 +189,3 @@ class TestNoStateBetweenCalls:
         assert {
             name: canonical_model_dict(m) for name, m in again.items()
         } == first
-
-
-class TestPhaseCacheStore:
-    def test_corrupt_entry_is_tolerated_and_reported(self, tmp_path):
-        cell = build_cell(SOI28, "NAND2", 1)
-        store = tmp_path / "phases"
-        cold = generate_ca_model(
-            cell, params=PARAMS, packed=True, phase_cache=store
-        )
-        entries = sorted(store.glob("*.json"))
-        assert entries
-        entries[0].write_text("{ not json")
-        sink = obs.ListSink()
-        with obs.scoped(events=obs.EventLog(sink)):
-            warm = generate_ca_model(
-                cell, params=PARAMS, packed=True, phase_cache=store
-            )
-        assert canonical_model_dict(warm) == canonical_model_dict(cold)
-        corrupt = [e for e in sink.events if e.name == "phasecache.corrupt"]
-        assert corrupt, "corrupt store entries must be reported, not fatal"
-        # ...and the rewritten store heals: the entry is valid JSON again.
-        json.loads(entries[0].read_text())
-
-    def test_warm_runs_write_no_file(self, tmp_path):
-        cell = build_cell(SOI28, "NAND2", 1)
-        store = tmp_path / "phases"
-        cold = generate_ca_model(
-            cell, params=PARAMS, packed=True, phase_cache=store
-        )
-
-        def snapshot():
-            return {
-                path.name: (path.stat().st_ino, path.read_bytes())
-                for path in store.glob("*.json")
-            }
-
-        before = snapshot()
-        assert before
-        registry = obs.Metrics()
-        with obs.scoped(metrics=registry):
-            for _ in range(2):
-                warm = generate_ca_model(
-                    cell, params=PARAMS, packed=True, phase_cache=store
-                )
-                assert canonical_model_dict(warm) == canonical_model_dict(cold)
-                # Nothing new was solved, so no file is rewritten.
-                assert snapshot() == before
-        assert registry.get(M_PHASECACHE_LOADS) == 2 * len(before)
-        assert registry.get(M_PHASECACHE_STORES) == 0
-
-    def test_store_is_partitioned_by_electrical_params(self, tmp_path):
-        from repro.library import ElectricalParams
-
-        cell = build_cell(SOI28, "INV", 1)
-        store = tmp_path / "phases"
-        generate_ca_model(cell, params=PARAMS, packed=True, phase_cache=store)
-        before = {p.name for p in store.glob("*.json")}
-        weak = ElectricalParams(short_resistance=50_000.0)
-        generate_ca_model(cell, params=weak, packed=True, phase_cache=store)
-        after = {p.name for p in store.glob("*.json")}
-        assert before < after, (
-            "different electrical params must hash to different entries"
-        )
-
-
-class TestCliPackedFlags:
-    def test_generate_packed_phase_cache_identical_models(self, tmp_path, library_cells):
-        from repro.camodel import load_models
-        from repro.cli import main
-        from repro.spice import write_library
-
-        netlist = tmp_path / "library.sp"
-        netlist.write_text(write_library(library_cells, SOI28.dialect))
-        plain_out = tmp_path / "plain.json"
-        packed_out = tmp_path / "packed.json"
-        store = tmp_path / "phases"
-        assert main(["generate", str(netlist), "-o", str(plain_out)]) == 0
-        assert (
-            main(
-                [
-                    "generate",
-                    str(netlist),
-                    "-o",
-                    str(packed_out),
-                    "--phase-cache",
-                    str(store),
-                ]
-            )
-            == 0
-        )
-        assert list(store.glob("*.json")), "--phase-cache must populate the store"
-        plain = {m.cell_name: m for m in load_models(plain_out)}
-        packed = {m.cell_name: m for m in load_models(packed_out)}
-        assert set(packed) == set(plain) == {c.name for c in library_cells}
-        for name in plain:
-            assert canonical_model_dict(packed[name]) == canonical_model_dict(
-                plain[name]
-            )
-
-    def test_batch_packed_phase_cache_byte_identical(self, tmp_path, library_cells):
-        from repro.cli import main
-        from repro.spice import write_library
-
-        netlist = tmp_path / "library.sp"
-        netlist.write_text(write_library(library_cells, SOI28.dialect))
-        plain_out = tmp_path / "plain.json"
-        packed_out = tmp_path / "packed.json"
-        assert (
-            main(
-                [
-                    "batch",
-                    str(netlist),
-                    "--run-dir",
-                    str(tmp_path / "plain_run"),
-                    "-o",
-                    str(plain_out),
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "batch",
-                    str(netlist),
-                    "--run-dir",
-                    str(tmp_path / "packed_run"),
-                    "-o",
-                    str(packed_out),
-                    "--phase-cache",
-                    str(tmp_path / "phases"),
-                ]
-            )
-            == 0
-        )
-        assert packed_out.read_bytes() == plain_out.read_bytes()
-
-
-class TestQuarantineResumeWithWarmStore:
-    def test_resume_with_warm_phase_cache_byte_identical(
-        self, tmp_path, library_cells
-    ):
-        """Quarantine a cell, then resume against the now-warm on-disk
-        phase cache: the assembled library must match a clean plain run
-        byte for byte."""
-        baseline_dir = tmp_path / "baseline"
-        submit_library(library_cells, run_dir=baseline_dir)
-        baseline = serve(
-            baseline_dir, workers=1, output=baseline_dir / "library.json"
-        )
-        assert baseline.complete
-        baseline_bytes = (baseline_dir / "library.json").read_bytes()
-
-        victim = library_cells[-1].name
-        run_dir = tmp_path / "run"
-        store = tmp_path / "phases"
-        plan = FaultPlan([FaultRule(cell=victim, mode="raise")])
-        submit_library(
-            library_cells,
-            run_dir=run_dir,
-            retries=1,
-            fault_plan=plan,
-            packed=True,
-            phase_cache=store,
-        )
-        first = serve(run_dir, workers=1, output=run_dir / "library.json")
-        assert set(first.quarantined) == {victim}
-        assert list(store.glob("*.json")), "first run must warm the store"
-
-        submit_library(
-            library_cells,
-            run_dir=run_dir,
-            resume=True,
-            packed=True,
-            phase_cache=store,
-        )
-        resumed = serve(
-            run_dir, workers=1, resume=True, output=run_dir / "library.json"
-        )
-        assert resumed.complete
-        assert (run_dir / "library.json").read_bytes() == baseline_bytes
