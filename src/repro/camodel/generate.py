@@ -22,25 +22,36 @@ one cell (:func:`generate_multi`) and a whole library
    solve, then each cell reads its golden responses and reference drive
    resistances from the staged results.
 3. **Defect pass**: benign / golden-equivalent defects short-circuit
-   before any solver is built; the phases of every other defect of
-   every cell go through one more packed solve
+   before any solver is built.  The other defects of a packed run are
+   grouped by signature: defects whose effects share the topology's
+   cross-defect phase state and gate-open flag read the same phases,
+   so each group gets one simulator.  Every group of every cell goes
+   through one more packed solve
    (:func:`~repro.simulation.engine.solve_words_across` over the
    vectorized kernel :func:`~repro.simulation.packed.solve_packed`).
-   Phases solved under one defect are shared with every signature-equal
-   defect through the topology's cross-defect phase cache.
-4. **Assembly**, per cell in job order: detection tables, delay
-   detection, stats and the :class:`CAModel`.  Delay detection's
-   drive-resistance queries are planned like phases: assembly lists
-   every call first, :func:`~repro.simulation.engine.prefetch_drive`
-   solves their misses in one batched resistive solve, and the
-   unchanged calls then run in their original order.
+4. **Assembly**, per cell in job order: each group's responses are read
+   from its solved phases once
+   (:meth:`~repro.simulation.engine.CellSimulator.read_words`) and
+   compared with the golden ones as arrays; then delay detection, stats
+   and the :class:`CAModel`.  Delay detection's drive-resistance
+   queries are planned like phases: assembly lists every call of every
+   cell, one :func:`~repro.simulation.engine.prefetch_drive` solves
+   their misses in one batched resistive solve, and the calls then run
+   in their original order.
 
-Assembly runs cell-major, defect-minor — the order a per-cell loop
-would solve in — and the packed planner charges each simulator exactly
-what that loop would, so every model, counters included, is the same
-whatever else shares the call.  ``packed=False`` builds scalar
-simulators, which both packed solves skip: every phase and drive
-resistance is then solved by the scalar reference oracle.
+The counters of every model equal a per-cell loop that solves each
+defect word by word (``solve_word``), cell-major and defect-minor, so
+every model is the same whatever else shares the call.  A group's
+simulator is charged the loop's lookups by rule: its solves are the
+phases the planner gave it, every other lookup is a cache hit.  A
+signature sibling (a later defect of a group) takes its group's
+detection row, delay flags included, and is charged what the loop
+would count for it: every lookup a cache hit, plus, per drive call of
+its group, that word's lookups and one drive-cache hit.  A failing
+cell drops out alone at each per-cell step.  ``packed=False`` builds
+one scalar simulator per defect, which both packed solves skip: every
+phase and drive resistance is then solved word by word by the scalar
+reference oracle, and every counter is counted, not derived.
 
 Multi-output cells are characterized in **one sweep**: every solved
 phase carries the codes of all nets, so each output port's detection
@@ -86,12 +97,14 @@ from repro.library.technology import get as get_technology
 from repro.logic.fourval import V4
 from repro.simulation.engine import (
     CellSimulator,
+    DriveQuery,
     WordPlan,
+    WordTable,
     prefetch_drive,
     solve_words_across,
     split_word,
 )
-from repro.simulation.switchgraph import CellTopology, DefectEffect
+from repro.simulation.switchgraph import CellTopology
 from repro.spice.netlist import CellNetlist
 
 #: with 'auto', exhaustive stimuli are used up to this input count and the
@@ -121,15 +134,28 @@ def detect(golden: V4, defective: V4) -> int:
     return int(defective is not golden)
 
 
-def _port_responses(
-    solved: Sequence[Tuple[List[int], List[int]]], node: int
-) -> List[V4]:
-    """Per-word output symbols of one port from whole-net solved phases."""
-    return [V4.from_phases(codes1[node], codes2[node]) for codes1, codes2 in solved]
+#: V4 symbol of each response code: ``2 * initial + final`` for a known
+#: output, :data:`_X_CODE` when either phase is unknown
+_SYMBOLS = (V4.ZERO, V4.RISE, V4.FALL, V4.ONE, V4.X)
+_X_CODE = 4
+
+
+def _response_codes(initial: np.ndarray, final: np.ndarray) -> np.ndarray:
+    """Response codes (indices into :data:`_SYMBOLS`) of solved phases."""
+    known = (initial >= 0) & (final >= 0)
+    return np.where(known, 2 * initial + final, _X_CODE).astype(np.int8)
 
 
 class _CellRun:
-    """One job's working state, filled in phase by phase by the engine."""
+    """One job's working state, filled in phase by phase by the engine.
+
+    Responses are held as codes (:data:`_SYMBOLS`): ``(ports, words)``
+    for the golden pass, ``(groups, ports, words)`` for the defect
+    groups.  A packed run groups signature siblings, defects whose
+    shared phase state (:meth:`CellTopology.phase_state`) and gate-open
+    flag are equal, behind one simulator; a scalar run gives every
+    simulated defect its own.
+    """
 
     cell: CellNetlist
     ports: Sequence[str]
@@ -137,15 +163,34 @@ class _CellRun:
     packed: bool
     words: List[Word]
     plans: List[WordPlan]
+    table: WordTable
     defects: List[Defect]
     topology: CellTopology
     golden_sim: CellSimulator
-    #: per port: golden response, transition columns, reference resistances
+    #: net index of every port
+    nodes: List[int]
+    golden_codes: np.ndarray
+    #: (ports, words) mask of the golden transitions (delay-detectable)
+    transition: np.ndarray
+    #: per port: golden response and reference resistance per transition
     golden: Dict[str, List[V4]]
-    transition_cols: Dict[str, List[int]]
     resistance: Dict[str, Dict[int, float]]
-    #: one (effect, simulator) row per defect; benign rows have no simulator
-    rows: List[Tuple[DefectEffect, Optional[CellSimulator]]]
+    #: the golden drive calls, (port index, word), and the words' lookups
+    golden_calls: List[Tuple[int, int]]
+    golden_lookups: Optional[np.ndarray]
+    #: one simulator per defect group, and each defect's group (-1: benign)
+    groups: List[CellSimulator]
+    row_group: np.ndarray
+    group_codes: np.ndarray
+    #: (groups, words) memo lookups of each packed group's words (0 in a
+    #: scalar run, where no count is derived)
+    lookups: np.ndarray
+    #: (groups, ports, words) detection of each group, delay flags included
+    flags: np.ndarray
+    #: the drive-resistance calls of the sweep in call order: (group,
+    #: port index, word), and the queries a prefetch solves ahead of them
+    drive_calls: List[Tuple[int, int, int]]
+    queries: List[DriveQuery]
     detection: Dict[str, np.ndarray]
     responses: Optional[Dict[str, List[List[V4]]]]
     #: solves / cache_hits / batched (golden pass included), simulated, skipped
@@ -177,6 +222,7 @@ class _CellRun:
             cell.n_inputs, resolve_policy(cell.n_inputs, policy)
         )
         self.plans = [split_word(word, cell.n_inputs) for word in self.words]
+        self.table = WordTable(self.plans)
         self.defects = (
             list(universe) if universe is not None else default_universe(cell)
         )
@@ -184,136 +230,194 @@ class _CellRun:
         self.golden_sim = CellSimulator(
             cell, params=self.params, topology=self.topology, packed=packed
         )
+        self.nodes = [self.topology.net_index[port] for port in self.ports]
+
+    def _codes(
+        self, sim: CellSimulator
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """(initial, final, lookups) of every word under *sim*.
+
+        A packed simulator reads its staged phases; a scalar one solves
+        word by word, the reference path (no lookup counts: a scalar
+        run has no signature siblings to charge).
+        """
+        if sim.packed:
+            return sim.read_words(self.table)
+        solved = [
+            sim.solve_word(word, plan) for word, plan in zip(self.words, self.plans)
+        ]
+        initial = np.array([codes1 for codes1, _ in solved], dtype=np.int8)
+        final = np.array([codes2 for _, codes2 in solved], dtype=np.int8)
+        return initial, final, None
+
+    def _query(
+        self, sim: CellSimulator, port: int, col: int,
+        initial: np.ndarray, final: np.ndarray,
+    ) -> DriveQuery:
+        """The drive query of *port* under word *col*, whose (initial,
+        final) codes are *initial* and *final*."""
+        return sim, self.plans[col], self.nodes[port], initial, final
+
+    def _drive(
+        self, port: int, col: int, query: DriveQuery,
+        lookups: Optional[np.ndarray],
+    ) -> float:
+        """One drive-resistance call of a query, charged as the
+        sequential call: a scalar simulator makes it, a packed one adds
+        its word's *lookups* as cache hits and reads the drive cache."""
+        sim, plan, node, initial, final = query
+        if not sim.packed:
+            return sim.output_drive_resistance(
+                self.words[col], output=self.ports[port], plan=plan
+            )
+        assert lookups is not None
+        sim.cache_hit_count += int(lookups[col])
+        return sim.drive_resistance(plan, node, initial, final)
 
     def golden_pass(self, delay_detection: bool) -> None:
-        """Golden responses and reference resistances of every port.
+        """Golden responses of every port, and their drive queries.
 
         Every port is read out of the same solved phases (each phase
         carries the codes of all nets), so multi-output cells pay a
-        single pass.  The reference resistances of every port's
-        transitions are prefetched in one batch before the per-port
-        drive calls.
+        single pass.
         """
-        sim, words, plans = self.golden_sim, self.words, self.plans
-        solved = sim.solve_words(words, plans)
-        self.golden, self.transition_cols, self.resistance = {}, {}, {}
-        for port in self.ports:
-            responses = _port_responses(solved, sim.graph.net_index[port])
-            self.golden[port] = responses
-            self.transition_cols[port] = [
-                col for col, response in enumerate(responses)
-                if response.is_dynamic
-            ]
-        if delay_detection:
-            prefetch_drive(
-                [
-                    (sim, plans[col], sim.graph.net_index[port], *solved[col])
-                    for port in self.ports
-                    for col in self.transition_cols[port]
-                ]
+        sim, nodes = self.golden_sim, self.nodes
+        initial, final, self.golden_lookups = self._codes(sim)
+        self.golden_codes = _response_codes(initial[:, nodes].T, final[:, nodes].T)
+        self.transition = (self.golden_codes == 1) | (self.golden_codes == 2)
+        self.golden = {
+            port: [_SYMBOLS[code] for code in codes]
+            for port, codes in zip(self.ports, self.golden_codes.tolist())
+        }
+        self.golden_calls = (
+            [(int(port), int(col)) for port, col in zip(*np.nonzero(self.transition))]
+            if delay_detection else []
+        )
+        self.queries = [
+            self._query(sim, port, col, initial[col], final[col])
+            for port, col in self.golden_calls
+        ]
+
+    def golden_drive(self) -> None:
+        """Reference resistance of every port's golden transitions."""
+        self.resistance = {port: {} for port in self.ports}
+        for (port, col), query in zip(self.golden_calls, self.queries):
+            self.resistance[self.ports[port]][col] = self._drive(
+                port, col, query, self.golden_lookups
             )
-            for port in self.ports:
-                self.resistance[port] = {
-                    col: sim.output_drive_resistance(
-                        words[col], output=port, plan=plans[col]
-                    )
-                    for col in self.transition_cols[port]
-                }
-        self.counters = dict(sim.counters())
 
     def prepare_rows(self) -> None:
-        """Materialize every defect's (effect, simulator) row in defect order.
+        """Group the simulated defects and build one simulator per group.
 
-        Benign / golden-equivalent defects carry no simulator; the rest
-        get the simulator the sweep runs, so the packed planner sees the
-        phase demand of every defect up front.
+        Benign / golden-equivalent defects get no group.  A packed run
+        puts signature siblings in one group: the planner would give a
+        sibling nothing to solve, and every phase it reads is its
+        group's.
         """
-        self.rows = []
-        for defect in self.defects:
+        self.groups = []
+        self.row_group = np.full(len(self.defects), -1, dtype=np.intp)
+        group_of: Dict[object, int] = {}
+        for row, defect in enumerate(self.defects):
             effect = defect.effect(self.cell, self.params.short_resistance)
-            sim: Optional[CellSimulator] = None
-            if not (effect.benign or effect.is_golden):
-                sim = CellSimulator(
-                    self.cell, params=self.params, effect=effect,
-                    topology=self.topology, packed=self.packed,
-                )
-            self.rows.append((effect, sim))
-
-    def sweep(
-        self, delay_detection: bool, slow_factor: float, keep_responses: bool
-    ) -> None:
-        """Detection tables of every port, read from the staged phases.
-
-        Each defect is simulated once and every output port's detection
-        row is read from the same solved phases: a packed simulator only
-        assembles what the defect pass staged, a scalar one solves.
-        Delay detection follows in three steps: assembly lists every
-        drive-resistance call in the per-defect order, one
-        :func:`~repro.simulation.engine.prefetch_drive` batch solves
-        their misses, and the calls then run in that order; each
-        simulator's counters are read after them.
-        """
-        words, plans, ports = self.words, self.plans, self.ports
-        detection = {
-            port: np.zeros((len(self.rows), len(words)), dtype=np.int8)
-            for port in ports
-        }
-        responses: Optional[Dict[str, List[List[V4]]]] = (
-            {port: [] for port in ports} if keep_responses else None
-        )
-
-        # Assembly: packed phases are staged, a scalar simulator solves.  It
-        # also lists the drive-resistance calls in the per-defect order, with
-        # the (initial, final) codes of each call's word.
-        drive_calls: List[
-            Tuple[int, str, int, CellSimulator, Tuple[List[int], List[int]]]
-        ] = []
-        for row, (_effect, sim) in enumerate(self.rows):
-            if sim is None:
-                if responses is not None:
-                    for port in ports:
-                        responses[port].append(list(self.golden[port]))
+            if effect.benign or effect.is_golden:
                 continue
-            solved = [sim.solve_word(word, plan) for word, plan in zip(words, plans)]
-            for port in ports:
-                golden = self.golden[port]
-                row_responses = _port_responses(solved, sim.graph.net_index[port])
-                block = detection[port]
-                for col, response in enumerate(row_responses):
-                    block[row, col] = detect(golden[col], response)
-                if delay_detection:
-                    for col in self.transition_cols[port]:
-                        if block[row, col] or row_responses[col] is not golden[col]:
-                            continue
-                        drive_calls.append((row, port, col, sim, solved[col]))
-                if responses is not None:
-                    responses[port].append(row_responses)
-
-        # Delay detection: the calls run in their per-defect order after one
-        # batched solve of their misses.  A call only reads phases assembly
-        # already settled, so moving it after later rows' assembly changes
-        # no counter.
-        prefetch_drive(
-            (sim, plans[col], sim.graph.net_index[port], *codes)
-            for _row, port, col, sim, codes in drive_calls
-        )
-        for row, port, col, sim, _codes in drive_calls:
-            measured = sim.output_drive_resistance(
-                words[col], output=port, plan=plans[col]
+            key = (
+                (self.topology.effect_signature(effect), bool(effect.gate_open))
+                if self.packed else row
             )
-            if measured > slow_factor * self.resistance[port][col]:
-                detection[port][row, col] = 1
+            group = group_of.get(key)
+            if group is None:
+                group = group_of[key] = len(self.groups)
+                self.groups.append(
+                    CellSimulator(
+                        self.cell, params=self.params, effect=effect,
+                        topology=self.topology, packed=self.packed,
+                    )
+                )
+            self.row_group[row] = group
 
-        counters = self.counters
-        counters["simulated"] = counters["skipped"] = 0
-        for _effect, sim in self.rows:
-            if sim is None:
-                counters["skipped"] += 1
+    def sweep(self, delay_detection: bool) -> None:
+        """Each group's responses and detection, and its drive queries.
+
+        A group's row detects where its response is known and differs
+        from the golden one.  With delay detection, every golden
+        transition it matches becomes a drive-resistance call, listed in
+        the per-defect order (group, port, word).
+        """
+        n_words = len(self.words)
+        shape = (len(self.groups), len(self.ports), n_words)
+        self.group_codes = np.empty(shape, dtype=np.int8)
+        self.lookups = np.zeros((len(self.groups), n_words), dtype=np.intp)
+        self.drive_calls, self.queries = [], []
+        for group, sim in enumerate(self.groups):
+            initial, final, lookups = self._codes(sim)
+            codes = _response_codes(
+                initial[:, self.nodes].T, final[:, self.nodes].T
+            )
+            self.group_codes[group] = codes
+            if lookups is not None:
+                self.lookups[group] = lookups
+            if not delay_detection:
                 continue
-            counters["simulated"] += 1
+            ports, cols = np.nonzero((codes == self.golden_codes) & self.transition)
+            # Queries keep only the rows they read, not the whole arrays.
+            initial, final = initial[cols], final[cols]
+            for k, (port, col) in enumerate(zip(ports.tolist(), cols.tolist())):
+                self.drive_calls.append((group, port, col))
+                self.queries.append(self._query(sim, port, col, initial[k], final[k]))
+        self.flags = (
+            (self.group_codes != _X_CODE) & (self.group_codes != self.golden_codes)
+        ).astype(np.int8)
+
+    def delay_sweep(self, slow_factor: float) -> None:
+        """Run the drive calls in order; flag each slow transition."""
+        for (group, port, col), query in zip(self.drive_calls, self.queries):
+            measured = self._drive(port, col, query, self.lookups[group])
+            if measured > slow_factor * self.resistance[self.ports[port]][col]:
+                self.flags[group, port, col] = 1
+
+    def finish(self, keep_responses: bool) -> None:
+        """Per-defect detection tables, responses and counters.
+
+        A signature sibling takes its group's row, delay flags included,
+        and is charged what a sweep of its own would count: every word
+        lookup a cache hit, and for each drive call of its group that
+        word's lookups plus one drive-cache hit.
+        """
+        simulated = self.row_group >= 0
+        group = self.row_group[simulated]
+        self.detection = {}
+        for port_index, port in enumerate(self.ports):
+            block = np.zeros((len(self.defects), len(self.words)), dtype=np.int8)
+            block[simulated] = self.flags[group, port_index]
+            self.detection[port] = block
+        self.queries = []  # the drive calls have run; drop their code rows
+        self.responses = None
+        if keep_responses:
+            group_symbols = [
+                [[_SYMBOLS[code] for code in codes] for codes in port_codes]
+                for port_codes in self.group_codes.tolist()
+            ]
+            self.responses = {
+                port: [
+                    list(group_symbols[g][port_index] if g >= 0 else self.golden[port])
+                    for g in self.row_group.tolist()
+                ]
+                for port_index, port in enumerate(self.ports)
+            }
+
+        counters = dict(self.golden_sim.counters())
+        for sim in self.groups:
             for key, value in sim.counters().items():
                 counters[key] += value
-        self.detection, self.responses = detection, responses
+        sibling_hits = self.lookups.sum(axis=1)
+        for g, _port, col in self.drive_calls:
+            sibling_hits[g] += self.lookups[g, col] + 1
+        siblings = np.bincount(group, minlength=len(self.groups)) - 1
+        counters["cache_hits"] += int(siblings @ sibling_hits)
+        counters["simulated"] = int(simulated.sum())
+        counters["skipped"] = len(self.defects) - counters["simulated"]
+        self.counters = counters
 
     @property
     def simulation_count(self) -> int:
@@ -385,6 +489,13 @@ def _characterize(
             return False
         return True
 
+    def drive(
+        runs: List[_CellRun], step: Callable[..., object], *args: object
+    ) -> List[_CellRun]:
+        """One prefetch over every run's queries, then each run's calls."""
+        prefetch_drive([query for run in runs for query in run.queries])
+        return [run for run in runs if survives(run, step, run, *args)]
+
     runs = [_CellRun(cell, ports) for cell, ports in jobs]
     with tracer.span(
         "camodel.generate",
@@ -404,6 +515,8 @@ def _characterize(
                 run for run in runs
                 if survives(run, run.golden_pass, delay_detection)
             ]
+            if delay_detection:
+                runs = drive(runs, _CellRun.golden_drive)
         golden_seconds = time.perf_counter() - started
 
         defect_started = time.perf_counter()
@@ -413,15 +526,18 @@ def _characterize(
                 [
                     (sim, run.words, run.plans)
                     for run in runs
-                    for _effect, sim in run.rows
-                    if sim is not None
+                    for sim in run.groups
                 ],
                 assemble=False,
             )
             runs = [
                 run for run in runs
-                if survives(run, run.sweep, delay_detection, slow_factor,
-                            keep_responses)
+                if survives(run, run.sweep, delay_detection)
+            ]
+            if delay_detection:
+                runs = drive(runs, _CellRun.delay_sweep, slow_factor)
+            runs = [
+                run for run in runs if survives(run, run.finish, keep_responses)
             ]
         defect_seconds = time.perf_counter() - defect_started
         total_seconds = time.perf_counter() - started

@@ -13,8 +13,8 @@ Identity guarantee: for every cell the produced :class:`CAModel` is
 byte-identical (canonical form) to ``generate_ca_model(cell)``, counters
 included.  Both run the same engine; the packed planner charges each
 simulator the solve/cache-hit/batched increments a one-cell call would
-(:func:`~repro.simulation.engine.solve_words_across`), and assembly runs
-in cell-major, defect-minor order.
+(:func:`~repro.simulation.engine.solve_words_across`), and assembly
+charges each defect what a one-cell call's per-word loop counts.
 
 A failing cell never discards its completed siblings: the raised
 :class:`~repro.camodel.batch.LibraryGenerationError` carries them as

@@ -27,7 +27,8 @@ entirely against warm caches.  When the simulator shares a
 are shared across defects with signature-equal effects.
 :func:`prefetch_drive` plans a sweep's drive-resistance queries the same
 way: their misses are solved in one batched resistive solve and popped
-by the ordinary :meth:`CellSimulator.output_drive_resistance` calls.
+by the ordinary :meth:`CellSimulator.output_drive_resistance` calls (or,
+for a word already read, :meth:`CellSimulator.drive_resistance`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.logic.fourval import V4, final_phase, initial_phase, word_from_phases
 from repro.simulation.packed import (
     DriveRequest,
     PackedRequest,
+    ResolveMemo,
     drive_resistances,
     solve_packed,
 )
@@ -91,6 +93,38 @@ def split_word(
     if any(v < 0 for v in first) or any(v < 0 for v in second):
         raise SimulationError(f"stimulus contains X: {word}")
     return first, second, first != second
+
+
+class WordTable:
+    """A stimulus list's word plans in array form, one per cell.
+
+    ``vectors`` lists the distinct phase vectors the words read (a
+    static word only its final one); ``initial``/``final`` give each
+    word's two vectors as indices into it (equal for a static word), and
+    ``lookups`` the memo lookups :meth:`CellSimulator.solve_word` makes
+    before any history lookup: 1 for a static word, 3 for a dynamic one.
+    """
+
+    def __init__(self, plans: Sequence[WordPlan]) -> None:
+        self.plans = list(plans)
+        index: Dict[Tuple[int, ...], int] = {}
+        for first, second, dynamic in self.plans:
+            for vector in (first, second) if dynamic else (second,):
+                index.setdefault(vector, len(index))
+        self.vectors = list(index)
+        self.dynamic = np.array([plan[2] for plan in self.plans], dtype=bool)
+        self.final = np.array(
+            [index[second] for _first, second, _dynamic in self.plans],
+            dtype=np.intp,
+        )
+        self.initial = np.array(
+            [
+                index[first] if dynamic else index[second]
+                for first, second, dynamic in self.plans
+            ],
+            dtype=np.intp,
+        )
+        self.lookups = np.where(self.dynamic, 3, 1)
 
 
 class CellSimulator:
@@ -204,6 +238,16 @@ class CellSimulator:
         if not base.retention_used and not self._has_gate_open:
             return base.codes
         observed = tuple(prev_codes[n] for n in self._observable_nodes)
+        return self._history(vector, observed, prev_codes)
+
+    def _history(
+        self,
+        vector: Tuple[int, ...],
+        observed: Tuple[int, ...],
+        prev_codes: Sequence[int],
+    ) -> List[int]:
+        """History-dependent solve of *vector*, memoized per observable
+        previous state *observed* (of *prev_codes*)."""
         key = (vector, observed)
         cached = self._phase_cache.get(key)
         if cached is not None:
@@ -265,6 +309,45 @@ class CellSimulator:
         across every defect of a cell.
         """
         return solve_words_across([(self, words, plans)])[0]
+
+    def read_words(
+        self, table: WordTable
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every word's (initial, final) codes, read after planning.
+
+        The packed counterpart of a :meth:`solve_word` loop over
+        *table*'s words once :func:`solve_words_across` (``assemble=False``)
+        staged their phases.  Returns two (words, nodes) int8 code arrays
+        and each word's memo lookup count: the table's, plus one for a
+        dynamic word whose final vector used retention or whose simulator
+        has a gate-open device (the history lookup of
+        :meth:`_phase_with_codes`).  The loop's lookups are charged
+        without replaying them: one counted lookup per distinct vector
+        and the history path per history word run for real, so staged
+        phases are popped, solved and cached as the loop would, and
+        every other lookup of the loop is a cache hit.
+        """
+        bases = [self._memoryless(vector) for vector in table.vectors]
+        codes = np.array([base.codes for base in bases], dtype=np.int8)
+        retention = np.array([base.retention_used for base in bases], dtype=bool)
+        initial = codes[table.initial]
+        final = codes[table.final]
+        history = table.dynamic & (retention[table.final] | self._has_gate_open)
+        words = np.flatnonzero(history)
+        if words.size:
+            observed = initial[words][:, self._observable_nodes].tolist()
+            final[words] = [
+                self._history(
+                    table.plans[word][1], tuple(state),
+                    bases[table.initial[word]].codes,
+                )
+                for word, state in zip(words.tolist(), observed)
+            ]
+        lookups = table.lookups + history
+        # _memoryless counted one lookup per vector and _history one per
+        # history word; the rest are the loop's repeat hits.
+        self.cache_hit_count += int(lookups.sum()) - len(bases) - words.size
+        return initial, final, lookups
 
     # ------------------------------------------------------------------
     # Phase planning of solve_words_across
@@ -407,6 +490,21 @@ class CellSimulator:
             plan = self._split_word(word)
         codes1, codes2 = self.solve_word(word, plan)
         out = self.graph.output if output is None else self.graph.net_index[output]
+        return self.drive_resistance(plan, out, codes1, codes2)
+
+    def drive_resistance(
+        self,
+        plan: WordPlan,
+        out: int,
+        codes1: Sequence[int],
+        codes2: Sequence[int],
+    ) -> float:
+        """:meth:`output_drive_resistance` of a word already solved.
+
+        *codes1*/*codes2* are the word's (initial, final) codes and *out*
+        the output node; only the drive-cache lookup is counted (the
+        caller charges the word's phase lookups).
+        """
         target = self._drive_target(plan, out, codes2)
         if target is None:
             return float("inf")
@@ -534,9 +632,13 @@ def solve_words_across(
     With ``assemble=False`` the call stops after the packed flushes and
     returns ``[]``: every planned phase sits in the simulators' staged
     dicts, and a later per-word :meth:`CellSimulator.solve_word` sweep
-    (in task order) only assembles — the generation flow uses this to
-    keep its per-defect loop untouched while the solving itself is
-    packed across defects and cells.
+    (in task order) only assembles.  The generation flow instead reads
+    each simulator's words once with :meth:`CellSimulator.read_words`,
+    which charges the same counters without the per-word replay.
+
+    One :class:`~repro.simulation.packed.ResolveMemo` serves every flush
+    and both stages of the call, so stage 2 reuses the resolve rows of
+    stage 1; it is dropped when the call returns.
     """
     normalized: List[
         Tuple[CellSimulator, Sequence[Sequence[V4]], Sequence[WordPlan]]
@@ -553,6 +655,7 @@ def solve_words_across(
     ] = []
     pending_sinks: List = []
     pending_rows = 0
+    memo = ResolveMemo()
 
     def flush() -> None:
         nonlocal pending_reqs, pending_sinks, pending_rows
@@ -567,7 +670,8 @@ def solve_words_across(
                 [
                     PackedRequest(sim.solver, vectors, prevs)
                     for sim, vectors, prevs in pending_reqs
-                ]
+                ],
+                memo,
             )
         obs.metrics().inc(M_PACKED_ROWS, pending_rows)
         obs.metrics().inc(M_PACKED_FLUSHES)
@@ -678,7 +782,14 @@ def prefetch_drive(queries: Iterable[DriveQuery]) -> None:
             continue
         group.add(key)
         misses.append((sim, key, (sim.solver, out, rail, codes1, codes2)))
-    solved = drive_resistances([request for _sim, _key, request in misses])
+    # Windowed like the phase flushes: a window's topology slabs span only
+    # the solvers of its queries, however many cells share the call.
+    requests = [request for _sim, _key, request in misses]
+    solved = [
+        resistance
+        for lo in range(0, len(requests), FLUSH_ROWS)
+        for resistance in drive_resistances(requests[lo : lo + FLUSH_ROWS])
+    ]
     for (sim, key, _request), resistance in zip(misses, solved):
         sim._prefetch_drive[key] = resistance
 

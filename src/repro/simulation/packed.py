@@ -46,15 +46,18 @@ arithmetic) is solved bitwise equal to the scalar
 kernel builds each component's system in that method's edge order
 (device columns, then static edges) and thresholds it with its own
 topology's ``vil``/``vih``.
-The per-solver resolve-row memo (``_resolve_cache``) is keyed on the
-*trimmed* (conduction mask, source values) pair, so a solver's entries
-do not depend on which other topologies shared the call: a one-topology
-call and a mixed pack read and warm one cache.
+Resolve rows are memoized in a :class:`ResolveMemo` that one
+:func:`~repro.simulation.engine.solve_words_across` call shares across
+its flushes.  A key is exact: the solver's identity, then its own
+conduction bits and its own source bits, packed into 64-bit words
+however wide the cell.  It does not depend on which other topologies
+shared the pack, so a one-topology call and a mixed pack read and warm
+the same entries.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,6 +91,16 @@ class PackedRequest(NamedTuple):
     prevs: Optional[Sequence[Optional[Sequence[int]]]] = None
 
 
+def _ragged_index(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(owning slot, in-slot index) of every element of concatenated
+    per-slot arrays of *lengths*."""
+    slot = np.repeat(np.arange(lengths.size), lengths)
+    position = np.arange(slot.size) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    return slot, position
+
+
 class _PackedTopo:
     """Stacked, padded per-solver index arrays (one slot per solver).
 
@@ -95,7 +108,8 @@ class _PackedTopo:
     ``D`` device columns, ``E = D + max_static + 1`` edge slots (device
     channels, then static edges, then one never-active padding edge).
     ``edge_a``/``edge_b``/``edge_g`` hold each edge slot's endpoints and
-    conductance for the resistive kernel.
+    conductance for the resistive kernel.  Every field is filled by one
+    scatter of all solvers' concatenated arrays.
     """
 
     def __init__(self, solvers: Sequence[StaticSolver]):
@@ -106,92 +120,106 @@ class _PackedTopo:
         self.n_nodes = np.array([g.n_nodes for g in graphs], dtype=np.intp)
         self.n_devices = np.array([ba.n_devices for ba in bas], dtype=np.intp)
         self.n_inputs = np.array(
-            [len(g.source_nodes) for g in graphs], dtype=np.intp
+            [ba.source_nodes.size for ba in bas], dtype=np.intp
         )
+        n_static = np.array([ba.n_static for ba in bas], dtype=np.intp)
+        degree = np.array([ba.slot_node.shape[1] for ba in bas], dtype=np.intp)
         N = int(self.n_nodes.max()) + 1  # + scrap column
-        D = int(self.n_devices.max()) if S else 0
-        max_static = max(ba.n_static for ba in bas)
-        max_deg = max(ba.slot_node.shape[1] for ba in bas)
+        D = int(self.n_devices.max())
+        max_static = int(n_static.max())
+        max_deg = int(degree.max())
         max_in = int(self.n_inputs.max())
-        max_fixed = 2 + max_in
-        max_seed = max(ba.seed_pins.size for ba in bas)
+        n_seed = np.array([ba.seed_pins.size for ba in bas], dtype=np.intp)
         self.N, self.D = N, D
         self.E = D + max_static + 1
         self.scrap = N - 1
 
         self.power = np.array([g.power for g in graphs], dtype=np.intp)
         self.ground = np.array([g.ground for g in graphs], dtype=np.intp)
-
-        # Devices: padded columns gate on the ground rail (always 0) and
-        # map 0 -> OFF, so they never conduct and never go unknown.
-        self.dev_gate = np.empty((S, D), dtype=np.intp)
-        self.on_if_1 = np.full((S, D), OFF, dtype=np.int16)
-        self.on_if_0 = np.full((S, D), OFF, dtype=np.int16)
-        self.is_open = np.zeros((S, D), dtype=bool)
-        self.observable = np.zeros((S, N), dtype=bool)
-        self.src_nodes = np.full((S, max_in), self.scrap, dtype=np.intp)
-        self.fixed_nodes = np.empty((S, max_fixed), dtype=np.intp)
-        self.seed_pins = np.full((S, max_seed), self.scrap, dtype=np.intp)
-        self.seed_srcs = np.full((S, max_seed), self.scrap, dtype=np.intp)
-        self.static_active = np.zeros((S, max_static), dtype=bool)
-        self.slot_node = np.empty((S, N, max_deg), dtype=np.intp)
-        self.slot_edge = np.full((S, N, max_deg), self.E - 1, dtype=np.intp)
-        self.any_open = np.zeros(S, dtype=bool)
-        # Edge endpoints and conductances in the packed edge space; padded
-        # slots are scrap self-edges, which never conduct.
-        self.edge_a = np.full((S, self.E), self.scrap, dtype=np.intp)
-        self.edge_b = np.full((S, self.E), self.scrap, dtype=np.intp)
-        self.edge_g = np.zeros((S, self.E))
         self.vil = np.array([s.vil for s in solvers], dtype=np.float64)
         self.vih = np.array([s.vih for s in solvers], dtype=np.float64)
 
-        for s, (ba, graph) in enumerate(zip(bas, graphs)):
-            d = ba.n_devices
-            self.dev_gate[s, :d] = ba.dev_gate
-            self.dev_gate[s, d:] = graph.ground
-            self.on_if_1[s, :d] = ba.on_if_1
-            self.on_if_0[s, :d] = ba.on_if_0
-            self.is_open[s, ba.open_cols] = True
-            self.any_open[s] = bool(ba.open_cols.size)
-            self.observable[s, : ba.observable.size] = ba.observable
-            self.src_nodes[s, : ba.source_nodes.size] = ba.source_nodes
-            self.fixed_nodes[s] = graph.ground  # padding re-asserts ground=0
-            self.fixed_nodes[s, : ba.fixed_nodes.size] = ba.fixed_nodes
-            self.seed_pins[s, : ba.seed_pins.size] = ba.seed_pins
-            self.seed_srcs[s, : ba.seed_srcs.size] = ba.seed_srcs
-            self.static_active[s, : ba.n_static] = True
-            for packed_tab, own in (
-                (self.edge_a, ba.edge_a),
-                (self.edge_b, ba.edge_b),
-                (self.edge_g, ba.edge_g),
-            ):
-                packed_tab[s, :d] = own[:d]
-                packed_tab[s, D : D + ba.n_static] = own[d:]
-            # Remap this solver's edge indices into the packed edge space:
-            # devices keep their column, static edge j -> D + j, and the
-            # solver's own padding edge (index d + n_static) -> E - 1.
-            n = graph.n_nodes
-            node_tab = np.broadcast_to(
-                np.arange(N)[:, None], (N, max_deg)
-            ).copy()
-            edge_tab = np.full((N, max_deg), self.E - 1, dtype=np.intp)
-            deg = ba.slot_node.shape[1]
-            src_edges = ba.slot_edge
-            remapped = np.where(
-                src_edges < d,
-                src_edges,
-                np.where(
-                    src_edges < d + ba.n_static,
-                    src_edges - d + D,
-                    self.E - 1,
-                ),
-            )
-            edge_tab[:n, :deg] = remapped
-            node_tab[:n, :deg] = ba.slot_node
-            # A solver's padding slots point the node back at itself; keep
-            # that (node_tab already holds slot_node verbatim).
-            self.slot_node[s] = node_tab
-            self.slot_edge[s] = edge_tab
+        def joined(field: str) -> np.ndarray:
+            return np.concatenate([getattr(ba, field) for ba in bas])
+
+        # Devices: padded columns gate on the ground rail (always 0) and
+        # map 0 -> OFF, so they never conduct and never go unknown.
+        devices = _ragged_index(self.n_devices)
+        self.dev_gate = np.repeat(self.ground[:, None], D, axis=1)
+        self.dev_gate[devices] = joined("dev_gate")
+        self.on_if_1 = np.full((S, D), OFF, dtype=np.int16)
+        self.on_if_1[devices] = joined("on_if_1")
+        self.on_if_0 = np.full((S, D), OFF, dtype=np.int16)
+        self.on_if_0[devices] = joined("on_if_0")
+        open_slot, _ = _ragged_index(
+            np.array([ba.open_cols.size for ba in bas], dtype=np.intp)
+        )
+        self.is_open = np.zeros((S, D), dtype=bool)
+        self.is_open[open_slot, joined("open_cols")] = True
+        self.any_open = self.is_open.any(axis=1)
+        self.observable = np.zeros((S, N), dtype=bool)
+        self.observable[_ragged_index(self.n_nodes)] = joined("observable")
+        self.src_nodes = np.full((S, max_in), self.scrap, dtype=np.intp)
+        self.src_nodes[_ragged_index(self.n_inputs)] = joined("source_nodes")
+        # Padded fixed columns re-assert ground = 0.
+        self.fixed_nodes = np.repeat(self.ground[:, None], 2 + max_in, axis=1)
+        self.fixed_nodes[_ragged_index(2 + self.n_inputs)] = joined("fixed_nodes")
+        seeds = _ragged_index(n_seed)
+        self.seed_pins = np.full((S, int(n_seed.max())), self.scrap, dtype=np.intp)
+        self.seed_pins[seeds] = joined("seed_pins")
+        self.seed_srcs = np.full((S, int(n_seed.max())), self.scrap, dtype=np.intp)
+        self.seed_srcs[seeds] = joined("seed_srcs")
+        self.static_active = np.arange(max_static) < n_static[:, None]
+
+        # Edge endpoints and conductances in the packed edge space: devices
+        # keep their column, static edge j goes to D + j; padded slots are
+        # scrap self-edges, which never conduct.
+        slot, position = _ragged_index(self.n_devices + n_static)
+        own_devices = self.n_devices[slot]
+        column = np.where(
+            position < own_devices, position, position - own_devices + D
+        )
+        self.edge_a = np.full((S, self.E), self.scrap, dtype=np.intp)
+        self.edge_b = np.full((S, self.E), self.scrap, dtype=np.intp)
+        self.edge_g = np.zeros((S, self.E))
+        self.edge_a[slot, column] = joined("edge_a")
+        self.edge_b[slot, column] = joined("edge_b")
+        self.edge_g[slot, column] = joined("edge_g")
+
+        # Neighbour tables: a padded slot points the node back at itself
+        # through the padding edge E - 1, and so does a solver's own
+        # padding edge (index d + n_static).
+        slot, position = _ragged_index(self.n_nodes * degree)
+        node, k = np.divmod(position, degree[slot])
+        edges = np.concatenate([ba.slot_edge.ravel() for ba in bas])
+        own_devices = self.n_devices[slot]
+        remapped = np.where(
+            edges < own_devices,
+            edges,
+            np.where(
+                edges < own_devices + n_static[slot],
+                edges - own_devices + D,
+                self.E - 1,
+            ),
+        )
+        self.slot_node = np.repeat(
+            np.repeat(np.arange(N)[None, :, None], S, axis=0), max_deg, axis=2
+        )
+        self.slot_edge = np.full((S, N, max_deg), self.E - 1, dtype=np.intp)
+        self.slot_node[slot, node, k] = np.concatenate(
+            [ba.slot_node.ravel() for ba in bas]
+        )
+        self.slot_edge[slot, node, k] = remapped
+
+        # Resolve-memo key layout: a row's key bits are its solver's own
+        # conduction columns, then its own source columns; every later bit
+        # reads the all-zero column D + max_in of [conduction | sources | 0].
+        bits = self.n_devices + self.n_inputs
+        col = np.arange(int(bits.max()))[None, :]
+        own = self.n_devices[:, None]
+        self.key_cols = np.where(
+            col < own, col, np.where(col < bits[:, None], D + col - own, D + max_in)
+        )
 
 
 def _edge_active(
@@ -447,60 +475,152 @@ def _drive_systems(pk: _PackedTopo, key: np.ndarray) -> np.ndarray:
     return resistance
 
 
+def _void(width: int) -> np.dtype:
+    """Raw-bytes scalars of *width* bytes: compared and sorted bytewise."""
+    return np.dtype((np.void, width))
+
+
+class ResolveMemo:
+    """Resolve rows keyed exactly on (solver, conduction bits, source bits).
+
+    A resolve row is a pure function of its solver and (conduction mask,
+    source values); the fixpoint and the Bryant envelopes revisit the
+    same pair constantly.  A key is one 64-bit word of solver identity
+    (numbered on first sight; the memo holds every solver it numbered,
+    so identities cannot be recycled), then the solver's own conduction
+    bits followed by its own source bits, packed into as many 64-bit
+    words as the widest key needs.  The keys sit sorted, compared as raw
+    bytes, beside the row each one maps to; rows store FLOAT past their
+    own nodes, as a resolve leaves padded columns.
+    """
+
+    def __init__(self) -> None:
+        self._number: Dict[int, int] = {}
+        self._solvers: List[StaticSolver] = []
+        self._keys = np.zeros((0, 8), dtype=np.uint8).view(_void(8)).ravel()
+        self._slot = np.zeros(0, dtype=np.intp)  # key -> row of _rows
+        self._rows = np.zeros((0, 0), dtype=np.int16)
+        self._size = 0
+
+    def identities(self, solvers: Sequence[StaticSolver]) -> np.ndarray:
+        """The memo's number of each solver, as 8 little-endian bytes."""
+        for solver in solvers:
+            if id(solver) not in self._number:
+                self._number[id(solver)] = len(self._solvers)
+                self._solvers.append(solver)
+        numbers = np.array(
+            [self._number[id(solver)] for solver in solvers], dtype="<u8"
+        )
+        return numbers.view(np.uint8).reshape(-1, 8)
+
+    def keys(
+        self,
+        pk: _PackedTopo,
+        identities: np.ndarray,
+        conducting: np.ndarray,
+        src_vals: np.ndarray,
+        topo_idx: np.ndarray,
+    ) -> np.ndarray:
+        """Each row's exact key as one raw-bytes scalar."""
+        batch = conducting.shape[0]
+        columns = np.concatenate(
+            [conducting, src_vals != 0, np.zeros((batch, 1), dtype=bool)],
+            axis=1,
+        )
+        bits = np.take_along_axis(columns, pk.key_cols[topo_idx], axis=1)
+        words = -(-bits.shape[1] // 64)
+        key = np.zeros((batch, 8 * (1 + words)), dtype=np.uint8)
+        key[:, :8] = identities[topo_idx]
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        key[:, 8 : 8 + packed.shape[1]] = packed
+        width = max(key.shape[1], self._keys.dtype.itemsize)
+        if key.shape[1] < width:
+            key = np.pad(key, ((0, 0), (0, width - key.shape[1])))
+        elif self._keys.dtype.itemsize < width:
+            # Zero words appended to every key keep the sorted order.
+            old = self._keys.dtype.itemsize
+            grown = np.zeros((self._keys.size, width), dtype=np.uint8)
+            grown[:, :old] = self._keys.view(np.uint8).reshape(-1, old)
+            self._keys = grown.view(_void(width)).ravel()
+        return key.view(_void(width)).ravel()
+
+    def find(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(found mask, memo row of every found key)."""
+        at = np.searchsorted(self._keys, keys)
+        at[at == self._keys.size] = 0
+        found = (
+            self._keys[at] == keys if self._keys.size
+            else np.zeros(keys.size, dtype=bool)
+        )
+        return found, self._slot[at[found]]
+
+    def rows(self, slots: np.ndarray, width: int) -> np.ndarray:
+        """Stored rows, cut or FLOAT-padded to *width* columns."""
+        out = np.full((slots.size, width), FLOAT, dtype=np.int16)
+        keep = min(width, self._rows.shape[1])
+        out[:, :keep] = self._rows[slots, :keep]
+        return out
+
+    def insert(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        """Add sorted, distinct, absent *keys* with their resolve *rows*."""
+        stop = self._size + keys.size
+        width = max(self._rows.shape[1], rows.shape[1])
+        if stop > self._rows.shape[0] or width > self._rows.shape[1]:
+            grown = np.full(
+                (max(stop, 2 * self._rows.shape[0]), width), FLOAT,
+                dtype=np.int16,
+            )
+            grown[: self._size, : self._rows.shape[1]] = self._rows[: self._size]
+            self._rows = grown
+        self._rows[self._size : stop, : rows.shape[1]] = rows
+        at = np.searchsorted(self._keys, keys)
+        self._keys = np.insert(self._keys, at, keys)
+        self._slot = np.insert(
+            self._slot, at, np.arange(self._size, stop, dtype=np.intp)
+        )
+        self._size = stop
+
+
+#: resolve rows per label propagation: bounds its (rows x nodes x degree)
+#: neighbour tables, so resolving both Bryant envelopes of a step in one
+#: memoized call needs no larger buffers than resolving them apart
+_RESOLVE_CHUNK = 2048
+
+
 def _resolve_packed(
     pk: _PackedTopo,
     conducting: np.ndarray,
     src_vals: np.ndarray,
     topo_idx: np.ndarray,
+    memo: ResolveMemo,
+    identities: np.ndarray,
 ) -> np.ndarray:
     """Memoizing wrapper over :func:`_resolve_packed_rows`.
 
-    A resolve row is a pure function of (conduction mask, source
-    values); the fixpoint and the Bryant envelopes revisit the same pair
-    constantly, so rows are served from the solver's ``_resolve_cache``
-    and only the distinct misses go through the vectorized computation.
-
-    The key is the uint8 conduction mask trimmed to the solver's own
-    device count, then the uint8 source values trimmed to its own input
-    count.  A row whose topology fills the padded widths is that key
-    already; narrower topologies join their two trimmed slices.
+    Every row's exact key is built at once and looked up in *memo*
+    (*identities* holds the memo's number of each slot's solver); the
+    distinct misses alone go through the vectorized computation, at most
+    :data:`_RESOLVE_CHUNK` rows at a time, and join the memo in one
+    insert.
     """
-    batch, D = conducting.shape
-    key_mat = np.concatenate(
-        [conducting.astype(np.uint8), src_vals.astype(np.uint8)], axis=1
-    )
-    caches = [solver._resolve_cache for solver in pk.solvers]
-    slices = [
-        None if d == D and m == src_vals.shape[1] else (d, m)
-        for d, m in zip(pk.n_devices.tolist(), pk.n_inputs.tolist())
-    ]
-    topo = topo_idx.tolist()
-    result = np.full((batch, pk.N), FLOAT, dtype=np.int16)
-    keys: List[Optional[bytes]] = [None] * batch
-    misses: List[int] = []
-    for b, t in enumerate(topo):
-        row = key_mat[b]
-        trim = slices[t]
-        if trim is None:
-            key = row.tobytes()
-        else:
-            key = row[: trim[0]].tobytes() + row[D : D + trim[1]].tobytes()
-        cached = caches[t].get(key)
-        if cached is None:
-            keys[b] = key
-            misses.append(b)
-        else:
-            result[b, : cached.size] = cached
-    if misses:
-        rows = np.array(misses, dtype=np.intp)
-        solved = _resolve_packed_rows(
-            pk, conducting[rows], src_vals[rows], topo_idx[rows]
+    keys = memo.keys(pk, identities, conducting, src_vals, topo_idx)
+    found, slots = memo.find(keys)
+    result = np.empty((keys.size, pk.N), dtype=np.int16)
+    result[found] = memo.rows(slots, pk.N)
+    misses = np.flatnonzero(~found)
+    if misses.size:
+        distinct, first, inverse = np.unique(
+            keys[misses], return_index=True, return_inverse=True
         )
-        result[rows] = solved
-        n_nodes = pk.n_nodes.tolist()
-        for k, b in enumerate(misses):
-            t = topo[b]
-            caches[t][keys[b]] = solved[k, : n_nodes[t]].copy()
+        rows = misses[first]
+        solved = np.empty((rows.size, pk.N), dtype=np.int16)
+        for lo in range(0, rows.size, _RESOLVE_CHUNK):
+            chunk = rows[lo : lo + _RESOLVE_CHUNK]
+            solved[lo : lo + _RESOLVE_CHUNK] = _resolve_packed_rows(
+                pk, conducting[chunk], src_vals[chunk], topo_idx[chunk]
+            )
+        result[misses] = solved[inverse]
+        memo.insert(distinct, solved)
     return result
 
 
@@ -511,6 +631,8 @@ def _step_packed(
     has_prev: np.ndarray,
     src_vals: np.ndarray,
     topo_idx: np.ndarray,
+    memo: ResolveMemo,
+    identities: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One packed fixpoint step (vectorized ``StaticSolver._step``)."""
     batch = codes.shape[0]
@@ -536,17 +658,22 @@ def _step_packed(
     else:  # pragma: no cover - degenerate (no devices anywhere)
         conduction = np.zeros((batch, 0), dtype=np.int16)
 
-    res_off = _resolve_packed(pk, conduction == ON, src_vals, topo_idx)
-    unknown_rows = (conduction == UNKNOWN).any(axis=1)
-    if unknown_rows.any():
+    # The Bryant envelopes: every row with unknown devices off, and the
+    # rows that have any with them on, resolved in one memoized call.
+    sub = np.flatnonzero((conduction == UNKNOWN).any(axis=1))
+    resolved = _resolve_packed(
+        pk,
+        np.concatenate([conduction == ON, conduction[sub] != OFF]),
+        np.concatenate([src_vals, src_vals[sub]]),
+        np.concatenate([topo_idx, topo_idx[sub]]),
+        memo,
+        identities,
+    )
+    res_off = resolved[:batch]
+    res_on = res_off
+    if sub.size:
         res_on = res_off.copy()
-        sub = np.where(unknown_rows)[0]
-        act_on = conduction[sub] != OFF
-        res_on[sub] = _resolve_packed(
-            pk, act_on, src_vals[sub], topo_idx[sub]
-        )
-    else:
-        res_on = res_off
+        res_on[sub] = resolved[batch:]
 
     retained = np.where((prev == 0) | (prev == 1), prev, X)
     float_off = res_off == FLOAT
@@ -566,13 +693,16 @@ def _step_packed(
 
 def solve_packed(
     requests: Sequence[PackedRequest],
+    memo: Optional[ResolveMemo] = None,
 ) -> List[List[SolveResult]]:
     """Solve every request's phases in one padded multi-topology kernel.
 
     Element ``[i][j]`` equals
     ``requests[i].solver.solve(requests[i].vectors[j], prevs[j])``
     exactly (codes and retention flag).  Solvers may repeat across
-    requests; each distinct solver occupies one topology slot.
+    requests; each distinct solver occupies one topology slot.  Input
+    values are 0 or 1.  Resolve rows are read from and added to *memo*
+    (a fresh one when None).
     """
     requests = [r for r in requests if len(r.vectors)]
     if not requests:
@@ -613,6 +743,10 @@ def solve_packed(
                     prev[offset + i, : len(p)] = np.asarray(p, dtype=np.int16)
                     has_prev[offset + i] = True
         offset = stop
+    if ((src_vals != 0) & (src_vals != 1)).any():
+        raise ValueError("packed input values must be 0 or 1")
+    memo = memo if memo is not None else ResolveMemo()
+    identities = memo.identities(solvers)
 
     rows = np.arange(batch)
     codes = np.full((batch, N), X, dtype=np.int16)
@@ -634,6 +768,7 @@ def solve_packed(
     # reads these to quantify mixed-size-library packing overhead).
     obs.metrics().inc(M_KERNEL_SLOTS, float(batch * N))
     obs.metrics().inc(M_PADDED_SLOTS, float(batch * N - int(n_of_row.sum())))
+    widths = n_of_row.tolist()
     active = rows.copy()
     for _ in range(MAX_ITERATIONS):
         new_codes, retention = _step_packed(
@@ -643,13 +778,16 @@ def solve_packed(
             has_prev[active],
             src_vals[active],
             topo_idx[active],
+            memo,
+            identities,
         )
         converged = (new_codes == codes[active]).all(axis=1)
-        for k in np.where(converged)[0]:
-            g = int(active[k])
-            flat[g] = SolveResult(
-                new_codes[k, : n_of_row[g]].tolist(), bool(retention[k])
-            )
+        for g, row, used in zip(
+            active[converged].tolist(),
+            new_codes[converged].tolist(),
+            retention[converged].tolist(),
+        ):
+            flat[g] = SolveResult(row[: widths[g]], used)
         codes[active] = new_codes
         active = active[~converged]
         if active.size == 0:
@@ -664,11 +802,12 @@ def solve_packed(
             has_prev[active],
             src_vals[active],
             topo_idx[active],
+            memo,
+            identities,
         )
         merged = np.where(codes[active] == final, codes[active], X)
-        for k, g in enumerate(active):
-            g = int(g)
-            flat[g] = SolveResult(merged[k, : n_of_row[g]].tolist(), True)
+        for g, row in zip(active.tolist(), merged.tolist()):
+            flat[g] = SolveResult(row[: widths[g]], True)
 
     out: List[List[SolveResult]] = []
     offset = 0

@@ -39,7 +39,8 @@ Two execution paths produce byte-identical results:
   to :meth:`StaticSolver._solve_contention`.
   This module keeps the per-solver index arrays it builds on
   (:class:`_BatchArrays`, including the edge endpoints and conductances
-  the resistive kernel reads) and its resolve-row memo.
+  the resistive kernel reads); the kernel's resolve-row memo lives with
+  the kernel (:class:`repro.simulation.packed.ResolveMemo`).
 """
 
 from __future__ import annotations
@@ -150,13 +151,6 @@ class StaticSolver:
         ]
         # Index arrays for the vectorized kernel, built on first use.
         self._batch: Optional[_BatchArrays] = None
-        # Resolve rows memoized by (conduction mask, source values): the
-        # component structure and boundary outcome — including the exact
-        # contention solve — are a pure function of that pair, and the
-        # fixpoint revisits the same pair constantly.  Vectorized kernel
-        # only (keys: see simulation.packed._resolve_packed); the scalar
-        # path stays the untouched reference oracle.
-        self._resolve_cache: Dict[bytes, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def solve(
@@ -387,20 +381,22 @@ class _BatchArrays:
             [d.g_on for d in devices] + [g for _a, _b, g in graph.static_edges],
             dtype=np.float64,
         )
+        # Neighbour tables: each edge joins both endpoints' lists in edge
+        # order (a's entry first); self-edges never merge anything.
         n = graph.n_nodes
-        incident: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for edge, (a, b) in enumerate(endpoints):
-            if a != b:  # self-edges never merge anything
-                incident[a].append((edge, b))
-                incident[b].append((edge, a))
-        max_deg = max((len(slots) for slots in incident), default=0) or 1
-        padding_edge = len(endpoints)  # the always-inactive slot
-        self.slot_node = np.empty((n, max_deg), dtype=np.intp)
-        self.slot_edge = np.empty((n, max_deg), dtype=np.intp)
-        for node, slots in enumerate(incident):
-            for k in range(max_deg):
-                if k < len(slots):
-                    self.slot_edge[node, k], self.slot_node[node, k] = slots[k]
-                else:
-                    self.slot_edge[node, k] = padding_edge
-                    self.slot_node[node, k] = node
+        edges = np.flatnonzero(self.edge_a != self.edge_b)
+        ends = np.stack([self.edge_a[edges], self.edge_b[edges]], axis=1)
+        order = np.argsort(ends.ravel(), kind="stable")
+        node = ends.ravel()[order]
+        other = ends[:, ::-1].ravel()[order]
+        degree = np.bincount(node, minlength=n)
+        max_deg = int(degree.max(initial=0)) or 1
+        k = np.arange(node.size) - np.repeat(np.cumsum(degree) - degree, degree)
+        # A padded slot points the node back at itself through the
+        # always-inactive padding edge (index len(endpoints)).
+        self.slot_node = np.repeat(
+            np.arange(n, dtype=np.intp)[:, None], max_deg, axis=1
+        )
+        self.slot_edge = np.full((n, max_deg), len(endpoints), dtype=np.intp)
+        self.slot_node[node, k] = other
+        self.slot_edge[node, k] = np.repeat(edges, 2)[order]

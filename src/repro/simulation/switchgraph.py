@@ -64,7 +64,8 @@ class PhaseState:
     * ``staged_memoryless`` / ``staged_history`` — batch-solved phases
       awaiting their first *counted* lookup.  Shared so the cross-cell
       packed planner can see what a signature-sibling already has in
-      flight; always drained back to empty by per-word assembly, so
+      flight; always drained back to empty by per-word assembly (or by
+      :meth:`~repro.simulation.engine.CellSimulator.read_words`), so
       sharing them is invisible to the sequential flow;
     * ``prefetch_drive`` — drive resistances the batched solve of
       :func:`~repro.simulation.engine.prefetch_drive` computed ahead of

@@ -29,7 +29,7 @@ from repro.camodel import (
     stimuli,
 )
 from repro.defects.universe import default_universe
-from repro.library import SOI28, build_cell, function_names
+from repro.library import C40, SOI28, build_cell, function_names
 from repro.library.synth import (
     CellSpec,
     Leaf,
@@ -59,10 +59,10 @@ def _word_set(cell):
     return stimuli(cell.n_inputs, policy)
 
 
-def _assert_identical(cell, effect, words):
+def _assert_identical(cell, effect, words, params=PARAMS):
     """Scalar and batched simulators must agree on everything visible."""
-    scalar = CellSimulator(cell, params=PARAMS, effect=effect, packed=False)
-    batched = CellSimulator(cell, params=PARAMS, effect=effect)
+    scalar = CellSimulator(cell, params=params, effect=effect, packed=False)
+    batched = CellSimulator(cell, params=params, effect=effect)
     expected = scalar.solve_words(words)
     got = batched.solve_words(words)
     assert got == expected
@@ -176,30 +176,110 @@ class TestPackedDifferential:
                 assert result.codes == reference.codes
                 assert result.retention_used == reference.retention_used
 
-    @pytest.mark.parametrize("mixed_first", [True, False], ids=["mixed", "alone"])
-    def test_resolve_cache_shared_across_pack_widths(self, mixed_first):
-        """A solver's resolve-row memo must not depend on the pack that
-        filled it: INV's keys are trimmed next to AOI22 and full-width
-        alone, yet either call must hit every entry the other wrote —
-        equal results, no new (or rewritten) entries."""
-        from itertools import product
-
-        from repro.simulation import PackedRequest, solve_packed
-
+    def test_resolve_memo_alone_and_mixed(self):
+        """A resolve row's memo key holds its own solver's bits only:
+        INV solved alone, then packed next to AOI22 against the same
+        memo, then next to AOI22 against a fresh one, gives equal
+        results, each equal to the scalar solve."""
         small = CellSimulator(build_cell(SOI28, "INV", 1), params=PARAMS).solver
         large = CellSimulator(build_cell(SOI28, "AOI22", 1), params=PARAMS).solver
         alone = [PackedRequest(small, list(product((0, 1), repeat=1)))]
         mixed = alone + [PackedRequest(large, list(product((0, 1), repeat=4)))]
-        first, second = (mixed, alone) if mixed_first else (alone, mixed)
+        memo = packed.ResolveMemo()
+        first = solve_packed(alone, memo)[0]
+        warm = solve_packed(mixed, memo)
+        cold = solve_packed(mixed)
+        assert first == warm[0] == cold[0]
+        assert warm == cold
+        for request, results in zip(mixed, warm):
+            for vector, result in zip(request.vectors, results):
+                assert result == request.solver.solve(vector, None)
 
-        expected = solve_packed(first)[0]
-        entries = dict(small._resolve_cache)
-        assert entries
-        got = solve_packed(second)[0]
-        assert got == expected
-        assert small._resolve_cache.keys() == entries.keys()
-        for key, row in entries.items():
-            assert small._resolve_cache[key] is row
+    def test_solve_packed_rejects_non_binary_inputs(self):
+        """A memo key holds one bit per source: a source value other
+        than 0 or 1 is refused, never aliased."""
+        solver = CellSimulator(build_cell(SOI28, "NAND2", 1), params=PARAMS).solver
+        with pytest.raises(ValueError, match="0 or 1"):
+            solve_packed([PackedRequest(solver, [(0, 1), (1, -1)])])
+
+    def test_resolve_keys_past_64_bits(self):
+        """C40 MUX4X4 has more device + input bits than one 64-bit word
+        holds: its keys span two words, and a one-word INV pack filled
+        the memo first, so the stored keys widen.  A defect sample
+        solved packed equals the scalar solves, history phases included."""
+        params = C40.electrical
+        cell = build_cell(C40, "MUX4", 4)
+        universe = default_universe(cell)
+        effects = [GOLDEN] + [
+            defect.effect(cell, params.short_resistance)
+            for defect in universe[1 :: len(universe) // 6]
+        ]
+        solvers = [
+            CellSimulator(cell, params=params, effect=effect).solver
+            for effect in effects
+        ]
+        assert max(
+            solver._batch_arrays().n_devices + cell.n_inputs for solver in solvers
+        ) > 64
+        memo = packed.ResolveMemo()
+        inv = CellSimulator(build_cell(C40, "INV", 1), params=params).solver
+        solve_packed([PackedRequest(inv, [(0,), (1,)])], memo)
+        vectors = list(product((0, 1), repeat=cell.n_inputs))[::3]
+        requests = [PackedRequest(solver, vectors) for solver in solvers]
+        got = solve_packed(requests, memo)
+        for request, results in zip(requests, got):
+            for vector, result in zip(request.vectors, results):
+                assert result == request.solver.solve(vector, None)
+        words = stimuli(cell.n_inputs, "adjacent")[::16]
+        for effect in effects:
+            if effect.gate_open or effect.removed:
+                _assert_identical(cell, effect, words, params)
+
+    def test_each_resolve_key_reaches_the_kernel_once_per_call(
+        self, monkeypatch
+    ):
+        """One memo serves every flush and both stages of a
+        ``solve_words_across`` call: each distinct (solver, conduction,
+        sources) row is resolved once, however many flushes and
+        fixpoint steps ask for it."""
+        resolved = []
+        rows = packed._resolve_packed_rows
+
+        def spy(pk, conducting, src_vals, topo_idx):
+            for b, t in enumerate(topo_idx.tolist()):
+                resolved.append((
+                    id(pk.solvers[t]),
+                    conducting[b, : pk.n_devices[t]].tobytes(),
+                    src_vals[b, : pk.n_inputs[t]].tobytes(),
+                ))
+            return rows(pk, conducting, src_vals, topo_idx)
+
+        monkeypatch.setattr(packed, "_resolve_packed_rows", spy)
+        monkeypatch.setattr(engine, "FLUSH_ROWS", 64)
+        tasks = []
+        for function in ("NAND2", "AOI22", "MUX2"):
+            cell = build_cell(SOI28, function, 1)
+            topology = CellTopology(cell, params=PARAMS)
+            words = _word_set(cell)
+            for defect in [None] + default_universe(cell):
+                effect = (
+                    GOLDEN if defect is None
+                    else defect.effect(cell, PARAMS.short_resistance)
+                )
+                if not effect.benign:
+                    sim = CellSimulator(
+                        cell, params=PARAMS, effect=effect, topology=topology
+                    )
+                    tasks.append((sim, words, None))
+        flushes = []
+        solve = engine.solve_packed
+        monkeypatch.setattr(
+            engine, "solve_packed",
+            lambda requests, memo: flushes.append(memo) or solve(requests, memo),
+        )
+        engine.solve_words_across(tasks, assemble=False)
+        assert len(flushes) > 2 and all(memo is flushes[0] for memo in flushes)
+        assert resolved and len(resolved) == len(set(resolved))
 
     def _canonical(self, model):
         from repro.resilience.runner import canonical_model_dict
@@ -310,6 +390,82 @@ class TestRandomizedDifferential:
         assert scalar.golden == batched.golden
         assert np.array_equal(scalar.detection, batched.detection)
         assert scalar.responses == batched.responses
+
+
+# ----------------------------------------------------------------------
+# The production path: keep_responses=False, packed vs scalar
+# ----------------------------------------------------------------------
+
+
+def _assert_same_tables(scalar, batched):
+    """Equal detection tables and every counter but ``batched_phases``."""
+    assert scalar.golden == batched.golden
+    assert scalar.detection.tobytes() == batched.detection.tobytes()
+    assert scalar.simulation_count == batched.simulation_count
+    one, other = scalar.stats.to_dict(), batched.stats.to_dict()
+    for key in one:
+        if key == "batched_phases" or key.endswith("seconds"):
+            continue
+        assert one[key] == other[key], key
+    assert scalar.stats.batched_phases == 0
+
+
+class TestProductionPathDifferential:
+    """Library calls keep no responses: the packed sweep reads each
+    signature group's phases once and charges its siblings by rule, and
+    must still equal the scalar per-defect sweep."""
+
+    def test_characterize_library(self):
+        """The 18 soi28 cells (drive 1, up to 3 inputs) of the
+        ``characterize`` benchmark workload in one library call."""
+        from repro.camodel import generate_library
+        from repro.library.builder import build_library
+
+        cells = build_library(
+            SOI28, functions=SOI28.functions, drives=(1,),
+            flavors=SOI28.flavors[:1], max_inputs=3,
+        ).cells
+        assert len(cells) == 18
+        scalar = generate_library(cells, params=PARAMS, packed=False)
+        batched = generate_library(cells, params=PARAMS)
+        assert list(scalar) == list(batched)
+        for name in scalar:
+            _assert_same_tables(scalar[name], batched[name])
+
+    @pytest.mark.parametrize("function", ["HA1", "FA1"])
+    def test_generate_multi_with_delay_detection(self, function):
+        cell = build_cell(SOI28, function, 1)
+        scalar = generate_multi(cell, params=PARAMS, packed=False)
+        batched = generate_multi(cell, params=PARAMS)
+        assert set(scalar) == set(batched) == set(cell.outputs)
+        for port in scalar:
+            _assert_same_tables(scalar[port], batched[port])
+
+    @given(random_cell(), st.data(), st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_signature_siblings(self, cell, data, delay_detection):
+        """Universes that repeat signature-equal defects: renamed copies
+        of drawn defects, shuffled among them, so sibling rows are read
+        from their group with and without delay detection."""
+        universe = default_universe(cell)
+        drawn = data.draw(
+            st.lists(
+                st.sampled_from(range(len(universe))), min_size=1, max_size=6,
+                unique=True,
+            )
+        )
+        copies = data.draw(st.lists(st.sampled_from(drawn), max_size=6))
+        sample = [universe[i] for i in drawn] + [
+            dataclasses.replace(universe[i], name=f"C{k}")
+            for k, i in enumerate(copies)
+        ]
+        sample = data.draw(st.permutations(sample))
+        kwargs = dict(
+            params=PARAMS, universe=sample, delay_detection=delay_detection
+        )
+        scalar = generate_ca_model(cell, packed=False, **kwargs)
+        batched = generate_ca_model(cell, **kwargs)
+        _assert_same_tables(scalar, batched)
 
 
 # ----------------------------------------------------------------------

@@ -141,6 +141,55 @@ class TestRunThroughput:
                 survivors[cell.name]
             ) == canonical_model_dict(reference)
 
+    @pytest.mark.parametrize("step", ["sweep", "delay_sweep"])
+    def test_failure_after_setup_is_contained(self, monkeypatch, step):
+        """A cell raising in its own assembly or drive step, after the
+        shared packed solves, fails alone: each drive prefetch still
+        spans every cell left in it, and the other models equal their
+        per-cell references."""
+        import repro.camodel.generate as generate_module
+
+        cells = [
+            build_cell(SOI28, function, 1)
+            for function in ("NAND2", "NOR2", "AOI21", "OAI21")
+        ]
+        names = {cell.name for cell in cells}
+        victim = cells[1].name
+        real_step = getattr(generate_module._CellRun, step)
+
+        def failing_step(run, *args):
+            if run.cell.name == victim:
+                raise RuntimeError("injected assembly fault")
+            return real_step(run, *args)
+
+        spans = []
+        prefetch = generate_module.prefetch_drive
+
+        def spy_prefetch(queries):
+            queries = list(queries)
+            spans.append({query[0].cell.name for query in queries})
+            prefetch(queries)
+
+        monkeypatch.setattr(generate_module._CellRun, step, failing_step)
+        monkeypatch.setattr(generate_module, "prefetch_drive", spy_prefetch)
+        with pytest.raises(LibraryGenerationError) as err:
+            run_throughput(cells, params=PARAMS)
+        monkeypatch.undo()
+        assert [f["cell"] for f in err.value.failures] == [victim]
+        # One golden prefetch over every cell, one defect prefetch over
+        # every cell whose sweep finished.
+        swept = names - {victim} if step == "sweep" else names
+        assert spans == [names, swept]
+        survivors = err.value.completed
+        assert set(survivors) == names - {victim}
+        for cell in cells:
+            if cell.name == victim:
+                continue
+            reference = generate_ca_model(cell, params=PARAMS)
+            assert canonical_model_dict(
+                survivors[cell.name]
+            ) == canonical_model_dict(reference)
+
     def test_engine_metrics_are_recorded(self, library_cells):
         from repro.camodel.throughput import M_THROUGHPUT_CELLS
         from repro.simulation.engine import M_PACKED_FLUSHES, M_PACKED_ROWS
